@@ -203,12 +203,19 @@ def rollout(pos0, vel0, accelerations, ts) -> Trace:
     if acc.ndim != 3 or pos0.shape != vel0.shape or pos0.shape[0] != acc.shape[0]:
         raise LengthMismatch(
             f"shape mismatch: pos0 {pos0.shape}, vel0 {vel0.shape}, acc {acc.shape}")
+    # Sequential cumulative sums perform step()'s additions in step()'s
+    # order, so the result is bit for bit the step-by-step recursion:
+    # v_{k+1} = v_k + a_k ts and p_{k+1} = (p_k + v_k ts) + a_k ts^2 / 2.
     d, n, _ = acc.shape
-    pos = np.empty((d, n + 1, 3))
     vel = np.empty((d, n + 1, 3))
-    pos[:, 0], vel[:, 0] = pos0, vel0
-    for k in range(n):
-        pos[:, k + 1], vel[:, k + 1] = step(pos[:, k], vel[:, k], acc[:, k], ts)
+    vel[:, 0] = vel0
+    vel[:, 1:] = acc * ts
+    np.cumsum(vel, axis=1, out=vel)
+    terms = np.empty((d, 2 * n + 1, 3))
+    terms[:, 0] = pos0
+    terms[:, 1::2] = vel[:, :-1] * ts
+    terms[:, 2::2] = 0.5 * acc * ts * ts
+    pos = np.ascontiguousarray(np.cumsum(terms, axis=1)[:, ::2])
     return Trace(ts, pos, vel, acc)
 
 

@@ -19,7 +19,8 @@ import numpy as np
 from . import stl
 from .dynamics import Trace, rollout
 from .errors import NonFiniteObjective, SeedTooShort
-from .robustness import RobustnessReport, _Evaluator, _SMOOTH, eval_exact, make_report
+from .robustness import (Program, RobustnessReport, eval_exact, eval_smooth,
+                         eval_weighted_smooth, gradient_smooth, make_report)
 
 SATISFIED_WITH_MARGIN = "satisfied_with_margin"
 SATISFIED_NO_MARGIN = "satisfied_no_margin"
@@ -96,17 +97,20 @@ def pullback_gradient(dpos, dvel, ts: float) -> np.ndarray:
     dvel = np.asarray(dvel, float)
     n_drones, n_samples, _ = dpos.shape
     n = n_samples - 1
-    dacc = np.zeros((n_drones, n, 3))
-    adj_p = dpos[:, n].copy()
-    adj_v = dvel[:, n].copy()
-    for k in range(n - 1, -1, -1):
-        dacc[:, k] = 0.5 * ts * ts * adj_p + ts * adj_v
-        adj_v += ts * adj_p + dvel[:, k]
-        adj_p += dpos[:, k]
-    return dacc
+    if n == 0:
+        return np.zeros((n_drones, 0, 3))
+    # Reverse-time sequential cumulative sums add in the order of the
+    # backward recursion adj_p += dpos_k, adj_v += ts adj_p + dvel_k, so
+    # the result is bit for bit that recursion. Column j is step n-1-j.
+    adj_p = np.cumsum(dpos[:, :0:-1], axis=1)
+    adj_v = np.empty((n_drones, n, 3))
+    adj_v[:, 0] = dvel[:, n]
+    adj_v[:, 1:] = ts * adj_p[:, :-1] + dvel[:, n - 1:0:-1]
+    np.cumsum(adj_v, axis=1, out=adj_v)
+    return np.ascontiguousarray((0.5 * ts * ts * adj_p + ts * adj_v)[:, ::-1])
 
 
-def _velocity_clauses(scenario, n_samples, ts, limits, scale):
+def _velocity_clauses(n_samples, ts, limits, scale):
     clauses = []
     duration = (n_samples - 1) * ts
     for d, lim in enumerate(limits):
@@ -117,41 +121,47 @@ def _velocity_clauses(scenario, n_samples, ts, limits, scale):
     return clauses
 
 
-def _augment(formula, scenario, n_samples, ts, limits, scale):
-    clauses = _velocity_clauses(scenario, n_samples, ts, limits, scale)
+def _augment(formula, n_samples, ts, limits, scale):
+    clauses = _velocity_clauses(n_samples, ts, limits, scale)
     return stl.land(formula, *clauses, label="objective")
 
 
 class _Objective:
-    """Smooth objective and gradient as a function of accelerations."""
+    """Smooth objective and gradient as a function of accelerations.
+
+    The objective formula is compiled once here and reused by every
+    trial and gradient; each evaluation starts from a fresh rollout.
+    """
 
     def __init__(self, formula, pos0, vel0, ts, sharpness, weights):
-        self.formula = formula
+        self.program = Program(formula, ts, weights)
+        self.weights = weights
         self.pos0 = pos0
         self.vel0 = vel0
         self.ts = ts
         self.sharpness = sharpness
-        self.weights = weights
 
     def trace(self, acc) -> Trace:
         return rollout(self.pos0, self.vel0, acc, self.ts)
 
-    def value(self, acc) -> float:
-        trace = self.trace(acc)
-        ev = _Evaluator(trace, _SMOOTH, self.sharpness, weights=self.weights, soft=True)
-        value = ev.value_at(self.formula, 0)
+    def _checked(self, value, acc) -> float:
         if not np.isfinite(value):
             raise NonFiniteObjective(f"objective became {value}", accelerations=acc)
         return value
 
-    def value_and_gradient(self, acc):
+    def value(self, acc) -> float:
         trace = self.trace(acc)
-        ev = _Evaluator(trace, _SMOOTH, self.sharpness, weights=self.weights, soft=True)
-        value = ev.value_at(self.formula, 0)
-        if not np.isfinite(value):
-            raise NonFiniteObjective(f"objective became {value}", accelerations=acc)
-        dpos, dvel = ev.gradient(self.formula, 0)
-        return value, pullback_gradient(dpos, dvel, self.ts)
+        if self.weights is None:
+            value = eval_smooth(self.program, trace, 0, self.sharpness)
+        else:
+            value = eval_weighted_smooth(self.program, self.weights, trace, 0,
+                                         self.sharpness, soft_combine=True)
+        return self._checked(value, acc)
+
+    def value_and_gradient(self, acc):
+        value, dpos, dvel = gradient_smooth(self.program, self.trace(acc), self.sharpness,
+                                            weights=self.weights)
+        return self._checked(value, acc), pullback_gradient(dpos, dvel, self.ts)
 
 
 def optimize(formula, seed_trace: Trace, scenario, config: OptimizerConfig = None,
@@ -178,11 +188,12 @@ def optimize(formula, seed_trace: Trace, scenario, config: OptimizerConfig = Non
               else scenario.limits[d] for d in range(seed_trace.n_drones)]
     a_caps = np.stack([np.asarray(limits[d].a_max) for d in range(seed_trace.n_drones)])
 
-    objective_formula = (_augment(formula, scenario, seed_trace.n_samples, ts, limits,
+    objective_formula = (_augment(formula, seed_trace.n_samples, ts, limits,
                                   config.velocity_margin_scale)
                          if augment_velocity else formula)
     objective = _Objective(objective_formula, seed_trace.pos[:, 0].copy(),
                            seed_trace.vel[:, 0].copy(), ts, sharpness, weights)
+    monitor = Program(formula, ts, weights)  # exact checks and the final report
 
     if free_drones is None:
         free = np.ones(seed_trace.n_drones, dtype=bool)
@@ -205,7 +216,7 @@ def optimize(formula, seed_trace: Trace, scenario, config: OptimizerConfig = Non
         history = [current]
         # best iterate by exact robustness, preferring those at the margin
         # so the reported status stays consistent with the returned trace
-        best = (eval_exact(formula, objective.trace(acc), 0), current, acc)
+        best = (eval_exact(monitor, objective.trace(acc), 0), current, acc)
         best_margin = best if current >= margin else None
         step = config.step_init
         iterations = 0
@@ -238,7 +249,7 @@ def optimize(formula, seed_trace: Trace, scenario, config: OptimizerConfig = Non
             improvement = value - current
             acc, current, step = trial, value, trial_step
             history.append(current)
-            exact_here = eval_exact(formula, objective.trace(acc), 0)
+            exact_here = eval_exact(monitor, objective.trace(acc), 0)
             if (exact_here, current) > (best[0], best[1]):
                 best = (exact_here, current, acc)
             if current >= margin and (best_margin is None
@@ -279,7 +290,7 @@ def optimize(formula, seed_trace: Trace, scenario, config: OptimizerConfig = Non
         status = SATISFIED_NO_MARGIN
     else:
         status = VIOLATED
-    report = make_report(formula, final_trace, sharpness, weights=weights)
+    report = make_report(monitor, final_trace, sharpness, weights=weights)
     return PlanResult(trace=final_trace, report=report, status=status,
                       iterations=iterations, objective_history=history,
                       smooth_objective=smooth_best, restarts_used=restarts_used)

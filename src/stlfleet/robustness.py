@@ -4,30 +4,51 @@ The exact semantics follows the classic min/max recursion. The smooth
 variant replaces min with a log-sum-exp lower bound and max with a
 softmax convex combination, both controlled by a sharpness parameter:
 larger sharpness means a tighter approximation. All exponential sums are
-max-shifted so no overflow occurs for |sharpness * value| <= 700.
+max-shifted so no overflow occurs for |sharpness * value| <= 700. The
+only source of infinite values is ``true``; where the exact min/max of a
+reduction is infinite, the smooth one returns that same infinity, and an
+infinite operand or result passes no gradient.
 
-Evaluation is vectorized over time: each node computes its value at
-every sample index where it is defined, which makes temporal windows
-sliding-window reductions. Gradients of the smooth variants come from a
-reverse sweep over the same tree.
+A formula is compiled once per sampling period into a ``Program``: a
+flat post-order list of instructions (the computation-graph view of STL
+robustness, as in STLCG). Compilation resolves, once, each node's
+access steps, window offsets and widths, the successor stride of Next,
+and the weight and weight-share arrays of every node. Implication is
+lowered to Or(Not(lhs), rhs), so one semantics covers it.
+
+One forward pass first evaluates the atoms, all atoms of one predicate
+kind as one batch, then every other node at every sample where it is
+defined, so temporal windows are reductions over strided sliding views.
+The same program serves the exact, smooth, weighted and weighted-smooth
+semantics, the reverse sweep that yields gradients, and the per-node
+report. A program holds no trace data between calls; the reverse sweep
+reuses only the forward pass of the same call.
+
+Every result is bit for bit that of a node-by-node recursive
+evaluation: each reduction sees the same operand arrays in the same
+memory layout, and every scatter-add (window adjoints, atom gradients)
+adds in the order of a recursive left-to-right sweep.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import stl
 from .dynamics import Trace
 from .errors import EmptyInput, NonPositiveWeight, TraceTooShort
 
-_EXACT = "exact"
-_SMOOTH = "smooth"
+# weighting of one pass: operands times raw weights (exact weighted
+# semantics) or the normalized-weight transform (weighted smooth)
+_SCALE = "scale"
+_SHARE = "share"
 
 
+@np.errstate(invalid="ignore")  # see the smooth reductions below
 def smooth_min(values, sharpness: float) -> float:
     """Log-sum-exp under-approximation of min; exact for singleton input."""
     values = np.asarray(values, float)
@@ -35,9 +56,10 @@ def smooth_min(values, sharpness: float) -> float:
         raise EmptyInput("smooth_min of an empty set")
     if sharpness <= 0:
         raise ValueError(f"sharpness must be positive, got {sharpness}")
-    return float(_softmin(values, sharpness))
+    return float(_softmin(values, sharpness)[0])
 
 
+@np.errstate(invalid="ignore")
 def smooth_max(values, sharpness: float) -> float:
     """Softmax-weighted average: a convex combination, so min <= result <= max."""
     values = np.asarray(values, float)
@@ -45,34 +67,77 @@ def smooth_max(values, sharpness: float) -> float:
         raise EmptyInput("smooth_max of an empty set")
     if sharpness <= 0:
         raise ValueError(f"sharpness must be positive, got {sharpness}")
-    return float(_softmax_avg(values, sharpness))
+    return float(_softmax_avg(values, sharpness)[0])
 
 
-def _softmin(values, lam, axis=-1):
-    shift = values.min(axis=axis, keepdims=True)
-    total = np.exp(-lam * (values - shift)).sum(axis=axis)
-    return np.squeeze(shift, axis=axis) - np.log(total) / lam
+# Smooth reductions act on the last axis. Each returns its result with the
+# exponential weights and their sum, from which its partials are built.
+# Callers run them with numpy's invalid-operation warnings off: an
+# infinite operand makes inf - inf or 0 * inf, and the rows it turns into
+# NaN are rebuilt afterwards, so finite input pays for one NaN check and
+# keeps every bit.
 
 
-def _softmax_avg(values, lam, axis=-1):
-    shift = values.max(axis=axis, keepdims=True)
-    w = np.exp(lam * (values - shift))
-    return (values * w).sum(axis=axis) / w.sum(axis=axis)
-
-
-def _softmin_partials(values, lam, axis=-1):
-    shift = values.min(axis=axis, keepdims=True)
+def _softmin(values, lam):
+    shift = values.min(axis=-1, keepdims=True)
     w = np.exp(-lam * (values - shift))
-    return w / w.sum(axis=axis, keepdims=True)
+    total = w.sum(axis=-1)
+    edge = np.squeeze(shift, axis=-1)
+    result = edge - np.log(total) / lam
+    if np.isnan(result.sum()):  # an infinite min
+        result = np.where(np.isinf(edge), edge, result)
+    return result, w, total
 
 
-def _softmax_partials(values, lam, axis=-1):
-    """d softmax_avg / d value_i = q_i * (1 + lam * (value_i - result))."""
-    shift = values.max(axis=axis, keepdims=True)
+def _softmax_avg(values, lam):
+    shift = values.max(axis=-1, keepdims=True)
     w = np.exp(lam * (values - shift))
-    q = w / w.sum(axis=axis, keepdims=True)
-    result = (values * q).sum(axis=axis, keepdims=True)
-    return q * (1.0 + lam * (values - result))
+    terms = values * w
+    total = w.sum(axis=-1)
+    result = terms.sum(axis=-1) / total
+    if np.isnan(result.sum()):  # a -inf operand or an infinite max
+        terms[np.isneginf(values)] = 0.0  # a -inf operand has weight exactly zero
+        edge = np.squeeze(shift, axis=-1)
+        result = np.where(np.isinf(edge), edge, terms.sum(axis=-1) / total)
+    return result, w, total
+
+
+# Partials take the reduction's result too: an infinite result passes no
+# gradient to any operand, and neither does an infinite operand.
+
+
+def _softmin_partials(values, lam, w, total, result):
+    partials = w / total[..., None]  # a +inf operand of a finite min has w = 0
+    if np.isnan(total.sum()):  # an infinite min
+        partials[np.isinf(result)] = 0.0
+    return partials
+
+
+def _softmax_partials(values, lam, w, total, result):
+    """d softmax_avg / d value_i = q_i * (1 + lam * (value_i - result))."""
+    q = w / total[..., None]
+    terms = values * q
+    mean = terms.sum(axis=-1, keepdims=True)
+    if not np.isnan(mean.sum()):
+        return q * (1.0 + lam * (values - mean))
+    # a -inf operand or an infinite max
+    dead = np.isneginf(values)
+    terms[dead] = 0.0
+    partials = q * (1.0 + lam * (values - terms.sum(axis=-1, keepdims=True)))
+    partials[dead] = 0.0
+    partials[np.isinf(result)] = 0.0
+    return partials
+
+
+class _Reduction(NamedTuple):
+    is_min: bool
+    hard: np.ufunc
+    soft: object
+    partials: object
+
+
+_MIN = _Reduction(True, np.minimum, _softmin, _softmin_partials)
+_MAX = _Reduction(False, np.maximum, _softmax_avg, _softmax_partials)
 
 
 def _sign_pos(values):
@@ -80,419 +145,479 @@ def _sign_pos(values):
     return np.where(values >= 0.0, 1.0, -1.0)
 
 
+def _windows(values, lo, width, count):
+    """``count`` sliding windows of ``values``: row t is values[t+lo : t+lo+width].
+
+    A strided view, not a copy; callers only read it.
+    """
+    step = values.strides[0]
+    return np.ndarray((count, width), values.dtype, values, lo * step, (step, step))
+
+
 # ---------------------------------------------------------------------------
 # Atom margins and their gradients
+#
+# Atoms of one predicate kind are evaluated together, one row per atom.
+# Their gradients come back as (flat index, value) entries into the
+# stacked state gradient [d/d positions; d/d velocities] of shape
+# (2 * drones, L, 3), one row of entries per atom.
 
 
-def _positions(trace, pred):
-    return trace.pos if pred.kind != stl.VELOCITY_BOX else trace.vel
+def _blocks(rows, length):
+    """Flat indices of whole (L, 3) blocks of the stacked state gradient, shape (K, 3L)."""
+    return rows[:, None] * (3 * length) + np.arange(3 * length)
 
 
-def _box_margins(pred, trace):
-    """Stacked face margins, shape (6, L); min gives inside-robustness."""
-    source = _positions(trace, pred)[pred.subject[0]]
-    lo = np.asarray(pred.lower)
-    hi = np.asarray(pred.upper)
-    rows = []
-    for axis in range(3):
-        rows.append(source[:, axis] - lo[axis])
-        rows.append(hi[axis] - source[:, axis])
-    return np.stack(rows)
+class _Boxes:
+    """Box margins of one kind: inside positions, inside velocities or outside positions."""
+
+    def __init__(self, preds):
+        self.kind = preds[0].kind
+        self.drones = np.array([p.subject[0] for p in preds])
+        self.lo = np.array([p.lower for p in preds])[:, :, None]
+        self.hi = np.array([p.upper for p in preds])[:, :, None]
+        self.scale = np.array([p.scale for p in preds])[:, None]
+        # d margin / d state per face: even faces are p - lo, odd ones hi - p
+        self.face_sign = np.tile([1.0, -1.0], 3)
+        if self.kind == stl.BOX_OUTSIDE:
+            self.face_sign = -self.face_sign
+
+    def forward(self, trace, keep=False):
+        state = trace.vel if self.kind == stl.VELOCITY_BOX else trace.pos
+        source = state[self.drones].transpose(0, 2, 1)
+        # face rows per atom: p_x - lo_x, hi_x - p_x, p_y - lo_y, ...
+        margins = np.empty((len(self.drones), 6, source.shape[2]))
+        np.subtract(source, self.lo, out=margins[:, 0::2])
+        np.subtract(self.hi, source, out=margins[:, 1::2])
+        if self.kind == stl.BOX_OUTSIDE:
+            np.negative(margins, out=margins)
+            value = margins.max(axis=1)
+        else:
+            value = margins.min(axis=1)
+        if not keep:
+            return self.scale * value, None
+        # the face that carries the gradient; ties break toward the lowest face
+        active = (margins.argmax(axis=1) if self.kind == stl.BOX_OUTSIDE
+                  else margins.argmin(axis=1))
+        return self.scale * value, active
+
+    def entries(self, active, adjoint, n_drones):
+        length = active.shape[1]
+        rows = self.drones + (n_drones if self.kind == stl.VELOCITY_BOX else 0)
+        index = (rows[:, None] * length + np.arange(length)) * 3 + active // 2
+        return index, self.face_sign[active] * (self.scale * adjoint)
 
 
-def _segment_geometry(pred, trace):
-    p = trace.pos[pred.subject[0]]
-    a = np.asarray(pred.seg_start)
-    u = np.asarray(pred.seg_end) - a
-    s = np.clip(((p - a) @ u) / (u @ u), 0.0, 1.0)
-    closest = a + s[:, None] * u
-    offset = p - closest
-    dist = np.linalg.norm(offset, axis=1)
-    return offset, dist
+class _Separations:
+    """Pairwise distance minus threshold."""
+
+    def __init__(self, preds):
+        self.a = np.array([p.subject[0] for p in preds])
+        self.b = np.array([p.subject[1] for p in preds])
+        self.threshold = np.array([p.threshold for p in preds])[:, None]
+        self.scale = np.array([p.scale for p in preds])[:, None]
+
+    def forward(self, trace, keep=False):
+        diff = trace.pos[self.a] - trace.pos[self.b]
+        dist = np.linalg.norm(diff, axis=2)
+        return self.scale * (dist - self.threshold), (diff, dist)
+
+    def entries(self, aux, adjoint, n_drones):
+        diff, dist = aux
+        unit = np.divide(diff, dist[..., None], out=np.zeros_like(diff),
+                         where=dist[..., None] > 0)
+        push = ((self.scale * adjoint)[..., None] * unit).reshape(len(self.a), -1)
+        length = diff.shape[1]
+        index = np.concatenate([_blocks(self.a, length), _blocks(self.b, length)], axis=1)
+        return index, np.concatenate([push, -push], axis=1)
+
+
+class _Segments:
+    """Distance to a segment kept inside a band [standoff - tol, standoff + tol]."""
+
+    def __init__(self, preds):
+        self.drones = np.array([p.subject[0] for p in preds])
+        self.starts = [np.asarray(p.seg_start) for p in preds]
+        self.spans = [np.asarray(p.seg_end) - a for p, a in zip(preds, self.starts)]
+        self.inner = np.array([p.standoff - p.tolerance for p in preds])[:, None]
+        self.outer = np.array([p.standoff + p.tolerance for p in preds])[:, None]
+        self.scale = np.array([p.scale for p in preds])[:, None]
+
+    def forward(self, trace, keep=False):
+        offsets = []
+        for d, a, u in zip(self.drones, self.starts, self.spans):
+            p = trace.pos[d]
+            s = np.clip(((p - a) @ u) / (u @ u), 0.0, 1.0)
+            offsets.append(p - (a + s[:, None] * u))
+        offset = np.stack(offsets)
+        dist = np.linalg.norm(offset, axis=2)
+        value = np.minimum(dist - self.inner, self.outer - dist)
+        return self.scale * value, (offset, dist)
+
+    def entries(self, aux, adjoint, n_drones):
+        offset, dist = aux
+        unit = np.divide(offset, dist[..., None], out=np.zeros_like(offset),
+                         where=dist[..., None] > 0)
+        # branch 0: dist - inner (d/d dist = +1); branch 1: outer - dist (-1)
+        sign = np.where(dist - self.inner <= self.outer - dist, 1.0, -1.0)
+        push = ((self.scale * adjoint) * sign)[..., None] * unit
+        return _blocks(self.drones, offset.shape[1]), push.reshape(len(self.drones), -1)
+
+
+_ATOM_GROUPS = {stl.BOX_INSIDE: _Boxes, stl.VELOCITY_BOX: _Boxes, stl.BOX_OUTSIDE: _Boxes,
+                stl.MIN_SEPARATION: _Separations, stl.SEGMENT_BAND: _Segments}
 
 
 def atom_values(pred: stl.Predicate, trace: Trace) -> np.ndarray:
     """Margin of one predicate at every sample, shape (L,)."""
-    if pred.kind in (stl.BOX_INSIDE, stl.VELOCITY_BOX):
-        value = _box_margins(pred, trace).min(axis=0)
-    elif pred.kind == stl.BOX_OUTSIDE:
-        value = (-_box_margins(pred, trace)).max(axis=0)
-    elif pred.kind == stl.MIN_SEPARATION:
-        a, b = pred.subject
-        value = np.linalg.norm(trace.pos[a] - trace.pos[b], axis=1) - pred.threshold
-    elif pred.kind == stl.SEGMENT_BAND:
-        _, dist = _segment_geometry(pred, trace)
-        inner = pred.standoff - pred.tolerance
-        outer = pred.standoff + pred.tolerance
-        value = np.minimum(dist - inner, outer - dist)
-    else:
-        raise ValueError(f"unknown predicate kind {pred.kind!r}")
-    return pred.scale * value
-
-
-def atom_backprop(pred, trace, adjoint, dpos, dvel) -> None:
-    """Accumulate d(margin)/d(state) * adjoint into the gradient arrays.
-
-    Margins built from hard min/max over faces differentiate through the
-    active face only; ties break toward the lowest face index.
-    """
-    adjoint = pred.scale * adjoint
-    target = dpos if pred.kind != stl.VELOCITY_BOX else dvel
-    if pred.kind in (stl.BOX_INSIDE, stl.VELOCITY_BOX, stl.BOX_OUTSIDE):
-        margins = _box_margins(pred, trace)
-        if pred.kind == stl.BOX_OUTSIDE:
-            active = (-margins).argmax(axis=0)
-        else:
-            active = margins.argmin(axis=0)
-        d = pred.subject[0]
-        for face in range(6):
-            mask = active == face
-            if not mask.any():
-                continue
-            axis = face // 2
-            sign = 1.0 if face % 2 == 0 else -1.0  # margin is p - lo or hi - p
-            if pred.kind == stl.BOX_OUTSIDE:
-                sign = -sign
-            target[d, mask, axis] += sign * adjoint[mask]
-    elif pred.kind == stl.MIN_SEPARATION:
-        a, b = pred.subject
-        diff = trace.pos[a] - trace.pos[b]
-        dist = np.linalg.norm(diff, axis=1)
-        unit = np.divide(diff, dist[:, None], out=np.zeros_like(diff),
-                         where=dist[:, None] > 0)
-        dpos[a] += adjoint[:, None] * unit
-        dpos[b] -= adjoint[:, None] * unit
-    elif pred.kind == stl.SEGMENT_BAND:
-        offset, dist = _segment_geometry(pred, trace)
-        unit = np.divide(offset, dist[:, None], out=np.zeros_like(offset),
-                         where=dist[:, None] > 0)
-        inner = pred.standoff - pred.tolerance
-        outer = pred.standoff + pred.tolerance
-        # branch 0: dist - inner (d/d dist = +1); branch 1: outer - dist (-1)
-        sign = np.where(dist - inner <= outer - dist, 1.0, -1.0)
-        dpos[pred.subject[0]] += (adjoint * sign)[:, None] * unit
-    else:
-        raise ValueError(f"unknown predicate kind {pred.kind!r}")
+    return _ATOM_GROUPS[pred.kind]([pred]).forward(trace)[0][0]
 
 
 # ---------------------------------------------------------------------------
-# Tree evaluator
+# Compiled program
 
 
-class _Evaluator:
-    """One evaluation pass: per-node value arrays plus optional gradients.
+class _Op:
+    """One instruction: a node kind over earlier instructions' values."""
 
-    mode "exact" uses hard min/max; "smooth" the differentiable
-    surrogates. A weight map turns "exact" into the weighted semantics
-    (min/max over weight * value) and "smooth" into the normalized-weight
-    transform combined by smooth min/max (soft=True, the optimizer path)
-    or hard min/max (soft=False, the reporting path).
+    __slots__ = ("kind", "args", "steps", "lo", "hi", "width", "red", "pair",
+                 "weights", "tilt", "node_id")
+
+    def __init__(self, kind, args=(), steps=0, node_id=None):
+        self.kind = kind
+        self.args = args            # indices of operand instructions
+        self.steps = steps          # samples of lookahead past t
+        self.node_id = node_id      # None for the Not that lowers an implication
+        self.lo = self.hi = self.width = 0
+        self.red = self.pair = None
+        self.weights = self.tilt = None
+
+
+class Program:
+    """A formula compiled for one sampling period, optionally with weights.
+
+    ``ops`` is the post-order instruction list; the last one is the root.
+    Evaluate it with the module-level functions, which accept a program
+    wherever they accept a formula; they are its only public interface.
     """
 
-    def __init__(self, trace, mode, sharpness=None, weights=None, soft=True):
-        self.trace = trace
-        self.mode = mode
-        self.lam = sharpness
+    def __init__(self, formula: stl.Formula, ts: float, weights: stl.WeightMap = None):
+        if weights is not None:
+            _check_weights(weights)
+        self.formula = formula
+        self.ts = ts
         self.weights = weights
-        self.soft = soft
-        self.length = trace.n_samples
-        self.values = {}
-        self.steps = {}
-        if mode == _SMOOTH and (sharpness is None or sharpness <= 0):
-            raise ValueError("smooth evaluation needs a positive sharpness")
+        self.ops = []
+        self.labels = []            # (node_id, op index) in pre-order, for reports
+        self._atoms = {}            # predicate kind -> [(op index, predicate)]
+        self._emit(formula)
+        # atoms of one kind run as one group: (group, op indices)
+        self.groups = [(_ATOM_GROUPS[kind]([pred for _, pred in members]),
+                        [index for index, _ in members])
+                       for kind, members in self._atoms.items()]
+        self.leaves = [index for index, op in enumerate(self.ops) if op.kind == stl.ATOM]
 
-    # -- bookkeeping
+    # -- compilation
 
-    def access_steps(self, node) -> int:
-        """Samples of lookahead the evaluator actually touches past t."""
-        cached = self.steps.get(node.node_id)
-        if cached is not None:
-            return cached
+    def _emit(self, node) -> int:
+        slot = len(self.labels)
+        self.labels.append(None)
+        args = tuple(self._emit(child) for child in node.children)
         kind = node.kind
-        if kind in (stl.TRUE, stl.ATOM):
-            steps = 0
-        elif kind in (stl.NOT,):
-            steps = self.access_steps(node.children[0])
-        elif kind in (stl.AND, stl.OR, stl.IMPLIES):
-            steps = max(self.access_steps(c) for c in node.children)
-        elif kind in (stl.ALWAYS, stl.EVENTUALLY):
-            _, hi = node.interval.to_steps(self.trace.ts)
-            steps = hi + self.access_steps(node.children[0])
-        elif kind == stl.NEXT:
-            steps = self._successor(node) + self.access_steps(node.children[0])
-        elif kind == stl.UNTIL:
-            _, hi = node.interval.to_steps(self.trace.ts)
-            steps = hi + max(self.access_steps(c) for c in node.children)
-        else:
-            raise ValueError(f"unknown node kind {kind!r}")
-        self.steps[node.node_id] = steps
-        return steps
-
-    def _successor(self, node) -> int:
-        # Next evaluates at the sample after the window start: t + lo + 1
-        lo, _ = node.interval.to_steps(self.trace.ts)
-        return lo + 1
-
-    def _weights_for(self, node, arity):
-        if self.weights is None:
-            return None
-        return self.weights.get(node.node_id, arity)
-
-    # -- reductions
-
-    def _reduce_rows(self, rows, kind, node_weights):
-        """Reduce stacked operand rows (beta, L) along axis 0."""
-        if rows.shape[0] == 1:
-            return rows[0].copy()
-        rows = self._apply_weights(rows.T, kind, node_weights).T
-        if self.mode == _EXACT or (self.weights is not None and not self.soft):
-            return rows.min(axis=0) if kind == "min" else rows.max(axis=0)
-        if kind == "min":
-            return _softmin(rows.T, self.lam)
-        return _softmax_avg(rows.T, self.lam)
-
-    def _reduce_windows(self, windows, kind, node_weights):
-        """Reduce sliding windows (Lout, W) along axis 1."""
-        if windows.shape[1] == 1:
-            return windows[:, 0].copy()
-        windows = self._apply_weights(windows, kind, node_weights)
-        if self.mode == _EXACT or (self.weights is not None and not self.soft):
-            return windows.min(axis=1) if kind == "min" else windows.max(axis=1)
-        if kind == "min":
-            return _softmin(windows, self.lam)
-        return _softmax_avg(windows, self.lam)
-
-    def _apply_weights(self, operands, kind, node_weights):
-        """Weighted semantics on the last axis of ``operands``.
-
-        Exact mode multiplies by the raw weights. Smooth mode applies the
-        normalized-weight transform: each operand is scaled by a factor
-        that depends on its sign and the share of its weight, which keeps
-        signs and, under uniform weights, arg-extrema unchanged.
-        """
-        if node_weights is None or operands.shape[-1] == 1:
-            return operands
-        if self.mode == _EXACT:
-            return operands * node_weights
-        share = node_weights / node_weights.sum()
-        sign = _sign_pos(operands)
-        if kind == "min":
-            factor = (0.5 - share) * sign + 0.5
-        else:
-            factor = (share - 0.5) * sign + 0.5
-        return factor * operands
-
-    def _transform_factor(self, operands, kind, node_weights):
-        """The local scale applied by _apply_weights, for backprop."""
-        if node_weights is None or operands.shape[-1] == 1:
-            return np.ones_like(operands)
-        share = node_weights / node_weights.sum()
-        sign = _sign_pos(operands)
-        if kind == "min":
-            return (0.5 - share) * sign + 0.5
-        return (share - 0.5) * sign + 0.5
-
-    # -- forward pass
-
-    def node_values(self, node) -> np.ndarray:
-        cached = self.values.get(node.node_id)
-        if cached is not None:
-            return cached
-        out_len = self.length - self.access_steps(node)
-        if out_len <= 0:
-            raise TraceTooShort(
-                f"trace of {self.length} samples cannot evaluate node "
-                f"{node.node_id!r}, which needs {self.access_steps(node) + 1}")
-        kind = node.kind
-        if kind == stl.TRUE:
-            value = np.full(out_len, np.inf)
-        elif kind == stl.ATOM:
-            value = atom_values(node.predicate, self.trace)
-        elif kind == stl.NOT:
-            value = -self.node_values(node.children[0])
-        elif kind in (stl.AND, stl.OR, stl.IMPLIES):
-            value = self._boolean_values(node, out_len)
-        elif kind in (stl.ALWAYS, stl.EVENTUALLY):
-            value = self._window_values(node, out_len)
-        elif kind == stl.NEXT:
-            succ = self._successor(node)
-            value = self.node_values(node.children[0])[succ:succ + out_len].copy()
-        elif kind == stl.UNTIL:
-            value = self._until_values(node, out_len)
-        else:
-            raise ValueError(f"unknown node kind {kind!r}")
-        self.values[node.node_id] = value
-        return value
-
-    def _operand_rows(self, node, out_len):
-        if node.kind == stl.IMPLIES:
-            lhs, rhs = node.children
-            return np.stack([-self.node_values(lhs)[:out_len],
-                             self.node_values(rhs)[:out_len]])
-        return np.stack([self.node_values(c)[:out_len] for c in node.children])
-
-    def _boolean_values(self, node, out_len):
-        rows = self._operand_rows(node, out_len)
-        kind = "min" if node.kind == stl.AND else "max"
-        return self._reduce_rows(rows, kind, self._weights_for(node, rows.shape[0]))
-
-    def _window_values(self, node, out_len):
-        lo, hi = node.interval.to_steps(self.trace.ts)
-        width = hi - lo + 1
-        child = self.node_values(node.children[0])
-        windows = sliding_window_view(child[lo:], width)[:out_len]
-        kind = "min" if node.kind == stl.ALWAYS else "max"
-        return self._reduce_windows(windows, kind, self._weights_for(node, width))
-
-    def _until_values(self, node, out_len):
-        lo, hi = node.interval.to_steps(self.trace.ts)
-        width = hi - lo + 1
-        hold = self.node_values(node.children[0])
-        goal = self.node_values(node.children[1])
-        node_weights = self._weights_for(node, width)
-        out = np.empty(out_len)
-        for t in range(out_len):
-            prefix = self._prefix_min(hold[t:t + hi + 1])[lo:]
-            pair = np.stack([goal[t + lo:t + hi + 1], prefix], axis=1)
-            candidates = self._reduce_windows(pair, "min", None)
-            out[t] = self._reduce_windows(candidates[None, :], "max", node_weights)[0]
-        return out
-
-    def _prefix_min(self, values):
-        if self.mode == _EXACT or (self.weights is not None and not self.soft):
-            return np.minimum.accumulate(values)
-        # running log-sum-exp keeps each prefix shifted by its own extreme
-        return -np.logaddexp.accumulate(-self.lam * values) / self.lam
-
-    def value_at(self, node, t_index: int) -> float:
-        values = self.node_values(node)
-        if t_index < 0 or t_index >= len(values):
-            raise TraceTooShort(
-                f"t_index {t_index} out of range: node {node.node_id!r} is defined "
-                f"on samples 0..{len(values) - 1} of this trace")
-        return float(values[t_index])
-
-    # -- reverse pass (smooth modes only)
-
-    def gradient(self, node, t_index: int):
-        """d value_at(node, t_index) / d (positions, velocities)."""
-        if self.mode != _SMOOTH or (self.weights is not None and not self.soft):
-            raise ValueError("gradients are defined for the smooth evaluation paths")
-        self.node_values(node)
-        self.dpos = np.zeros_like(self.trace.pos)
-        self.dvel = np.zeros_like(self.trace.vel)
-        seed = np.zeros(len(self.values[node.node_id]))
-        if t_index < 0 or t_index >= len(seed):
-            raise TraceTooShort(f"t_index {t_index} beyond node range {len(seed)}")
-        seed[t_index] = 1.0
-        self._backprop(node, seed)
-        return self.dpos, self.dvel
-
-    def _backprop(self, node, adjoint):
-        kind = node.kind
-        if kind == stl.TRUE:
-            return
+        if kind == stl.IMPLIES:
+            lhs, rhs = args
+            negated = _Op(stl.NOT, (lhs,), self.ops[lhs].steps)
+            kind, args = stl.OR, (self._push(negated), rhs)
+        op = _Op(kind, args, node_id=node.node_id)
+        steps = max((self.ops[a].steps for a in args), default=0)
         if kind == stl.ATOM:
-            atom_backprop(node.predicate, self.trace, adjoint, self.dpos, self.dvel)
-            return
-        if kind == stl.NOT:
-            self._child_adjoint(node.children[0], -adjoint)
-            return
-        if kind in (stl.AND, stl.OR, stl.IMPLIES):
-            out_len = len(adjoint)
-            rows = self._operand_rows(node, out_len)
-            kind_rw = "min" if kind == stl.AND else "max"
-            node_weights = self._weights_for(node, rows.shape[0])
-            partials = self._reduce_partials(rows.T, kind_rw, node_weights).T
-            signs = [-1.0, 1.0] if kind == stl.IMPLIES else [1.0] * rows.shape[0]
-            for i, child in enumerate(node.children):
-                self._child_adjoint(child, signs[i] * adjoint * partials[i])
-            return
-        if kind in (stl.ALWAYS, stl.EVENTUALLY):
-            lo, hi = node.interval.to_steps(self.trace.ts)
-            width = hi - lo + 1
-            child = node.children[0]
-            child_vals = self.node_values(child)
-            out_len = len(adjoint)
-            windows = sliding_window_view(child_vals[lo:], width)[:out_len]
-            kind_rw = "min" if kind == stl.ALWAYS else "max"
-            partials = self._reduce_partials(windows, kind_rw,
-                                             self._weights_for(node, width))
-            child_adj = np.zeros(len(child_vals))
-            idx = np.arange(out_len)[:, None] + lo + np.arange(width)[None, :]
-            np.add.at(child_adj, idx, adjoint[:, None] * partials)
-            self._backprop(child, child_adj)
-            return
-        if kind == stl.NEXT:
-            succ = self._successor(node)
-            child = node.children[0]
-            child_adj = np.zeros(len(self.node_values(child)))
-            child_adj[succ:succ + len(adjoint)] = adjoint
-            self._backprop(child, child_adj)
-            return
-        if kind == stl.UNTIL:
-            self._until_backprop(node, adjoint)
-            return
-        raise ValueError(f"unknown node kind {kind!r}")
+            self._atoms.setdefault(node.predicate.kind, []).append(
+                (len(self.ops), node.predicate))
+        elif kind in (stl.AND, stl.OR):
+            op.red = _MIN if kind == stl.AND else _MAX
+            self._attach_weights(op, node.node_id, len(args))
+        elif kind in (stl.ALWAYS, stl.EVENTUALLY, stl.UNTIL, stl.NEXT):
+            op.lo, op.hi = node.interval.to_steps(self.ts)
+            op.width = op.hi - op.lo + 1
+            if kind == stl.NEXT:
+                steps += op.lo + 1  # Next evaluates at the sample after the window start
+            else:
+                steps += op.hi
+                op.red = _MIN if kind == stl.ALWAYS else _MAX
+                self._attach_weights(op, node.node_id, op.width)
+            if kind == stl.UNTIL:
+                op.pair = _MIN
+        op.steps = steps
+        index = self._push(op)
+        self.labels[slot] = (node.node_id, index)
+        return index
 
-    def _child_adjoint(self, child, adjoint):
-        full = np.zeros(len(self.node_values(child)))
-        full[:len(adjoint)] = adjoint
-        self._backprop(child, full)
+    def _push(self, op) -> int:
+        self.ops.append(op)
+        return len(self.ops) - 1
 
-    def _reduce_partials(self, operands, kind, node_weights):
-        """Partials of the (possibly weighted) smooth reduce on the last axis."""
-        if operands.shape[-1] == 1:
-            return np.ones_like(operands)
-        factor = self._transform_factor(operands, kind, node_weights)
-        transformed = factor * operands
-        if kind == "min":
-            inner = _softmin_partials(transformed, self.lam)
-        else:
-            inner = _softmax_partials(transformed, self.lam)
-        return inner * factor
+    def _attach_weights(self, op, node_id, arity):
+        if self.weights is None:
+            return
+        op.weights = self.weights.get(node_id, arity)
+        share = op.weights / op.weights.sum()
+        op.tilt = (0.5 - share) if op.red.is_min else (share - 0.5)
 
-    def _until_backprop(self, node, adjoint):
-        lo, hi = node.interval.to_steps(self.trace.ts)
-        width = hi - lo + 1
-        hold_node, goal_node = node.children
-        hold = self.node_values(hold_node)
-        goal = self.node_values(goal_node)
-        node_weights = self._weights_for(node, width)
-        hold_adj = np.zeros(len(hold))
-        goal_adj = np.zeros(len(goal))
-        for t in np.nonzero(adjoint)[0]:
-            seg = hold[t:t + hi + 1]
-            log_cum = np.logaddexp.accumulate(-self.lam * seg)
-            prefix = (-log_cum / self.lam)[lo:]
-            pair = np.stack([goal[t + lo:t + hi + 1], prefix], axis=1)
-            pair_partials = self._reduce_partials(pair, "min", None)
-            candidates = self._reduce_windows(pair, "min", None)
-            outer = self._reduce_partials(candidates[None, :], "max", node_weights)[0]
-            contrib = adjoint[t] * outer
-            goal_adj[t + lo:t + hi + 1] += contrib * pair_partials[:, 0]
-            # prefix smooth-min partial wrt hold[u]: exp(-lam*hold[u] - log_cum_i),
-            # and hold[u] feeds every prefix i with u <= lo + i
-            spread = contrib * pair_partials[:, 1]
-            exponent = (-self.lam * seg)[None, :] - log_cum[lo:, None]
-            mask = np.arange(hi + 1)[None, :] <= (lo + np.arange(hi - lo + 1))[:, None]
-            hold_adj[t:t + hi + 1] += spread @ np.exp(np.where(mask, exponent, -np.inf))
-        self._backprop(hold_node, hold_adj)
-        self._backprop(goal_node, goal_adj)
+    # -- evaluation
+
+    def _semantics(self, sharpness, weighted, soft_combine):
+        """(lam, weighting) of a pass; lam None means hard min/max."""
+        if sharpness is not None and sharpness <= 0:
+            raise ValueError("smooth evaluation needs a positive sharpness")
+        if not weighted:
+            return sharpness, None
+        if self.weights is None:
+            raise NonPositiveWeight("weighted evaluation of a program compiled without weights")
+        if sharpness is None:
+            return None, _SCALE
+        return (sharpness if soft_combine else None), _SHARE
+
+    def _node_values(self, trace, sharpness=None, weighted=False, soft_combine=True):
+        """Value arrays of every instruction; exact when ``sharpness`` is None."""
+        lam, weighting = self._semantics(sharpness, weighted, soft_combine)
+        return self._forward(trace, lam, weighting, None)
+
+    def _evaluate(self, trace, t_index=0, sharpness=None, weighted=False,
+                 soft_combine=True) -> float:
+        """Robustness at ``t_index``: exact when ``sharpness`` is None, else smooth;
+        ``weighted`` applies the compiled weights."""
+        values = self._node_values(trace, sharpness, weighted, soft_combine)
+        return self._value_at(values, t_index)
+
+    def _value_at(self, values, t_index) -> float:
+        root = values[-1]
+        if t_index < 0 or t_index >= len(root):
+            raise TraceTooShort(
+                f"t_index {t_index} out of range: node {self.formula.node_id!r} is defined "
+                f"on samples 0..{len(root) - 1} of this trace")
+        return float(root[t_index])
+
+    @np.errstate(invalid="ignore")  # see the smooth reductions
+    def _forward(self, trace, lam, weighting, atom_data=None):
+        """Every instruction's values; ``atom_data`` (a dict) collects each atom
+        group's gradient data."""
+        length = trace.n_samples
+        root = self.ops[-1]
+        if length - root.steps <= 0:
+            raise TraceTooShort(
+                f"trace of {length} samples cannot evaluate node "
+                f"{self.formula.node_id!r}, which needs {root.steps + 1}")
+        values = [None] * len(self.ops)
+        for group, indices in self.groups:
+            rows, data = group.forward(trace, keep=atom_data is not None)
+            for index, row in zip(indices, rows):
+                values[index] = row
+            if atom_data is not None:
+                atom_data[group] = data
+        for index, op in enumerate(self.ops):
+            out_len = length - op.steps
+            kind = op.kind
+            if kind == stl.ATOM:
+                continue
+            if kind == stl.TRUE:
+                value = np.full(out_len, np.inf)
+            elif kind == stl.NOT:
+                value = -values[op.args[0]]
+            elif kind in (stl.AND, stl.OR):
+                rows = _operand_rows(op, values, out_len)
+                value = _reduce(rows.T, op.red, op, lam, weighting)
+            elif kind in (stl.ALWAYS, stl.EVENTUALLY):
+                windows = _windows(values[op.args[0]], op.lo, op.width, out_len)
+                value = _reduce(windows, op.red, op, lam, weighting)
+            elif kind == stl.NEXT:
+                succ = op.lo + 1
+                value = values[op.args[0]][succ:succ + out_len].copy()
+            else:
+                value = _until_values(op, values, out_len, lam, weighting)
+            values[index] = value
+        return values
+
+    @np.errstate(invalid="ignore")
+    def _gradient(self, trace, sharpness, weighted=False, t_index=0):
+        """(value, d/d positions, d/d velocities) of the smooth semantics at t_index.
+
+        Weighted evaluation uses the soft combination so the value stays
+        differentiable.
+        """
+        lam, weighting = self._semantics(sharpness, weighted, True)
+        if lam is None:
+            raise ValueError("gradients are defined for the smooth evaluation paths")
+        atom_data = {}
+        values = self._forward(trace, lam, weighting, atom_data)
+        value = self._value_at(values, t_index)
+        adjoints = [None] * len(self.ops)
+        adjoints[-1] = np.zeros(len(values[-1]))
+        adjoints[-1][t_index] = 1.0
+        for index in range(len(self.ops) - 1, -1, -1):
+            op = self.ops[index]
+            if op.kind in (stl.ATOM, stl.TRUE):
+                continue
+            adjoint = adjoints[index]
+            if op.kind == stl.NOT:
+                adjoints[op.args[0]] = -adjoint
+            elif op.kind in (stl.AND, stl.OR):
+                out_len = len(adjoint)
+                rows = _operand_rows(op, values, out_len)
+                partials = _partials(rows.T, op.red, op, lam, weighting)
+                for r, arg in enumerate(op.args):
+                    full = np.zeros(len(values[arg]))
+                    full[:out_len] = adjoint * partials[:, r]
+                    adjoints[arg] = full
+            elif op.kind in (stl.ALWAYS, stl.EVENTUALLY):
+                out_len = len(adjoint)
+                windows = _windows(values[op.args[0]], op.lo, op.width, out_len)
+                partials = _partials(windows, op.red, op, lam, weighting)
+                # bincount adds in flattened (t-major) order, as a sequential scatter-add
+                idx = np.arange(out_len)[:, None] + op.lo + np.arange(op.width)[None, :]
+                adjoints[op.args[0]] = np.bincount(
+                    idx.ravel(), weights=(adjoint[:, None] * partials).ravel(),
+                    minlength=len(values[op.args[0]]))
+            elif op.kind == stl.NEXT:
+                succ = op.lo + 1
+                full = np.zeros(len(values[op.args[0]]))
+                full[succ:succ + len(adjoint)] = adjoint
+                adjoints[op.args[0]] = full
+            else:
+                _until_backprop(op, values, adjoint, adjoints, lam, weighting)
+        entries = {}
+        for group, indices in self.groups:
+            adjoint = np.stack([adjoints[index] for index in indices])
+            flat, amounts = group.entries(atom_data[group], adjoint, trace.n_drones)
+            entries.update(zip(indices, zip(flat, amounts)))
+        # one bincount adds every atom's entries in left-to-right leaf order,
+        # the order of a recursive sweep, so the sums round the same way
+        n_drones, length, _ = trace.pos.shape
+        grad = np.zeros(2 * n_drones * length * 3)
+        if self.leaves:
+            grad = np.bincount(np.concatenate([entries[i][0] for i in self.leaves]),
+                               weights=np.concatenate([entries[i][1] for i in self.leaves]),
+                               minlength=grad.size)
+        grad = grad.reshape(2 * n_drones, length, 3)
+        return value, grad[:n_drones], grad[n_drones:]
+
+
+def _operand_rows(op, values, out_len):
+    rows = np.empty((len(op.args), out_len))
+    for r, arg in enumerate(op.args):
+        rows[r] = values[arg][:out_len]
+    return rows
+
+
+def _weighted(operands, op, weighting):
+    """Operands after a weighted pass's weights, and the smooth transform's factor.
+
+    The exact weighted semantics multiplies by the raw weights; the
+    smooth one applies the normalized-weight transform, which scales each
+    operand by a factor that depends on its sign and the share of its
+    weight, keeping signs and, under uniform weights, arg-extrema
+    unchanged.
+    """
+    if weighting == _SCALE:
+        return operands * op.weights, None
+    if weighting == _SHARE:
+        factor = op.tilt * _sign_pos(operands) + 0.5
+        return factor * operands, factor
+    return operands, None
+
+
+def _reduce(operands, red, op, lam, weighting):
+    """Reduce the last axis of ``operands`` under one pass's semantics."""
+    if operands.shape[-1] == 1:
+        return operands[..., 0].copy()
+    operands, _ = _weighted(operands, op, weighting)
+    if lam is None:
+        return red.hard.reduce(operands, axis=-1)
+    return red.soft(operands, lam)[0]
+
+
+def _partials(operands, red, op, lam, weighting):
+    """Partials of the smooth reduction of ``operands`` with respect to each operand."""
+    if operands.shape[-1] == 1:
+        return np.ones_like(operands)
+    operands, factor = _weighted(operands, op, weighting)
+    result, w, total = red.soft(operands, lam)
+    partials = red.partials(operands, lam, w, total, result)
+    return partials if factor is None else partials * factor
+
+
+def _prefix_min(values, lam):
+    if lam is None:
+        return np.minimum.accumulate(values)
+    # running log-sum-exp keeps each prefix shifted by its own extreme
+    return -np.logaddexp.accumulate(-lam * values) / lam
+
+
+def _until_values(op, values, out_len, lam, weighting):
+    hold, goal = (values[a] for a in op.args)
+    lo, hi = op.lo, op.hi
+    out = np.empty(out_len)
+    for t in range(out_len):
+        prefix = _prefix_min(hold[t:t + hi + 1], lam)[lo:]
+        pair = np.stack([goal[t + lo:t + hi + 1], prefix], axis=1)
+        candidates = _reduce(pair, op.pair, op, lam, None)
+        out[t] = _reduce(candidates[None, :], op.red, op, lam, weighting)[0]
+    return out
+
+
+def _until_backprop(op, values, adjoint, adjoints, lam, weighting):
+    hold, goal = (values[a] for a in op.args)
+    lo, hi = op.lo, op.hi
+    hold_adj = np.zeros(len(hold))
+    goal_adj = np.zeros(len(goal))
+    mask = np.arange(hi + 1)[None, :] <= (lo + np.arange(hi - lo + 1))[:, None]
+    for t in np.nonzero(adjoint)[0]:
+        seg = hold[t:t + hi + 1]
+        log_cum = np.logaddexp.accumulate(-lam * seg)
+        prefix = (-log_cum / lam)[lo:]
+        pair = np.stack([goal[t + lo:t + hi + 1], prefix], axis=1)
+        pair_partials = _partials(pair, op.pair, op, lam, None)
+        candidates = _reduce(pair, op.pair, op, lam, None)
+        outer = _partials(candidates[None, :], op.red, op, lam, weighting)
+        contrib = adjoint[t] * outer[0]
+        goal_adj[t + lo:t + hi + 1] += contrib * pair_partials[:, 0]
+        # prefix smooth-min partial wrt hold[u]: exp(-lam*hold[u] - log_cum_i),
+        # and hold[u] feeds every prefix i with u <= lo + i; an infinite
+        # hold value or prefix passes no gradient
+        spread = contrib * pair_partials[:, 1]
+        live = mask & np.isfinite(seg)[None, :] & np.isfinite(log_cum[lo:])[:, None]
+        exponent = (-lam * seg)[None, :] - log_cum[lo:, None]
+        hold_adj[t:t + hi + 1] += spread @ np.exp(np.where(live, exponent, -np.inf))
+    adjoints[op.args[0]] = hold_adj
+    adjoints[op.args[1]] = goal_adj
+
+
+def _program(formula, trace, weights=None) -> Program:
+    """``formula`` itself when it is a compiled program, else a fresh compile."""
+    if not isinstance(formula, Program):
+        return Program(formula, trace.ts, weights)
+    if formula.ts != trace.ts or (weights is not None and weights is not formula.weights):
+        raise ValueError("program was compiled for another sampling period or other weights")
+    return formula
 
 
 # ---------------------------------------------------------------------------
-# Public entry points
+# Public entry points. Each accepts a Formula or a compiled Program.
+
+
+def _check_sharpness(sharpness):
+    if sharpness is None or sharpness <= 0:
+        raise ValueError("smooth evaluation needs a positive sharpness")
 
 
 def eval_exact(formula, trace, t_index: int = 0) -> float:
     """Exact robustness of ``formula`` on ``trace`` at sample ``t_index``."""
-    return _Evaluator(trace, _EXACT).value_at(formula, t_index)
+    return _program(formula, trace)._evaluate(trace, t_index)
 
 
 def eval_smooth(formula, trace, t_index: int = 0, sharpness: float = 10.0) -> float:
     """Smooth robustness; converges to eval_exact as sharpness grows."""
-    return _Evaluator(trace, _SMOOTH, sharpness).value_at(formula, t_index)
+    _check_sharpness(sharpness)
+    return _program(formula, trace)._evaluate(trace, t_index, sharpness)
 
 
 def eval_weighted(formula, weights, trace, t_index: int = 0) -> float:
@@ -502,7 +627,7 @@ def eval_weighted(formula, weights, trace, t_index: int = 0) -> float:
     eval_exact on the same evaluation order.
     """
     _check_weights(weights)
-    return _Evaluator(trace, _EXACT, weights=weights).value_at(formula, t_index)
+    return _program(formula, trace, weights)._evaluate(trace, t_index, weighted=True)
 
 
 def eval_weighted_smooth(formula, weights, trace, t_index: int = 0,
@@ -515,8 +640,10 @@ def eval_weighted_smooth(formula, weights, trace, t_index: int = 0,
     reduction is used in reports.
     """
     _check_weights(weights)
-    return _Evaluator(trace, _SMOOTH, sharpness, weights=weights,
-                      soft=soft_combine).value_at(formula, t_index)
+    _check_sharpness(sharpness)
+    return _program(formula, trace, weights)._evaluate(trace, t_index, sharpness,
+                                                       weighted=True,
+                                                       soft_combine=soft_combine)
 
 
 def _check_weights(weights):
@@ -532,10 +659,10 @@ def gradient_smooth(formula, trace, sharpness: float = 10.0, weights=None,
     shaped like trace.pos and trace.vel. Weighted evaluation uses the
     soft combination so the objective stays differentiable.
     """
-    ev = _Evaluator(trace, _SMOOTH, sharpness, weights=weights, soft=True)
-    value = ev.value_at(formula, t_index)
-    dpos, dvel = ev.gradient(formula, t_index)
-    return value, dpos, dvel
+    _check_sharpness(sharpness)
+    return _program(formula, trace, weights)._gradient(trace, sharpness,
+                                                       weighted=weights is not None,
+                                                       t_index=t_index)
 
 
 # ---------------------------------------------------------------------------
@@ -574,21 +701,22 @@ class RobustnessReport:
 def make_report(formula, trace, sharpness: float, weights=None,
                 t_index: int = 0) -> RobustnessReport:
     """Evaluate every node exactly and smoothly and bundle the results."""
-    exact_ev = _Evaluator(trace, _EXACT)
-    smooth_ev = _Evaluator(trace, _SMOOTH, sharpness)
-    exact = exact_ev.value_at(formula, t_index)
-    smooth = smooth_ev.value_at(formula, t_index)
+    _check_sharpness(sharpness)
+    program = _program(formula, trace, weights)
+    exact_values = program._node_values(trace)
+    smooth_values = program._node_values(trace, sharpness)
+    exact = program._value_at(exact_values, t_index)
+    smooth = program._value_at(smooth_values, t_index)
     per_node = {}
-    for node in formula:
-        e = exact_ev.values[node.node_id]
-        s = smooth_ev.values[node.node_id]
+    for node_id, index in program.labels:
+        e, s = exact_values[index], smooth_values[index]
         if t_index < len(e):
-            per_node[node.node_id] = (float(e[t_index]), float(s[t_index]))
+            per_node[node_id] = (float(e[t_index]), float(s[t_index]))
     weighted_exact = weighted_smooth = None
     if weights is not None and len(weights):
-        weighted_exact = eval_weighted(formula, weights, trace, t_index)
-        weighted_smooth = eval_weighted_smooth(formula, weights, trace, t_index,
-                                               sharpness, soft_combine=False)
+        weighted_exact = program._evaluate(trace, t_index, weighted=True)
+        weighted_smooth = program._evaluate(trace, t_index, sharpness, weighted=True,
+                                            soft_combine=False)
     return RobustnessReport(exact=exact, smooth=smooth, per_node=per_node,
                             satisfied=exact > 0.0, sharpness=sharpness,
                             weighted_exact=weighted_exact,

@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stlfleet.dynamics import (DroneLimits, Trace, min_steps_rest_to_rest,
                                project_controls, rollout, steer_rest_to_rest,
@@ -158,3 +160,33 @@ def test_csv_round_trip(rng):
     assert np.allclose(back.pos, trace.pos, atol=1e-9)
     assert np.allclose(back.vel, trace.vel, atol=1e-9)
     assert np.allclose(back.acc, trace.acc, atol=1e-9)
+
+
+def _stepwise_rollout(pos0, vel0, acc, ts):
+    """Reference integration: one step() call per sample."""
+    d, n, _ = acc.shape
+    pos = np.empty((d, n + 1, 3))
+    vel = np.empty((d, n + 1, 3))
+    pos[:, 0], vel[:, 0] = pos0, vel0
+    for k in range(n):
+        pos[:, k + 1], vel[:, k + 1] = step(pos[:, k], vel[:, k], acc[:, k], ts)
+    return pos, vel
+
+
+@settings(max_examples=60, deadline=None)
+@given(drones=st.integers(1, 4), n=st.integers(0, 300),
+       ts=st.sampled_from([0.05, 0.1, 0.013]), seed=st.integers(0, 2**32 - 1))
+@example(drones=1, n=0, ts=0.05, seed=0)
+@example(drones=4, n=0, ts=0.05, seed=1)
+@example(drones=1, n=1, ts=0.05, seed=2)
+@example(drones=3, n=1, ts=0.1, seed=3)
+def test_rollout_bitwise_equals_stepwise_reference(drones, n, ts, seed):
+    rng = np.random.default_rng(seed)
+    pos0 = rng.normal(scale=5.0, size=(drones, 3))
+    vel0 = rng.normal(size=(drones, 3))
+    acc = rng.uniform(-2.0, 2.0, size=(drones, n, 3))
+    trace = rollout(pos0, vel0, acc, ts)
+    pos, vel = _stepwise_rollout(pos0, vel0, acc, ts)
+    assert np.array_equal(trace.pos, pos)
+    assert np.array_equal(trace.vel, vel)
+    assert trace.pos.flags.c_contiguous and trace.vel.flags.c_contiguous

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stlfleet import stl
 from stlfleet.dynamics import rollout
@@ -205,3 +207,33 @@ def test_plan_result_serialization():
     assert "report" in parsed
     csv_text = result.history_csv()
     assert csv_text.startswith("iteration,objective")
+
+
+def _pullback_loop(dpos, dvel, ts):
+    """Reference pullback: the reverse recursion, one sample at a time."""
+    n_drones, n_samples, _ = dpos.shape
+    n = n_samples - 1
+    dacc = np.zeros((n_drones, n, 3))
+    adj_p = dpos[:, n].copy()
+    adj_v = dvel[:, n].copy()
+    for k in range(n - 1, -1, -1):
+        dacc[:, k] = 0.5 * ts * ts * adj_p + ts * adj_v
+        adj_v += ts * adj_p + dvel[:, k]
+        adj_p += dpos[:, k]
+    return dacc
+
+
+@settings(max_examples=60, deadline=None)
+@given(drones=st.integers(1, 4), n=st.integers(0, 300),
+       ts=st.sampled_from([0.05, 0.1, 0.013]), seed=st.integers(0, 2**32 - 1))
+@example(drones=1, n=0, ts=0.05, seed=0)
+@example(drones=4, n=0, ts=0.05, seed=1)
+@example(drones=1, n=1, ts=0.05, seed=2)
+@example(drones=3, n=1, ts=0.1, seed=3)
+def test_pullback_bitwise_equals_reverse_loop(drones, n, ts, seed):
+    rng = np.random.default_rng(seed)
+    dpos = rng.normal(size=(drones, n + 1, 3))
+    dvel = rng.normal(size=(drones, n + 1, 3))
+    dacc = pullback_gradient(dpos, dvel, ts)
+    assert dacc.shape == (drones, n, 3)
+    assert np.array_equal(dacc, _pullback_loop(dpos, dvel, ts))

@@ -1,13 +1,18 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from stlfleet import stl
 from stlfleet.errors import EmptyInput, TraceTooShort
-from stlfleet.robustness import (eval_exact, eval_smooth, eval_weighted,
+from stlfleet.fixtures import fixture_windturbine
+from stlfleet.mission import compile_mission
+from stlfleet.robustness import (Program, eval_exact, eval_smooth, eval_weighted,
                                  eval_weighted_smooth, gradient_smooth,
                                  make_report, smooth_max, smooth_min)
+from stlfleet.warmstart import build_graph, seed_with_schedule, solve_assignment, stitch_subtours
 
 from conftest import (halfspace, oracle_eval, random_formula, random_trace,
                       scalar_trace, weight_arity)
@@ -364,3 +369,111 @@ def test_report_breakdown_and_soundness_bound(rng):
             assert smooth <= exact + math.log(max(beta, 2)) / 10.0 + 1e-9
         parsed = report.to_dict()
         assert set(parsed["per_node"]) == set(report.per_node)
+
+
+# ---------------------------------------------------------------------------
+# infinite operands
+
+
+@pytest.mark.filterwarnings("error")
+def test_true_under_max_and_windows_is_infinite_without_warnings():
+    trace = scalar_trace([0.3, -0.2, 0.5, 1.0, 0.1])
+    x = stl.atom(halfspace("x"))
+    window = stl.Interval(0, 0.1)
+    for f in (stl.eventually(window, stl.true()), stl.always(window, stl.true()),
+              stl.lor(stl.true(), x), stl.always(window, stl.lor(stl.true(), x))):
+        assert eval_exact(f, trace) == math.inf
+        assert eval_smooth(f, trace) == math.inf
+        assert eval_weighted_smooth(f, stl.WeightMap(), trace, soft_combine=True) == math.inf
+        value, dpos, dvel = gradient_smooth(f, trace)
+        assert value == math.inf
+        assert not dpos.any() and not dvel.any()  # an infinite result passes no gradient
+    assert eval_smooth(stl.eventually(window, stl.neg(stl.true())), trace) == -math.inf
+    # a true conjunct drops out, as in the exact semantics
+    both = stl.land(stl.true(), x)
+    assert eval_smooth(both, trace) == eval_exact(both, trace) == 0.3
+    # a false disjunct passes no gradient and leaves the other one's intact
+    value, dpos, dvel = gradient_smooth(stl.lor(stl.neg(stl.true()), x), trace)
+    x_value, x_dpos, x_dvel = gradient_smooth(x, trace)
+    assert value == x_value == 0.3
+    assert np.array_equal(dpos, x_dpos) and np.array_equal(dvel, x_dvel)
+    assert smooth_max([math.inf, 1.0], 10.0) == math.inf
+    assert smooth_min([math.inf, math.inf], 10.0) == math.inf
+    assert smooth_min([-math.inf, 1.0], 10.0) == -math.inf
+    assert smooth_max([-math.inf, 1.0], 10.0) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# compiled programs
+
+
+def test_programs_reusing_labels_evaluate_independently(rng):
+    """Labels repeat across formulas; each program keeps its own nodes."""
+    trace = random_trace(rng, n_drones=2, length=30)
+
+    def clause(drone, offset):
+        body = stl.land(stl.atom(halfspace("p", drone, offset)),
+                        stl.atom(halfspace("q", drone, -offset, axis=1)), label="body")
+        return stl.always(stl.Interval(0.0, 0.2), body, label="clause")
+
+    formulas = [clause(0, 0.5), clause(1, -1.0)]
+    programs = [Program(f, trace.ts) for f in formulas]
+    for f, program in zip(formulas, programs):
+        exact = eval_exact(program, trace)
+        assert exact == oracle_eval(f, trace, 0, shared_leaves={})
+        assert eval_smooth(program, trace) == eval_smooth(f, trace)
+        report = make_report(program, trace, 10.0)
+        assert report.per_node["clause"][0] == exact
+        assert report.per_node["body"][0] == oracle_eval(f.children[0], trace, 0,
+                                                         shared_leaves={})
+    assert eval_exact(programs[0], trace) != eval_exact(programs[1], trace)
+
+
+def test_program_reused_on_two_traces_matches_fresh_evaluation(rng):
+    for _ in range(10):
+        f = random_formula(rng, budget=8, n_drones=2, depth=3)
+        weights = stl.WeightMap({node.node_id: rng.uniform(0.5, 2.0, weight_arity(node))
+                                 for node in f if weight_arity(node)})
+        traces = [random_trace(rng, n_drones=2, length=30) for _ in range(2)]
+        program = Program(f, traces[0].ts, weights)
+        for trace in traces:
+            assert eval_exact(program, trace) == eval_exact(f, trace)
+            assert eval_exact(program, trace) == oracle_eval(f, trace, 0, shared_leaves={})
+            assert eval_smooth(program, trace) == eval_smooth(f, trace)
+            assert eval_weighted(program, weights, trace) == eval_weighted(f, weights, trace)
+            assert (eval_weighted_smooth(program, weights, trace, soft_combine=True)
+                    == eval_weighted_smooth(f, weights, trace, soft_combine=True))
+            for w in (None, weights):
+                value, dpos, dvel = gradient_smooth(program, trace, 10.0, weights=w)
+                fresh_value, fresh_dpos, fresh_dvel = gradient_smooth(f, trace, 10.0, weights=w)
+                assert value == fresh_value
+                assert np.array_equal(dpos, fresh_dpos) and np.array_equal(dvel, fresh_dvel)
+
+
+def test_turbine_report_per_node_unchanged():
+    """Per-node values on the bundled turbine's seed trace, pinned bit for bit.
+
+    The expected values were recorded with the recursive tree-walking
+    evaluator that the compiled program replaced.
+    """
+    expected = json.loads((Path(__file__).parent / "data" / "turbine_seed_report.json")
+                          .read_text())
+    scenario = fixture_windturbine()
+    graph = build_graph(scenario)
+    seed, _ = seed_with_schedule(stitch_subtours(solve_assignment(graph), graph), scenario)
+    formula, weights = compile_mission(scenario)
+    report = make_report(formula, seed, scenario.sharpness, weights=weights)
+    per_node = [[node.kind, *report.per_node[node.node_id]] for node in formula]
+    assert per_node == expected["per_node_preorder"]
+    for key in ("exact", "smooth", "weighted_exact", "weighted_smooth"):
+        assert getattr(report, key) == expected[key]
+
+
+def test_program_rejects_other_period_or_weights(rng):
+    f = random_formula(rng, budget=4, n_drones=2, depth=2)
+    trace = random_trace(rng, n_drones=2, length=20)
+    program = Program(f, trace.ts, stl.WeightMap())
+    with pytest.raises(ValueError):
+        eval_exact(program, random_trace(rng, n_drones=2, length=20, ts=0.1))
+    with pytest.raises(ValueError):
+        eval_weighted(program, stl.WeightMap(), trace)
