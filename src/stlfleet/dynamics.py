@@ -17,6 +17,9 @@ from .errors import LengthMismatch
 
 _CSV_COLUMNS = ["t", "drone", "px", "py", "pz", "vx", "vy", "vz", "ax", "ay", "az"]
 _CSV_FMT = "%.12g"  # 12 significant digits keep re-imported robustness within 1e-9
+_CSV_ROW = ",".join([_CSV_FMT, "%d"] + [_CSV_FMT] * 9) + "\r\n"
+_CSV_LAST_ROW = ",".join([_CSV_FMT, "%d"] + [_CSV_FMT] * 6) + ",,,\r\n"  # no acceleration
+_CSV_BLOCK = 64  # samples formatted per write
 
 
 @dataclass(frozen=True)
@@ -128,19 +131,25 @@ class Trace:
             self._write_csv(path_or_buffer)
 
     def _write_csv(self, handle) -> None:
-        writer = csv.writer(handle)
-        writer.writerow(_CSV_COLUMNS)
+        # csv.writer's excel dialect with one % format per row (no field
+        # needs quoting), written in blocks of samples to bound temporaries
+        d, n = self.n_drones, self.n_samples
+        handle.write(",".join(_CSV_COLUMNS) + "\r\n")
         times = self.times()
-        for k in range(self.n_samples):
-            for d in range(self.n_drones):
-                row = [_CSV_FMT % times[k], d]
-                row += [_CSV_FMT % x for x in self.pos[d, k]]
-                row += [_CSV_FMT % x for x in self.vel[d, k]]
-                if k < self.n_samples - 1:
-                    row += [_CSV_FMT % x for x in self.acc[d, k]]
-                else:
-                    row += ["", "", ""]
-                writer.writerow(row)
+        for start in range(0, n, _CSV_BLOCK):
+            stop = min(n, start + _CSV_BLOCK)
+            table = np.empty((stop - start, d, len(_CSV_COLUMNS)))
+            table[:, :, 0] = times[start:stop, None]
+            table[:, :, 1] = np.arange(d)
+            table[:, :, 2:5] = self.pos[:, start:stop].transpose(1, 0, 2)
+            table[:, :, 5:8] = self.vel[:, start:stop].transpose(1, 0, 2)
+            acc = self.acc[:, start:stop].transpose(1, 0, 2)
+            table[:len(acc), :, 8:] = acc
+            rows = table.reshape(-1, len(_CSV_COLUMNS)).tolist()
+            split = len(acc) * d
+            lines = [_CSV_ROW % tuple(row) for row in rows[:split]]
+            lines += [_CSV_LAST_ROW % tuple(row[:8]) for row in rows[split:]]
+            handle.write("".join(lines))
 
     @staticmethod
     def from_csv(path_or_buffer) -> "Trace":

@@ -7,6 +7,16 @@ combined with a partition dynamic program across drones. Because the
 weights are metric, restricting to visit-once closed routes loses
 nothing, and ties are broken toward the lexicographically smallest
 route sequence.
+
+Both programs are numpy passes that reproduce the per-subset loops bit
+for bit (each candidate is the same float addition, and a minimum does
+not depend on the order it is taken in). Held-Karp fills its completion
+table one subset-size layer at a time, one vector pass per task. The
+partition program builds, for each set C of k tasks, the (rows, 2^k)
+block of its submasks and takes the minimum over each row, in blocks of
+about _PAIR_CHUNK pairs (one set per block once 2^k exceeds it), so the
+3^n submask table is never held. Memory is dominated by the Held-Karp
+tables, drones * 2^n * n doubles.
 """
 
 from __future__ import annotations
@@ -198,6 +208,40 @@ def build_graph(scenario: Scenario) -> InspectionGraph:
 # ---------------------------------------------------------------------------
 # Exact assignment
 
+_PAIR_CHUNK = 1 << 12  # (set, submask) pairs per partition block; bounds its temporaries
+
+# The set arithmetic below uses only &, ^ and | on integer arrays: each
+# further integer kernel (shift, negation, arithmetic with a scalar)
+# faults in another ~64 KB of numpy code on first use, and peak RSS
+# counts those pages.
+
+
+def _members(subsets: np.ndarray, n: int) -> np.ndarray:
+    """(rows, n) bool: task u belongs to subsets[row]."""
+    members = np.empty((len(subsets), n), dtype=bool)
+    for u in range(n):
+        members[:, u] = subsets & (1 << u)
+    return members
+
+
+def _popcount_layers(n: int) -> list:
+    """Subsets of n tasks by size: element k holds the k-task subsets, ascending."""
+    layers = [[] for _ in range(n + 1)]
+    for subset in range(1 << n):
+        layers[subset.bit_count()].append(subset)
+    return [np.array(layer, dtype=int) for layer in layers]
+
+
+def _submasks(covered: np.ndarray, n: int, k: int) -> np.ndarray:
+    """(rows, 2^k) submasks of the k-task sets in covered: column j deposits
+    the bits of j into the set bits of its row, lowest first."""
+    powers = np.array([1 << u for u in range(n)], dtype=covered.dtype)
+    bits = powers[np.nonzero(_members(covered, n))[1]].reshape(len(covered), k)
+    sub = np.zeros((len(covered), 1), dtype=covered.dtype)
+    for i in range(k):
+        sub = np.concatenate([sub, sub | bits[:, i:i + 1]], axis=1)
+    return sub
+
 
 class _DroneRouter:
     """Held-Karp tables for one drone: optimal closed tours over subsets."""
@@ -214,30 +258,29 @@ class _DroneRouter:
         w_depot[blocked] = np.inf
         self.w_task = np.where(w_task >= INFEASIBLE_EDGE, np.inf, w_task)
         self.w_depot = np.where(w_depot >= INFEASIBLE_EDGE, np.inf, w_depot)
-        # completion[S][v]: cheapest way to leave task v, visit set S, return home
-        self.completion = np.full((1 << self.n, self.n), np.inf)
+        # completion[S][v]: cheapest way to leave task v, visit set S, return
+        # home; inf where v is in S. Each entry depends only on subsets one
+        # task smaller, so the table fills one popcount layer at a time.
+        n = self.n
+        self.completion = np.full((1 << n, n), np.inf)
         self.completion[0, :] = self.w_depot
-        for subset in range(1, 1 << self.n):
-            members = [u for u in range(self.n) if subset & (1 << u)]
-            for v in range(self.n):
-                if subset & (1 << v):
-                    continue
-                best = np.inf
-                for u in members:
-                    cost = self.w_task[v, u] + self.completion[subset ^ (1 << u), u]
-                    if cost < best:
-                        best = cost
-                self.completion[subset, v] = best
-        self.tour_cost = np.full(1 << self.n, np.inf)
+        for layer in _popcount_layers(n)[1:]:
+            members = _members(layer, n)
+            for u in range(n):
+                has_u = members[:, u]
+                rows = layer[has_u]
+                cand = self.completion[rows ^ (1 << u), u][:, None] + self.w_task[:, u]
+                cand[members[has_u]] = np.inf
+                np.minimum(self.completion[rows], cand, out=cand)
+                self.completion[rows] = cand
+        # tour_cost[S]: cheapest closed tour over S; the subsets containing u
+        # are the odd halves of a (-1, 2, 2^u) reshape of the subset axis
+        self.tour_cost = np.full(1 << n, np.inf)
         self.tour_cost[0] = 0.0
-        for subset in range(1, 1 << self.n):
-            best = np.inf
-            for u in range(self.n):
-                if subset & (1 << u):
-                    cost = self.w_depot[u] + self.completion[subset ^ (1 << u), u]
-                    if cost < best:
-                        best = cost
-            self.tour_cost[subset] = best
+        for u in range(n):
+            with_u = self.tour_cost.reshape(-1, 2, 1 << u)[:, 1]
+            without_u = self.completion[:, u].reshape(-1, 2, 1 << u)[:, 0]
+            np.minimum(with_u, self.w_depot[u] + without_u, out=with_u)
 
     def lex_min_tour(self, subset: int) -> list:
         """Lexicographically smallest optimal tour over the subset."""
@@ -261,6 +304,29 @@ class _DroneRouter:
         return tour
 
 
+def _partition_table(routers: list, n: int) -> np.ndarray:
+    """best[d][S]: cheapest cost for drones d.. to cover exactly the set S.
+
+    Row d is the (min, +) product of drone d's tour costs with row d + 1
+    over the submasks of S, built in blocks of about _PAIR_CHUNK
+    (set, submask) pairs. For a set C, C ^ sub is a smaller set or, for
+    sub = 0, C itself in row d + 1, which the drone loop fills first; so
+    ascending set size is a valid order.
+    """
+    drones = len(routers)
+    best = np.full((drones + 1, 1 << n), np.inf)
+    best[drones, 0] = 0.0
+    for k, layer in enumerate(_popcount_layers(n)):
+        rows = max(1, _PAIR_CHUNK >> k)
+        for start in range(0, len(layer), rows):
+            covered = layer[start:start + rows]
+            sub = _submasks(covered, n, k)
+            rest = covered[:, None] ^ sub
+            for d in range(drones - 1, -1, -1):
+                best[d, covered] = (routers[d].tour_cost[sub] + best[d + 1, rest]).min(axis=1)
+    return best
+
+
 def solve_assignment(graph: InspectionGraph) -> RoutePlan:
     """Exact optimum over task partitions and per-drone closed tours.
 
@@ -275,21 +341,7 @@ def solve_assignment(graph: InspectionGraph) -> RoutePlan:
     routers = [_DroneRouter(graph, d) for d in range(drones)]
     full = (1 << n) - 1
 
-    # best[d][S]: cheapest cost for drones d.. to cover exactly set S
-    best = np.full((drones + 1, 1 << n), np.inf)
-    best[drones, 0] = 0.0
-    for d in range(drones - 1, -1, -1):
-        for covered in range(1 << n):
-            subset = covered
-            while True:
-                tail = best[d + 1, covered ^ subset]
-                if np.isfinite(tail):
-                    cost = routers[d].tour_cost[subset] + tail
-                    if cost < best[d, covered]:
-                        best[d, covered] = cost
-                if subset == 0:
-                    break
-                subset = (subset - 1) & covered
+    best = _partition_table(routers, n)
     objective = best[0, full]
     if not np.isfinite(objective):
         raise Uncoverable("no feasible partition covers all tasks")
@@ -297,18 +349,14 @@ def solve_assignment(graph: InspectionGraph) -> RoutePlan:
     tours = []
     remaining = full
     for d in range(drones):
-        candidates = []
-        subset = remaining
-        while True:
-            total = routers[d].tour_cost[subset] + best[d + 1, remaining ^ subset]
-            if np.isfinite(total) and abs(total - best[d, remaining]) <= _TIE_TOL * max(
-                    1.0, abs(best[d, remaining])):
-                candidates.append(subset)
-            if subset == 0:
-                break
-            subset = (subset - 1) & remaining
-        chosen = min(candidates, key=lambda s: tuple(routers[d].lex_min_tour(s)))
-        tours.append([routers[d].lex_min_tour(chosen)])
+        subsets = _submasks(np.array([remaining]), n, remaining.bit_count())[0]
+        total = routers[d].tour_cost[subsets] + best[d + 1, remaining ^ subsets]
+        target = best[d, remaining]
+        tied = np.isfinite(total) & (np.abs(total - target)
+                                     <= _TIE_TOL * max(1.0, abs(target)))
+        candidates = {s: routers[d].lex_min_tour(s) for s in subsets[tied].tolist()}
+        chosen = min(candidates, key=lambda s: tuple(candidates[s]))
+        tours.append([candidates[chosen]])
         remaining ^= chosen
     return RoutePlan(tours=tours, objective=float(objective), tasks=list(graph.tasks))
 

@@ -1,3 +1,4 @@
+import csv
 import io
 
 import numpy as np
@@ -5,9 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stlfleet.dynamics import (DroneLimits, Trace, min_steps_rest_to_rest,
-                               project_controls, rollout, steer_rest_to_rest,
-                               steer_to_state, step, time_of_flight)
+from stlfleet.dynamics import (_CSV_COLUMNS, _CSV_FMT, DroneLimits, Trace,
+                               min_steps_rest_to_rest, project_controls, rollout,
+                               steer_rest_to_rest, steer_to_state, step, time_of_flight)
 from stlfleet.errors import LengthMismatch
 
 
@@ -160,6 +161,39 @@ def test_csv_round_trip(rng):
     assert np.allclose(back.pos, trace.pos, atol=1e-9)
     assert np.allclose(back.vel, trace.vel, atol=1e-9)
     assert np.allclose(back.acc, trace.acc, atol=1e-9)
+
+
+def _csv_writer_reference(trace):
+    """Trace CSV through csv.writer, one formatted cell at a time."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(_CSV_COLUMNS)
+    times = trace.times()
+    for k in range(trace.n_samples):
+        for d in range(trace.n_drones):
+            row = [_CSV_FMT % times[k], d]
+            row += [_CSV_FMT % x for x in trace.pos[d, k]]
+            row += [_CSV_FMT % x for x in trace.vel[d, k]]
+            if k < trace.n_samples - 1:
+                row += [_CSV_FMT % x for x in trace.acc[d, k]]
+            else:
+                row += ["", "", ""]
+            writer.writerow(row)
+    return buffer.getvalue()
+
+
+# 65 samples put the final, acceleration-free sample alone in a write block
+@pytest.mark.parametrize("drones,samples", [(1, 1), (3, 1), (0, 4), (1, 2), (2, 65), (3, 801)])
+def test_csv_writer_matches_csv_module(rng, drones, samples):
+    acc = rng.normal(scale=3.0, size=(drones, samples - 1, 3))
+    trace = rollout(rng.normal(scale=40.0, size=(drones, 3)), rng.normal(size=(drones, 3)),
+                    acc, 0.05)
+    if drones and samples > 1:
+        trace.pos[0, 1, 0] = np.nan
+        trace.vel[0, 0, 1] = -np.inf
+        trace.acc[0, 0, 2] = -0.0
+        trace.acc[-1, -1, 0] = 1e-300
+    assert trace.to_csv_string() == _csv_writer_reference(trace)
 
 
 def _stepwise_rollout(pos0, vel0, acc, ts):
