@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,24 +162,39 @@ class Trace:
 
     @staticmethod
     def _read_csv(handle) -> "Trace":
+        # rows may come in any order; a missing (sample, drone) row reads as
+        # zeros, and a row with an empty ax cell has no acceleration
         reader = csv.reader(handle)
         header = next(reader)
         if header != _CSV_COLUMNS:
             raise LengthMismatch(f"unexpected trace CSV header: {header}")
         rows = [row for row in reader if row]
-        times = sorted({float(r[0]) for r in rows})
-        drones = sorted({int(r[1]) for r in rows})
-        n, d = len(times), len(drones)
+        width = len(_CSV_COLUMNS)
+        if rows and set(map(len, rows)) != {width}:
+            raise LengthMismatch(f"every trace CSV row needs {width} cells")
+        # float() on every cell, one column after another
+        columns = list(zip(*rows)) or [()] * width
+        sample_times = list(map(float, columns[0]))
+        drone_ids = list(map(int, columns[1]))
+        times = sorted(set(sample_times))
+        n, d = len(times), len(set(drone_ids))
         t_index = {t: k for k, t in enumerate(times)}
+        k = np.array([t_index[t] for t in sample_times], dtype=np.intp)
+        dr = np.array(drone_ids, dtype=np.intp)
         pos = np.zeros((d, n, 3))
         vel = np.zeros((d, n, 3))
         acc = np.zeros((d, n - 1, 3))
-        for row in rows:
-            k, dr = t_index[float(row[0])], int(row[1])
-            pos[dr, k] = [float(x) for x in row[2:5]]
-            vel[dr, k] = [float(x) for x in row[5:8]]
-            if row[8] != "":
-                acc[dr, k] = [float(x) for x in row[8:11]]
+        state = np.fromiter(map(float, itertools.chain(*columns[2:8])), float,
+                            6 * len(rows)).reshape(6, -1)
+        pos[dr, k] = state[:3].T
+        vel[dr, k] = state[3:].T
+        moving = [i for i, cell in enumerate(columns[8]) if cell != ""]
+        if moving:
+            pick = operator.itemgetter(*moving)
+            cells = [pick(column) if len(moving) > 1 else (pick(column),)
+                     for column in columns[8:]]
+            acc[dr[moving], k[moving]] = np.fromiter(map(float, itertools.chain(*cells)),
+                                                     float, 3 * len(moving)).reshape(3, -1).T
         ts = times[1] - times[0] if n > 1 else 1.0
         return Trace(round(ts, 12), pos, vel, acc)
 

@@ -150,13 +150,13 @@ class _Objective:
         return value
 
     def value(self, acc) -> float:
+        """Objective at a line-search trial, unchecked: the search rejects a
+        non-finite value as it rejects any step that does not improve."""
         trace = self.trace(acc)
         if self.weights is None:
-            value = eval_smooth(self.program, trace, 0, self.sharpness)
-        else:
-            value = eval_weighted_smooth(self.program, self.weights, trace, 0,
-                                         self.sharpness, soft_combine=True)
-        return self._checked(value, acc)
+            return eval_smooth(self.program, trace, 0, self.sharpness)
+        return eval_weighted_smooth(self.program, self.weights, trace, 0,
+                                    self.sharpness, soft_combine=True)
 
     def value_and_gradient(self, acc):
         value, dpos, dvel = gradient_smooth(self.program, self.trace(acc), self.sharpness,
@@ -238,7 +238,7 @@ def optimize(formula, seed_trace: Trace, scenario, config: OptimizerConfig = Non
                 while trial_step >= config.step_min:
                     trial = project(acc + trial_step * masked)
                     value = objective.value(trial)
-                    if value > current:
+                    if np.isfinite(value) and value > current:
                         accepted = True
                         break
                     trial_step *= config.step_shrink

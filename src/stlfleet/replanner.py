@@ -35,11 +35,14 @@ class ReplanEvent:
     window: tuple              # (start sample, end sample)
     kind: str = "rejoin"       # "rejoin" or "glide_home"
     skipped: tuple = ()        # schedule entries re-inserted into the window
+    status: str = None         # the window optimization's status
+    exact: float = None        # exact robustness of the window formula on its result
 
     def to_dict(self) -> dict:
         return {"time": self.time, "drone": self.drone, "deviation": self.deviation,
                 "window": list(self.window), "kind": self.kind,
-                "skipped": [{"kind": k, "index": i} for k, i in self.skipped]}
+                "skipped": [{"kind": k, "index": i} for k, i in self.skipped],
+                "status": self.status, "exact": self.exact}
 
 
 @dataclass
@@ -208,7 +211,8 @@ def replan(state: ExecutionState, scenario: Scenario, drone: int,
 
     event = ReplanEvent(time=k * ts, drone=drone,
                         deviation=float(deviation) if deviation is not None else 0.0,
-                        window=(k, window_end), kind=kind, skipped=tuple(skipped))
+                        window=(k, window_end), kind=kind, skipped=tuple(skipped),
+                        status=result.status, exact=result.report.exact)
     return segment, updated, event
 
 

@@ -18,16 +18,25 @@ lowered to Or(Not(lhs), rhs), so one semantics covers it.
 
 One forward pass first evaluates the atoms, all atoms of one predicate
 kind as one batch, then every other node at every sample where it is
-defined, so temporal windows are reductions over strided sliding views.
-The same program serves the exact, smooth, weighted and weighted-smooth
-semantics, the reverse sweep that yields gradients, and the per-node
-report. A program holds no trace data between calls; the reverse sweep
-reuses only the forward pass of the same call.
+defined, in batches: nodes of one kind, window, lookahead and arity at
+one depth above the atoms. A window or Boolean batch of K nodes with n
+outputs over m operands each is one pass. Where n >= m it is
+offset-major: slab j holds operand j of the K nodes at the n samples
+(for windows the strided view operand[:, lo + j : lo + j + n]), and the
+pass walks the slabs a block at a time with elementwise operations, so
+no window matrix is built. Where n < m (windows over the whole trace) it
+reduces (K, n, m) rows. The same program serves the exact, smooth,
+weighted and weighted-smooth semantics, the reverse sweep that yields
+gradients, and the per-node report. A program holds no trace data
+between calls; the reverse sweep reuses only the forward pass of the
+same call, of which a batch keeps its stacked operands, extremes and
+sums of exponential weights.
 
 Every result is bit for bit that of a node-by-node recursive
-evaluation: each reduction sees the same operand arrays in the same
-memory layout, and every scatter-add (window adjoints, atom gradients)
-adds in the order of a recursive left-to-right sweep.
+evaluation: elementwise steps round as before, sums over a reduction's
+operands add in numpy's order for one node's row, and scatter-adds
+(window adjoints, atom gradients) add in the order of a recursive
+left-to-right sweep. Only the sign of a zero extreme may differ.
 """
 
 from __future__ import annotations
@@ -70,12 +79,20 @@ def smooth_max(values, sharpness: float) -> float:
     return float(_softmax_avg(values, sharpness)[0])
 
 
-# Smooth reductions act on the last axis. Each returns its result with the
-# exponential weights and their sum, from which its partials are built.
+# Smooth reductions come in two layouts. Row kernels reduce the last axis
+# of (..., m) rows and return the exponential weights and their sum, from
+# which the partials are built. Slab kernels reduce m operand slabs of
+# shape (K, n), read through a ``_Slabs`` a block at a time given the hard
+# extreme ``edge``; they keep only the sum of the weights, and their
+# partials are a function of a block that rebuilds its weights. Their
+# ``add`` sums the streamed terms in the row layout's order, so both
+# layouts give the same bits.
+#
 # Callers run them with numpy's invalid-operation warnings off: an
-# infinite operand makes inf - inf or 0 * inf, and the rows it turns into
-# NaN are rebuilt afterwards, so finite input pays for one NaN check and
-# keeps every bit.
+# infinite operand makes inf - inf or 0 * inf, and the results it turns
+# into NaN are rebuilt afterwards, so finite input pays for one NaN check
+# and keeps every bit. An infinite result passes no gradient to any
+# operand, and neither does an infinite operand.
 
 
 def _softmin(values, lam):
@@ -102,10 +119,6 @@ def _softmax_avg(values, lam):
     return result, w, total
 
 
-# Partials take the reduction's result too: an infinite result passes no
-# gradient to any operand, and neither does an infinite operand.
-
-
 def _softmin_partials(values, lam, w, total, result):
     partials = w / total[..., None]  # a +inf operand of a finite min has w = 0
     if np.isnan(total.sum()):  # an infinite min
@@ -129,29 +142,213 @@ def _softmax_partials(values, lam, w, total, result):
     return partials
 
 
+# operand values a slab kernel handles per numpy call (at least one slab)
+_BLOCK_VALUES = 1 << 14
+
+
+def _spans(lo, hi, size):
+    return [(j, min(j + size, hi)) for j in range(lo, hi, size)]
+
+
+class _Slabs:
+    """Slabs j0..j1 of an (m, K, n) operand array under one pass's weighting."""
+
+    def __init__(self, operands, weights, tilt, weighting):
+        self.operands, self.weights, self.tilt = operands, weights, tilt
+        self.weighting = weighting
+        self.m, k, n = operands.shape
+        self.block = max(1, _BLOCK_VALUES // (k * n))
+
+    def __call__(self, j0, j1, out):
+        """The weighted slabs: a view when unweighted, else written into ``out``."""
+        x = self.operands[j0:j1]
+        if self.weighting is None:
+            return x
+        if self.weighting == _SCALE:
+            return np.multiply(x, self.weights[j0:j1], out=out)
+        return np.multiply(self.factor(j0, j1), x, out=out)
+
+    def factor(self, j0, j1):
+        return _share_factor(self.operands[j0:j1], self.tilt[j0:j1])
+
+    def edge(self, red):
+        """The hard min/max over all slabs."""
+        if self.weighting is None:
+            return red.hard.reduce(self.operands, axis=0)
+        edge = None
+        scratch = np.empty((min(self.block, self.m),) + self.operands.shape[1:])
+        for j0, j1 in _spans(0, self.m, self.block):
+            part = red.hard.reduce(self(j0, j1, scratch[:j1 - j0]), axis=0)
+            edge = part if edge is None else red.hard(edge, part, out=edge)
+        return edge
+
+
+def _exp_term(slabs, lam, edge, total=None):
+    """Terms j0..j1 = exp(lam * (slab j - edge)), divided by ``total`` when
+    given, written into ``out``."""
+    def term(j0, j1, out):
+        np.subtract(slabs(j0, j1, out), edge, out=out)
+        out *= lam
+        np.exp(out, out=out)
+        if total is not None:
+            out /= total
+        return out
+    return term
+
+
+def _slab_softmin(slabs, lam, edge, add):
+    total = add(_exp_term(slabs, -lam, edge), slabs, edge.shape)
+    result = edge - np.log(total) / lam
+    if np.isnan(result.sum()):  # an infinite min
+        result = np.where(np.isinf(edge), edge, result)
+    return result, total
+
+
+def _slab_softmax(slabs, lam, edge, add):
+    weight = _exp_term(slabs, lam, edge)
+
+    def pair(dead):  # term j: the weight and the weighted operand, stacked
+        def term(j0, j1, out):
+            weight(j0, j1, out[:, 0])
+            values = slabs(j0, j1, out[:, 1])
+            dead_at = np.isneginf(values) if dead else None
+            np.multiply(values, out[:, 0], out=out[:, 1])
+            if dead:  # a -inf operand has weight exactly zero
+                out[:, 1][dead_at] = 0.0
+            return out
+        return term
+
+    total, terms = add(pair(False), slabs, (2,) + edge.shape)
+    result = terms / total
+    if np.isnan(result.sum()):  # a -inf operand or an infinite max
+        total, terms = add(pair(True), slabs, (2,) + edge.shape)
+        result = np.where(np.isinf(edge), edge, terms / total)
+    return result, total
+
+
+def _slab_softmin_partials(slabs, lam, edge, total, result, add):
+    share = _exp_term(slabs, -lam, edge, total)  # a +inf operand of a finite min has w = 0
+    if not np.isnan(total.sum()):
+        return share
+    infinite = np.isinf(result)  # an infinite min
+
+    def partial(j0, j1, out):
+        share(j0, j1, out)[:, infinite] = 0.0
+        return out
+    return partial
+
+
+def _slab_softmax_partials(slabs, lam, edge, total, result, add):
+    """d softmax_avg / d value_i = q_i * (1 + lam * (value_i - result))."""
+    share = _exp_term(slabs, lam, edge, total)
+
+    def weighted(dead):
+        def term(j0, j1, out):
+            share(j0, j1, out)
+            values = slabs(j0, j1, np.empty_like(out))
+            out *= values
+            if dead:
+                out[np.isneginf(values)] = 0.0
+            return out
+        return term
+
+    mean = add(weighted(False), slabs, edge.shape)
+    dead = np.isnan(mean.sum())  # a -inf operand or an infinite max
+    if dead:
+        mean = add(weighted(True), slabs, edge.shape)
+        infinite = np.isinf(result)
+
+    def partial(j0, j1, out):
+        values = slabs(j0, j1, np.empty_like(out))
+        dead_at = np.isneginf(values) if dead else None
+        step = np.subtract(values, mean)
+        step *= lam
+        step += 1.0
+        share(j0, j1, out)
+        out *= step
+        if dead:
+            out[dead_at] = 0.0
+            out[:, infinite] = 0.0
+        return out
+    return partial
+
+
 class _Reduction(NamedTuple):
     is_min: bool
     hard: np.ufunc
     soft: object
     partials: object
+    slab_soft: object
+    slab_partials: object
 
 
-_MIN = _Reduction(True, np.minimum, _softmin, _softmin_partials)
-_MAX = _Reduction(False, np.maximum, _softmax_avg, _softmax_partials)
+_MIN = _Reduction(True, np.minimum, _softmin, _softmin_partials,
+                  _slab_softmin, _slab_softmin_partials)
+_MAX = _Reduction(False, np.maximum, _softmax_avg, _softmax_partials,
+                  _slab_softmax, _slab_softmax_partials)
+
+
+# Sums of the m terms of a slab reduction, streamed a block at a time by
+# ``term(j0, j1, out)``. numpy starts a sum from +0.0, which only turns a
+# -0.0 total into +0.0. It sums one contiguous row pairwise: rows of
+# fewer than 8 values in sequence, up to 128 values in 8 interleaved
+# lanes, longer rows split in two near the middle at a multiple of 8. It
+# sums the columns of an (n, m) matrix stored by columns one after
+# another.
+_PAIRWISE_LANES = 8
+_PAIRWISE_BLOCK = 128
+
+
+def _pairwise_sum(term, slabs, shape):
+    """Bit for bit numpy's sum of one contiguous row of the terms."""
+    return _pairwise(term, 0, slabs.m, shape, min(slabs.block, _PAIRWISE_LANES)) + 0.0
+
+
+def _pairwise(term, lo, hi, shape, block):
+    m = hi - lo
+    if m > _PAIRWISE_BLOCK:
+        half = m // 2
+        half -= half % _PAIRWISE_LANES
+        total = _pairwise(term, lo, lo + half, shape, block)
+        total += _pairwise(term, lo + half, hi, shape, block)
+        return total
+    lanes = np.empty((min(m, _PAIRWISE_LANES),) + shape)
+    for j0, j1 in _spans(lo, lo + len(lanes), block):
+        term(j0, j1, lanes[j0 - lo:j1 - lo])
+    total = lanes[0]
+    if m < _PAIRWISE_LANES:
+        for row in lanes[1:]:
+            total += row
+        return total
+    scratch = np.empty((block,) + shape)
+    stop = lo + m - m % _PAIRWISE_LANES
+    for i in range(lo + _PAIRWISE_LANES, stop, _PAIRWISE_LANES):
+        for j0, j1 in _spans(i, i + _PAIRWISE_LANES, block):
+            lanes[j0 - i:j1 - i] += term(j0, j1, scratch[:j1 - j0])
+    # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), summed into r0
+    lanes[::2] += lanes[1::2]
+    lanes[::4] += lanes[2::4]
+    total += lanes[4]
+    for j0, j1 in _spans(stop, hi, block):
+        for row in term(j0, j1, scratch[:j1 - j0]):
+            total += row
+    return total
+
+
+def _sequential_sum(term, slabs, shape):
+    """Bit for bit numpy's sum over the columns of an (n, m) matrix stored
+    by columns."""
+    total = np.zeros(shape)
+    scratch = np.empty((min(slabs.block, slabs.m),) + shape)
+    for j0, j1 in _spans(0, slabs.m, slabs.block):
+        for row in term(j0, j1, scratch[:j1 - j0]):
+            total += row
+    return total
 
 
 def _sign_pos(values):
     # sign(0) is defined as +1 so the positive branch stays continuous from above
     return np.where(values >= 0.0, 1.0, -1.0)
-
-
-def _windows(values, lo, width, count):
-    """``count`` sliding windows of ``values``: row t is values[t+lo : t+lo+width].
-
-    A strided view, not a copy; callers only read it.
-    """
-    step = values.strides[0]
-    return np.ndarray((count, width), values.dtype, values, lo * step, (step, step))
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +494,10 @@ class Program:
     """A formula compiled for one sampling period, optionally with weights.
 
     ``ops`` is the post-order instruction list; the last one is the root.
-    Evaluate it with the module-level functions, which accept a program
-    wherever they accept a formula; they are its only public interface.
+    ``batches`` partitions the other instructions into passes, each after
+    those computing its operands. Evaluate it with the module-level
+    functions, which accept a program wherever they accept a formula; they
+    are its only public interface.
     """
 
     def __init__(self, formula: stl.Formula, ts: float, weights: stl.WeightMap = None):
@@ -316,6 +515,7 @@ class Program:
                         [index for index, _ in members])
                        for kind, members in self._atoms.items()]
         self.leaves = [index for index, op in enumerate(self.ops) if op.kind == stl.ATOM]
+        self.batches = self._batch()
 
     # -- compilation
 
@@ -363,6 +563,20 @@ class Program:
         share = op.weights / op.weights.sum()
         op.tilt = (0.5 - share) if op.red.is_min else (share - 0.5)
 
+    def _batch(self):
+        """Group instructions of one kind, window, lookahead and arity at one
+        depth above the atoms, so each group's operands are all computed by
+        shallower groups; groups run in order of depth."""
+        depth = []
+        members = {}
+        for index, op in enumerate(self.ops):
+            depth.append(1 + max((depth[a] for a in op.args), default=-1))
+            if op.kind != stl.ATOM:
+                key = (depth[index], op.kind, op.lo, op.width, op.steps, len(op.args))
+                members.setdefault(key, []).append(index)
+        return [_Batch(self.ops, indices)
+                for _, indices in sorted(members.items(), key=lambda item: item[0][0])]
+
     # -- evaluation
 
     def _semantics(self, sharpness, weighted, soft_combine):
@@ -380,7 +594,7 @@ class Program:
     def _node_values(self, trace, sharpness=None, weighted=False, soft_combine=True):
         """Value arrays of every instruction; exact when ``sharpness`` is None."""
         lam, weighting = self._semantics(sharpness, weighted, soft_combine)
-        return self._forward(trace, lam, weighting, None)
+        return self._forward(trace, lam, weighting)
 
     def _evaluate(self, trace, t_index=0, sharpness=None, weighted=False,
                  soft_combine=True) -> float:
@@ -398,9 +612,9 @@ class Program:
         return float(root[t_index])
 
     @np.errstate(invalid="ignore")  # see the smooth reductions
-    def _forward(self, trace, lam, weighting, atom_data=None):
-        """Every instruction's values; ``atom_data`` (a dict) collects each atom
-        group's gradient data."""
+    def _forward(self, trace, lam, weighting, tape=None):
+        """Every instruction's values; ``tape`` (a dict) collects what the
+        reverse sweep needs from each atom group and batch."""
         length = trace.n_samples
         root = self.ops[-1]
         if length - root.steps <= 0:
@@ -409,32 +623,13 @@ class Program:
                 f"{self.formula.node_id!r}, which needs {root.steps + 1}")
         values = [None] * len(self.ops)
         for group, indices in self.groups:
-            rows, data = group.forward(trace, keep=atom_data is not None)
+            rows, data = group.forward(trace, keep=tape is not None)
             for index, row in zip(indices, rows):
                 values[index] = row
-            if atom_data is not None:
-                atom_data[group] = data
-        for index, op in enumerate(self.ops):
-            out_len = length - op.steps
-            kind = op.kind
-            if kind == stl.ATOM:
-                continue
-            if kind == stl.TRUE:
-                value = np.full(out_len, np.inf)
-            elif kind == stl.NOT:
-                value = -values[op.args[0]]
-            elif kind in (stl.AND, stl.OR):
-                rows = _operand_rows(op, values, out_len)
-                value = _reduce(rows.T, op.red, op, lam, weighting)
-            elif kind in (stl.ALWAYS, stl.EVENTUALLY):
-                windows = _windows(values[op.args[0]], op.lo, op.width, out_len)
-                value = _reduce(windows, op.red, op, lam, weighting)
-            elif kind == stl.NEXT:
-                succ = op.lo + 1
-                value = values[op.args[0]][succ:succ + out_len].copy()
-            else:
-                value = _until_values(op, values, out_len, lam, weighting)
-            values[index] = value
+            if tape is not None:
+                tape[group] = data
+        for batch in self.batches:
+            batch.forward(values, length, lam, weighting, tape)
         return values
 
     @np.errstate(invalid="ignore")
@@ -447,47 +642,19 @@ class Program:
         lam, weighting = self._semantics(sharpness, weighted, True)
         if lam is None:
             raise ValueError("gradients are defined for the smooth evaluation paths")
-        atom_data = {}
-        values = self._forward(trace, lam, weighting, atom_data)
+        tape = {}
+        values = self._forward(trace, lam, weighting, tape)
         value = self._value_at(values, t_index)
         adjoints = [None] * len(self.ops)
         adjoints[-1] = np.zeros(len(values[-1]))
         adjoints[-1][t_index] = 1.0
-        for index in range(len(self.ops) - 1, -1, -1):
-            op = self.ops[index]
-            if op.kind in (stl.ATOM, stl.TRUE):
-                continue
-            adjoint = adjoints[index]
-            if op.kind == stl.NOT:
-                adjoints[op.args[0]] = -adjoint
-            elif op.kind in (stl.AND, stl.OR):
-                out_len = len(adjoint)
-                rows = _operand_rows(op, values, out_len)
-                partials = _partials(rows.T, op.red, op, lam, weighting)
-                for r, arg in enumerate(op.args):
-                    full = np.zeros(len(values[arg]))
-                    full[:out_len] = adjoint * partials[:, r]
-                    adjoints[arg] = full
-            elif op.kind in (stl.ALWAYS, stl.EVENTUALLY):
-                out_len = len(adjoint)
-                windows = _windows(values[op.args[0]], op.lo, op.width, out_len)
-                partials = _partials(windows, op.red, op, lam, weighting)
-                # bincount adds in flattened (t-major) order, as a sequential scatter-add
-                idx = np.arange(out_len)[:, None] + op.lo + np.arange(op.width)[None, :]
-                adjoints[op.args[0]] = np.bincount(
-                    idx.ravel(), weights=(adjoint[:, None] * partials).ravel(),
-                    minlength=len(values[op.args[0]]))
-            elif op.kind == stl.NEXT:
-                succ = op.lo + 1
-                full = np.zeros(len(values[op.args[0]]))
-                full[succ:succ + len(adjoint)] = adjoint
-                adjoints[op.args[0]] = full
-            else:
-                _until_backprop(op, values, adjoint, adjoints, lam, weighting)
+        # every instruction has one consumer, which sits in a deeper batch
+        for batch in reversed(self.batches):
+            batch.backward(values, adjoints, lam, weighting, tape)
         entries = {}
         for group, indices in self.groups:
             adjoint = np.stack([adjoints[index] for index in indices])
-            flat, amounts = group.entries(atom_data[group], adjoint, trace.n_drones)
+            flat, amounts = group.entries(tape[group], adjoint, trace.n_drones)
             entries.update(zip(indices, zip(flat, amounts)))
         # one bincount adds every atom's entries in left-to-right leaf order,
         # the order of a recursive sweep, so the sums round the same way
@@ -501,45 +668,197 @@ class Program:
         return value, grad[:n_drones], grad[n_drones:]
 
 
-def _operand_rows(op, values, out_len):
-    rows = np.empty((len(op.args), out_len))
-    for r, arg in enumerate(op.args):
-        rows[r] = values[arg][:out_len]
-    return rows
+class _Batch:
+    """Instructions of one kind, window, lookahead and arity, run as one pass:
+    a window or Boolean batch as slabs where n >= m, else as rows; Until,
+    Next, Not and True node by node."""
+
+    def __init__(self, ops, indices):
+        self.ops = [ops[index] for index in indices]
+        self.indices = indices
+        op = self.ops[0]
+        self.kind, self.red, self.steps = op.kind, op.red, op.steps
+        self.lo, self.hi = op.lo, op.hi
+        self.window = op.kind in (stl.ALWAYS, stl.EVENTUALLY)
+        self.reduces = self.window or op.kind in (stl.AND, stl.OR)
+        self.arity = op.width if self.window else len(op.args)
+        # a window's operands are one contiguous row per output sample; a
+        # Boolean node's are the columns of an (n, m) matrix stored by columns
+        self.add = _pairwise_sum if self.window else _sequential_sum
+        self.args = [o.args for o in self.ops]
+        self.weights = self.tilt = None
+        if op.weights is not None and self.reduces:  # (K, m)
+            self.weights = np.stack([o.weights for o in self.ops])
+            self.tilt = np.stack([o.tilt for o in self.ops])
+
+    def _operands(self, values, n, slab):
+        """The K nodes' operands as an (m, K, n) slab array or (K, n, m) rows,
+        with the weights and tilts broadcasting against them."""
+        k, m = len(self.indices), self.arity
+        if self.window:
+            stack = np.empty((k, n + self.hi))
+            for row, (arg,) in zip(stack, self.args):
+                row[:] = values[arg]
+            row, step = stack.strides
+            if slab:
+                operands = np.ndarray((m, k, n), stack.dtype, stack, self.lo * step,
+                                      (step, row, step))
+            else:
+                operands = np.ndarray((k, n, m), stack.dtype, stack, self.lo * step,
+                                      (row, step, step))
+        else:
+            # rows keep each node's operands by columns, like the (n, m)
+            # matrix of one node stored by columns
+            stack = np.empty((m, k, n) if slab else (k, m, n))
+            for node, args in enumerate(self.args):
+                for r, arg in enumerate(args):
+                    stack[(r, node) if slab else (node, r)] = values[arg][:n]
+            operands = stack if slab else stack.transpose(0, 2, 1)
+        if self.weights is None:
+            return operands, None, None
+        if slab:
+            return operands, self.weights.T[:, :, None], self.tilt.T[:, :, None]
+        return operands, self.weights[:, None, :], self.tilt[:, None, :]
+
+    def forward(self, values, length, lam, weighting, tape):
+        n = length - self.steps
+        if not self.reduces:
+            for index, op in zip(self.indices, self.ops):
+                values[index] = _single_values(op, values, n, lam, weighting)
+            return
+        slab = n >= self.arity
+        operands, weights, tilt = self._operands(values, n, slab)
+        edge = total = None
+        if not slab:
+            result = _reduce(operands, self.red, weights, tilt, lam, weighting)
+        elif self.arity == 1:  # a single operand passes through unweighted
+            result = operands[0].copy()
+        else:
+            slabs = _Slabs(operands, weights, tilt, weighting)
+            result = edge = slabs.edge(self.red)
+            if lam is not None:
+                result, total = self.red.slab_soft(slabs, lam, edge, self.add)
+        for index, row in zip(self.indices, result):
+            values[index] = row
+        if tape is not None:
+            tape[self] = (operands, weights, tilt, edge, total, result)
+
+    def backward(self, values, adjoints, lam, weighting, tape):
+        if not self.reduces:
+            for index, op in zip(self.indices, self.ops):
+                _single_backprop(op, values, adjoints[index], adjoints, lam, weighting)
+            return
+        operands, weights, tilt = tape[self][:3]
+        adjoint = np.stack([adjoints[index] for index in self.indices])
+        n = adjoint.shape[1]
+        if n < self.arity:
+            rows = adjoint[..., None] * _partials(operands, self.red, weights, tilt,
+                                                  lam, weighting)
+            blocks = [(rows.transpose(2, 0, 1), 0, self.arity)]
+        else:
+            blocks = self._slab_contributions(tape[self], adjoint, lam, weighting)
+        if not self.window:
+            for part, j0, j1 in blocks:
+                for r in range(j0, j1):
+                    for node, args in enumerate(self.args):
+                        full = np.zeros(len(values[args[r]]))
+                        full[:n] = part[r - j0, node]
+                        adjoints[args[r]] = full
+            return
+        # each operand sample adds its contributions in order of the output
+        # sample they come from, as a sequential scatter-add in flattened
+        # (sample, offset) order would: by descending offset, or by
+        # ascending sample for rows
+        full = np.zeros((len(self.indices), n + self.hi))
+        lo = self.lo
+        if n < self.arity:
+            for t in range(n):
+                full[:, lo + t:lo + t + self.arity] += rows[:, t]
+        else:
+            for part, j0, j1 in blocks:
+                for j in range(j1 - 1, j0 - 1, -1):
+                    full[:, lo + j:lo + j + n] += part[j - j0]
+        for (arg,), row in zip(self.args, full):
+            adjoints[arg] = row
+
+    def _slab_contributions(self, taped, adjoint, lam, weighting):
+        """Yield (adjoint * partials of slabs j0..j1, j0, j1), from the last
+        slab down."""
+        operands, weights, tilt, edge, total, result = taped
+        if self.arity == 1:
+            yield adjoint[None], 0, 1  # adjoint * 1.0
+            return
+        slabs = _Slabs(operands, weights, tilt, weighting)
+        partial = self.red.slab_partials(slabs, lam, edge, total, result, self.add)
+        scratch = np.empty((min(slabs.block, self.arity),) + adjoint.shape)
+        for j0, j1 in reversed(_spans(0, self.arity, slabs.block)):
+            out = partial(j0, j1, scratch[:j1 - j0])
+            if weighting == _SHARE:
+                out *= slabs.factor(j0, j1)
+            out *= adjoint
+            yield out, j0, j1
 
 
-def _weighted(operands, op, weighting):
+def _single_values(op, values, out_len, lam, weighting):
+    """Values of one Until, Next, Not or True instruction."""
+    if op.kind == stl.TRUE:
+        return np.full(out_len, np.inf)
+    if op.kind == stl.NOT:
+        return -values[op.args[0]]
+    if op.kind == stl.NEXT:
+        succ = op.lo + 1
+        return values[op.args[0]][succ:succ + out_len].copy()
+    return _until_values(op, values, out_len, lam, weighting)
+
+
+def _single_backprop(op, values, adjoint, adjoints, lam, weighting):
+    if op.kind == stl.NOT:
+        adjoints[op.args[0]] = -adjoint
+    elif op.kind == stl.NEXT:
+        succ = op.lo + 1
+        full = np.zeros(len(values[op.args[0]]))
+        full[succ:succ + len(adjoint)] = adjoint
+        adjoints[op.args[0]] = full
+    elif op.kind == stl.UNTIL:
+        _until_backprop(op, values, adjoint, adjoints, lam, weighting)
+
+
+def _share_factor(operands, tilt):
+    return tilt * _sign_pos(operands) + 0.5
+
+
+def _weighted(operands, weights, tilt, weighting):
     """Operands after a weighted pass's weights, and the smooth transform's factor.
 
     The exact weighted semantics multiplies by the raw weights; the
     smooth one applies the normalized-weight transform, which scales each
     operand by a factor that depends on its sign and the share of its
     weight, keeping signs and, under uniform weights, arg-extrema
-    unchanged.
+    unchanged. ``weights`` and ``tilt`` broadcast against ``operands``.
     """
     if weighting == _SCALE:
-        return operands * op.weights, None
+        return operands * weights, None
     if weighting == _SHARE:
-        factor = op.tilt * _sign_pos(operands) + 0.5
+        factor = _share_factor(operands, tilt)
         return factor * operands, factor
     return operands, None
 
 
-def _reduce(operands, red, op, lam, weighting):
+def _reduce(operands, red, weights, tilt, lam, weighting):
     """Reduce the last axis of ``operands`` under one pass's semantics."""
     if operands.shape[-1] == 1:
         return operands[..., 0].copy()
-    operands, _ = _weighted(operands, op, weighting)
+    operands, _ = _weighted(operands, weights, tilt, weighting)
     if lam is None:
         return red.hard.reduce(operands, axis=-1)
     return red.soft(operands, lam)[0]
 
 
-def _partials(operands, red, op, lam, weighting):
+def _partials(operands, red, weights, tilt, lam, weighting):
     """Partials of the smooth reduction of ``operands`` with respect to each operand."""
     if operands.shape[-1] == 1:
         return np.ones_like(operands)
-    operands, factor = _weighted(operands, op, weighting)
+    operands, factor = _weighted(operands, weights, tilt, weighting)
     result, w, total = red.soft(operands, lam)
     partials = red.partials(operands, lam, w, total, result)
     return partials if factor is None else partials * factor
@@ -559,8 +878,8 @@ def _until_values(op, values, out_len, lam, weighting):
     for t in range(out_len):
         prefix = _prefix_min(hold[t:t + hi + 1], lam)[lo:]
         pair = np.stack([goal[t + lo:t + hi + 1], prefix], axis=1)
-        candidates = _reduce(pair, op.pair, op, lam, None)
-        out[t] = _reduce(candidates[None, :], op.red, op, lam, weighting)[0]
+        candidates = _reduce(pair, op.pair, None, None, lam, None)
+        out[t] = _reduce(candidates[None, :], op.red, op.weights, op.tilt, lam, weighting)[0]
     return out
 
 
@@ -575,9 +894,9 @@ def _until_backprop(op, values, adjoint, adjoints, lam, weighting):
         log_cum = np.logaddexp.accumulate(-lam * seg)
         prefix = (-log_cum / lam)[lo:]
         pair = np.stack([goal[t + lo:t + hi + 1], prefix], axis=1)
-        pair_partials = _partials(pair, op.pair, op, lam, None)
-        candidates = _reduce(pair, op.pair, op, lam, None)
-        outer = _partials(candidates[None, :], op.red, op, lam, weighting)
+        pair_partials = _partials(pair, op.pair, None, None, lam, None)
+        candidates = _reduce(pair, op.pair, None, None, lam, None)
+        outer = _partials(candidates[None, :], op.red, op.weights, op.tilt, lam, weighting)
         contrib = adjoint[t] * outer[0]
         goal_adj[t + lo:t + hi + 1] += contrib * pair_partials[:, 0]
         # prefix smooth-min partial wrt hold[u]: exp(-lam*hold[u] - log_cum_i),

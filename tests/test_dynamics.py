@@ -196,6 +196,82 @@ def test_csv_writer_matches_csv_module(rng, drones, samples):
     assert trace.to_csv_string() == _csv_writer_reference(trace)
 
 
+def _csv_reader_reference(handle):
+    """The original reader: float() per cell, one dict lookup per row."""
+    reader = csv.reader(handle)
+    header = next(reader)
+    if header != _CSV_COLUMNS:
+        raise LengthMismatch(f"unexpected trace CSV header: {header}")
+    rows = [row for row in reader if row]
+    times = sorted({float(r[0]) for r in rows})
+    drones = sorted({int(r[1]) for r in rows})
+    n, d = len(times), len(drones)
+    t_index = {t: k for k, t in enumerate(times)}
+    pos = np.zeros((d, n, 3))
+    vel = np.zeros((d, n, 3))
+    acc = np.zeros((d, n - 1, 3))
+    for row in rows:
+        k, dr = t_index[float(row[0])], int(row[1])
+        pos[dr, k] = [float(x) for x in row[2:5]]
+        vel[dr, k] = [float(x) for x in row[5:8]]
+        if row[8] != "":
+            acc[dr, k] = [float(x) for x in row[8:11]]
+    ts = times[1] - times[0] if n > 1 else 1.0
+    return Trace(round(ts, 12), pos, vel, acc)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("drones,samples", [(1, 1), (3, 1), (1, 2), (2, 65), (3, 801)])
+@pytest.mark.parametrize("layout", ["written", "shuffled", "rows missing"])
+def test_csv_reader_matches_row_loop(rng, drones, samples, layout):
+    acc = rng.normal(scale=3.0, size=(drones, samples - 1, 3))
+    trace = rollout(rng.normal(scale=40.0, size=(drones, 3)), rng.normal(size=(drones, 3)),
+                    acc, 0.05)
+    if samples > 1:
+        trace.pos[0, 1, 0] = np.nan
+        trace.vel[0, 0, 1] = -np.inf
+        trace.acc[0, 0, 2] = -0.0
+        trace.acc[-1, -1, 0] = 1e-300
+    header, *rows = trace.to_csv_string().splitlines(keepends=True)
+    if layout == "shuffled":
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+    elif layout == "rows missing" and samples > 2:
+        # the first and last samples stay whole, so every time and drone id
+        # still appears; a missing row reads as zeros
+        keep = np.ones(len(rows), bool)
+        inner = np.arange(drones, len(rows) - drones)
+        keep[rng.choice(inner, size=min(3, len(inner)), replace=False)] = False
+        rows = [row for row, kept in zip(rows, keep) if kept]
+    text = header + "".join(rows)
+    got = Trace.from_csv(io.StringIO(text))
+    want = _csv_reader_reference(io.StringIO(text))
+    assert got.ts == want.ts
+    for name in ("pos", "vel", "acc"):
+        assert _same_bits(getattr(got, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize("text,error", [
+    ("t,drone,px\r\n0,0,1\r\n", LengthMismatch),                        # bad header
+    (",".join(_CSV_COLUMNS) + "\r\n0,0,1,2,x,4,5,6,,,\r\n", ValueError),   # bad cell
+    (",".join(_CSV_COLUMNS) + "\r\n0,0.5,1,2,3,4,5,6,,,\r\n", ValueError),  # bad drone id
+    (",".join(_CSV_COLUMNS) + "\r\n", ValueError),                         # no samples
+])
+def test_csv_reader_rejects_like_row_loop(text, error):
+    with pytest.raises(error):
+        _csv_reader_reference(io.StringIO(text))
+    with pytest.raises(error):
+        Trace.from_csv(io.StringIO(text))
+
+
+def test_csv_reader_rejects_ragged_rows():
+    text = ",".join(_CSV_COLUMNS) + "\r\n0,0,1,2,3,4,5,6,,\r\n"
+    with pytest.raises(LengthMismatch):
+        Trace.from_csv(io.StringIO(text))
+
+
 def _stepwise_rollout(pos0, vel0, acc, ts):
     """Reference integration: one step() call per sample."""
     d, n, _ = acc.shape

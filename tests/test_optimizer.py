@@ -176,6 +176,26 @@ def test_non_finite_objective_carries_iterate():
     assert err.value.accelerations is not None
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_trial_is_a_rejected_step(monkeypatch, bad):
+    import stlfleet.optimizer as optimizer_module
+    scenario = make_scenario(mission=6.0)
+    formula, _ = compile_mission(scenario)
+    calls = []
+
+    def poisoned(*args, **kwargs):
+        calls.append(len(calls))
+        value = eval_smooth(*args, **kwargs)
+        return bad if len(calls) == 2 else value  # the second line-search trial
+
+    monkeypatch.setattr(optimizer_module, "eval_smooth", poisoned)
+    result = optimize(formula, hover_seed(scenario), scenario, OptimizerConfig(max_iters=5))
+    assert len(calls) > 2
+    assert np.all(np.isfinite(result.objective_history))
+    assert np.all(np.diff(result.objective_history) > 0)
+    assert result.iterations >= 1
+
+
 def test_seed_too_short_raises():
     scenario = make_scenario(mission=8.0)
     formula, _ = compile_mission(scenario)

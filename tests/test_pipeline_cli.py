@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -7,7 +8,8 @@ from stlfleet.cli import main
 from stlfleet.dynamics import Trace
 from stlfleet.errors import ParseError, PipelineError
 from stlfleet.mission import scenario_to_json
-from stlfleet.optimizer import OptimizerConfig
+from stlfleet.optimizer import (ITERATION_CAP, SATISFIED_NO_MARGIN, SATISFIED_WITH_MARGIN,
+                                VIOLATED, OptimizerConfig)
 from stlfleet.pipeline import (load_scenario, monitor_trace, run_pipeline,
                                run_routes_only)
 from stlfleet.robustness import eval_exact
@@ -118,6 +120,10 @@ def test_cli_replay(tmp_path):
     assert code == 0
     events = json.loads((tmp_path / "replay" / "events.json").read_text())
     assert len(events) == 1
+    # how the replan ended: the window optimization's status and exact robustness
+    assert events[0]["status"] in (SATISFIED_WITH_MARGIN, SATISFIED_NO_MARGIN, VIOLATED,
+                                   ITERATION_CAP)
+    assert isinstance(events[0]["exact"], float) and math.isfinite(events[0]["exact"])
     assert (tmp_path / "replay" / "executed_trace.csv").exists()
 
 
