@@ -19,6 +19,7 @@ from .mission import headings_to_csv, assign_headings
 from .optimizer import OptimizerConfig
 from .pipeline import (load_disturbance_file, load_scenario, monitor_trace,
                        run_pipeline, run_replay, run_routes_only)
+from .robustness import eval_exact
 
 
 def _add_common(parser):
@@ -103,7 +104,6 @@ def _dispatch(args) -> int:
         state.executed.to_csv(out / "executed_trace.csv")
         yaw = assign_headings(state.executed, scenario, output.plan)
         (out / "executed_headings.csv").write_text(headings_to_csv(yaw, scenario.ts))
-        from .robustness import eval_exact
         executed_exact = eval_exact(output.formula, state.executed, 0)
         print(f"plan status: {output.result.status}  events: {len(state.events)}  "
               f"executed exact: {executed_exact:.4f}")

@@ -11,14 +11,15 @@ after the first second, remain home at the next sample).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import stl
 from .dynamics import DroneLimits, Trace
-from .errors import InfeasibleWindow, NoCapableDrone, ValidationError
+from .errors import (DegenerateSegment, InfeasibleWindow, NoCapableDrone, ParseError,
+                     ValidationError)
+from .robustness import eval_exact
 
 
 @dataclass(frozen=True)
@@ -40,10 +41,13 @@ class Box:
     def center(self) -> np.ndarray:
         return (np.asarray(self.lower) + np.asarray(self.upper)) / 2.0
 
-    def contains(self, point, margin: float = 0.0) -> bool:
+    def contains(self, point, margin: float = 0.0):
+        """Strictly inside the box shrunk by ``margin``: a bool for one point,
+        a boolean array for an array of points (one per row)."""
         p = np.asarray(point)
-        return bool(np.all(p > np.asarray(self.lower) + margin)
-                    and np.all(p < np.asarray(self.upper) - margin))
+        inside = np.all((p > np.asarray(self.lower) + margin)
+                        & (p < np.asarray(self.upper) - margin), axis=-1)
+        return bool(inside) if inside.ndim == 0 else inside
 
 
 @dataclass(frozen=True)
@@ -157,7 +161,6 @@ def dist_to_blade(point, seg_start, seg_end) -> float:
     u = np.asarray(seg_end, float) - a
     denom = float(u @ u)
     if denom == 0.0:
-        from .errors import DegenerateSegment
         raise DegenerateSegment("blade segment endpoints coincide")
     s = min(1.0, max(0.0, float((p - a) @ u) / denom))
     return float(np.linalg.norm(p - (a + s * u)))
@@ -309,8 +312,6 @@ def safety_class_robustness(scenario: Scenario, trace: Trace) -> dict:
     inside one always, so the per-class minimum over the window is
     computed here from dedicated monitor formulas.
     """
-    from .robustness import eval_exact
-
     duration = min(scenario.mission_duration, trace.duration)
     out = {}
     specs = {"workspace": [], "obstacle": [], "separation": []}
@@ -347,26 +348,32 @@ def assign_headings(trace: Trace, scenario: Scenario, plan=None,
     n_drones, n_samples = trace.pos.shape[0], trace.pos.shape[1]
     yaw = np.zeros((n_drones, n_samples))
     allowed_targets, allowed_blades = _allowed_tasks(scenario, plan)
+    samples = np.arange(n_samples)
     for d in range(n_drones):
-        current = 0.0
-        for k in range(n_samples):
-            p = trace.pos[d, k]
-            target_q = next((q for q in allowed_targets[d]
-                             if scenario.targets[q].box.contains(p)), None)
-            blade_q = next((q for q in allowed_blades[d]
-                            if scenario.blades[q].box.contains(p)), None)
-            if target_q is not None:
-                current = scenario.targets[target_q].yaw
-            elif blade_q is not None:
-                side = scenario.blades[blade_q]
-                a = np.asarray(side.seg_start)
-                u = np.asarray(side.seg_end) - a
-                s = min(1.0, max(0.0, float((p - a) @ u) / float(u @ u)))
-                closest = a + s * u
-                current = math.atan2(closest[1] - p[1], closest[0] - p[0])
-            elif math.hypot(trace.vel[d, k, 0], trace.vel[d, k, 1]) > speed_floor:
-                current = math.atan2(trace.vel[d, k, 1], trace.vel[d, k, 0])
-            yaw[d, k] = current
+        p, v = trace.pos[d], trace.vel[d]
+        heading = np.zeros(n_samples)
+        # samples whose heading is set; the first allowed target holding
+        # the drone wins, then the first allowed blade corridor
+        valid = np.zeros(n_samples, dtype=bool)
+        for q in allowed_targets[d]:
+            inside = scenario.targets[q].box.contains(p) & ~valid
+            heading[inside] = scenario.targets[q].yaw
+            valid |= inside
+        for q in allowed_blades[d]:
+            side = scenario.blades[q]
+            inside = side.box.contains(p) & ~valid
+            a = np.asarray(side.seg_start)
+            u = np.asarray(side.seg_end) - a
+            s = np.clip(((p[inside] - a) @ u) / float(u @ u), 0.0, 1.0)
+            toward = a + s[:, None] * u - p[inside]
+            heading[inside] = np.arctan2(toward[:, 1], toward[:, 0])
+            valid |= inside
+        moving = ~valid & (np.hypot(v[:, 0], v[:, 1]) > speed_floor)
+        heading[moving] = np.arctan2(v[moving, 1], v[moving, 0])
+        valid |= moving
+        # hold the last valid heading; 0 before the first one
+        last = np.maximum.accumulate(np.where(valid, samples, -1))
+        yaw[d] = np.where(last >= 0, heading[last], 0.0)
     return yaw
 
 
@@ -451,7 +458,6 @@ _SCHEMA = {
 
 
 def _check_keys(mapping, schema_key, path):
-    from .errors import ParseError
     allowed = _SCHEMA[schema_key]
     for key in mapping:
         if key not in allowed:
@@ -460,8 +466,6 @@ def _check_keys(mapping, schema_key, path):
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    from .errors import ParseError
-
     if not isinstance(data, dict):
         raise ParseError("scenario root must be a JSON object")
     _check_keys(data, "", "")
@@ -543,7 +547,6 @@ def scenario_to_json(s: Scenario, indent=2) -> str:
 
 
 def scenario_from_json(text: str) -> Scenario:
-    from .errors import ParseError
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

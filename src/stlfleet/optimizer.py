@@ -130,7 +130,9 @@ class _Objective:
     """Smooth objective and gradient as a function of accelerations.
 
     The objective formula is compiled once here and reused by every
-    trial and gradient; each evaluation starts from a fresh rollout.
+    trial and gradient; each evaluation starts from a fresh rollout. The
+    gradient at an accepted trial rolls out the same bits, so the program
+    reuses that trial's smooth forward pass and runs only the reverse sweep.
     """
 
     def __init__(self, formula, pos0, vel0, ts, sharpness, weights):
@@ -174,6 +176,11 @@ def optimize(formula, seed_trace: Trace, scenario, config: OptimizerConfig = Non
     the best exact robustness of the original formula, re-verified with
     the exact monitor. On an iteration-capped run that stays negative,
     one noise-perturbed restart from the seed is attempted.
+
+    The status follows the exact robustness of the returned trace: above
+    zero it is satisfied, with margin when the smooth objective reached
+    the demanded margin; otherwise iteration_cap when the ascent ran out
+    of iterations, else violated.
     """
     config = config or OptimizerConfig()
     sharpness = config.sharpness if config.sharpness is not None else scenario.sharpness
@@ -282,14 +289,10 @@ def optimize(formula, seed_trace: Trace, scenario, config: OptimizerConfig = Non
 
     exact_best, smooth_best, acc_best = best
     final_trace = objective.trace(acc_best)
-    if smooth_best >= margin:
-        status = SATISFIED_WITH_MARGIN
-    elif capped:
-        status = ITERATION_CAP
-    elif smooth_best > 0:
-        status = SATISFIED_NO_MARGIN
+    if exact_best > 0:
+        status = SATISFIED_WITH_MARGIN if smooth_best >= margin else SATISFIED_NO_MARGIN
     else:
-        status = VIOLATED
+        status = ITERATION_CAP if capped else VIOLATED
     report = make_report(monitor, final_trace, sharpness, weights=weights)
     return PlanResult(trace=final_trace, report=report, status=status,
                       iterations=iterations, objective_history=history,

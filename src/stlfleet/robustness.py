@@ -27,10 +27,22 @@ pass walks the slabs a block at a time with elementwise operations, so
 no window matrix is built. Where n < m (windows over the whole trace) it
 reduces (K, n, m) rows. The same program serves the exact, smooth,
 weighted and weighted-smooth semantics, the reverse sweep that yields
-gradients, and the per-node report. A program holds no trace data
-between calls; the reverse sweep reuses only the forward pass of the
-same call, of which a batch keeps its stacked operands, extremes and
-sums of exponential weights.
+gradients, and the per-node report.
+
+Between calls a program keeps its last smooth (or weighted-smooth)
+forward pass and nothing else: every instruction's values and the tape
+the reverse sweep reads, of which a batch keeps its stacked operands,
+extremes and sums of exponential weights and a separation or segment
+group its offsets and distances. The pass is keyed by its semantics
+(sharpness, weighting) and by the exact bytes and shapes of the trace's
+positions and velocities. A gradient of a trace with the same key runs
+only the reverse sweep, so a line search's accepted trial is not
+evaluated twice; any other gradient runs its own forward pass. The kept
+pass is dropped when the next forward pass starts and once a gradient
+has used it, so a program holds at most one. Box atoms keep only a
+reference to the trace, from which the reverse sweep finds the face
+that carries each gradient again; a kept pass is reused only while that
+trace still holds the key's bits, so a stale tape is never read.
 
 Every result is bit for bit that of a node-by-node recursive
 evaluation: elementwise steps round as before, sums over a reduction's
@@ -391,14 +403,24 @@ class _Boxes:
             value = margins.max(axis=1)
         else:
             value = margins.min(axis=1)
-        if not keep:
-            return self.scale * value, None
-        # the face that carries the gradient; ties break toward the lowest face
-        active = (margins.argmax(axis=1) if self.kind == stl.BOX_OUTSIDE
-                  else margins.argmin(axis=1))
-        return self.scale * value, active
+        return self.scale * value, (trace if keep else None)
 
-    def entries(self, active, adjoint, n_drones):
+    def entries(self, trace, adjoint, n_drones):
+        # the face that carries the gradient, found from the trace one face
+        # at a time so that no (K, 6, L) margins are built: the first face of
+        # least margin, a NaN before any number, as argmin over the faces
+        # (and argmax over an outside box's negated margins) picks it
+        state = trace.vel if self.kind == stl.VELOCITY_BOX else trace.pos
+        for face in range(6):
+            axis = face // 2
+            coord = state[self.drones, :, axis]
+            margin = coord - self.lo[:, axis] if face % 2 == 0 else self.hi[:, axis] - coord
+            if face == 0:
+                least, active = margin, np.zeros(margin.shape, dtype=np.intp)
+                continue
+            wins = (margin < least) | (np.isnan(margin) & ~np.isnan(least))
+            active[wins] = face
+            np.minimum(least, margin, out=least)
         length = active.shape[1]
         rows = self.drones + (n_drones if self.kind == stl.VELOCITY_BOX else 0)
         index = (rows[:, None] * length + np.arange(length)) * 3 + active // 2
@@ -516,6 +538,7 @@ class Program:
                        for kind, members in self._atoms.items()]
         self.leaves = [index for index, op in enumerate(self.ops) if op.kind == stl.ATOM]
         self.batches = self._batch()
+        self._kept = None           # (key, trace, values, tape) of the last smooth pass
 
     # -- compilation
 
@@ -612,9 +635,11 @@ class Program:
         return float(root[t_index])
 
     @np.errstate(invalid="ignore")  # see the smooth reductions
-    def _forward(self, trace, lam, weighting, tape=None):
-        """Every instruction's values; ``tape`` (a dict) collects what the
-        reverse sweep needs from each atom group and batch."""
+    def _forward(self, trace, lam, weighting):
+        """Every instruction's values. A smooth pass is kept, with the tape of
+        what the reverse sweep needs from each atom group and batch, until
+        the next pass or the gradient that uses it."""
+        self._kept = None
         length = trace.n_samples
         root = self.ops[-1]
         if length - root.steps <= 0:
@@ -622,6 +647,7 @@ class Program:
                 f"trace of {length} samples cannot evaluate node "
                 f"{self.formula.node_id!r}, which needs {root.steps + 1}")
         values = [None] * len(self.ops)
+        tape = None if lam is None else {}
         for group, indices in self.groups:
             rows, data = group.forward(trace, keep=tape is not None)
             for index, row in zip(indices, rows):
@@ -630,7 +656,16 @@ class Program:
                 tape[group] = data
         for batch in self.batches:
             batch.forward(values, length, lam, weighting, tape)
+        if tape is not None:
+            self._kept = (_pass_key(trace, lam, weighting), trace, values, tape)
         return values
+
+    def _keeps(self, key) -> bool:
+        """Whether the kept pass is the pass of ``key``: the same semantics
+        over the same bits, still held by the kept trace, from which its box
+        atoms read their faces again."""
+        kept = self._kept
+        return kept is not None and kept[0] == key and _pass_key(kept[1], *key[:2]) == key
 
     @np.errstate(invalid="ignore")
     def _gradient(self, trace, sharpness, weighted=False, t_index=0):
@@ -642,8 +677,10 @@ class Program:
         lam, weighting = self._semantics(sharpness, weighted, True)
         if lam is None:
             raise ValueError("gradients are defined for the smooth evaluation paths")
-        tape = {}
-        values = self._forward(trace, lam, weighting, tape)
+        if not self._keeps(_pass_key(trace, lam, weighting)):
+            self._forward(trace, lam, weighting)
+        _, _, values, tape = self._kept
+        self._kept = None
         value = self._value_at(values, t_index)
         adjoints = [None] * len(self.ops)
         adjoints[-1] = np.zeros(len(values[-1]))
@@ -666,6 +703,12 @@ class Program:
                                minlength=grad.size)
         grad = grad.reshape(2 * n_drones, length, 3)
         return value, grad[:n_drones], grad[n_drones:]
+
+
+def _pass_key(trace, lam, weighting):
+    """What a smooth forward pass depends on, to the bit."""
+    return (lam, weighting, trace.pos.shape, trace.vel.shape,
+            trace.pos.tobytes(), trace.vel.tobytes())
 
 
 class _Batch:

@@ -189,6 +189,67 @@ def test_assign_headings_rules():
     assert yaw[0, 0] == pytest.approx(-math.pi / 2)
 
 
+def _headings_loop(trace, scenario, allowed_targets, allowed_blades, speed_floor=0.05):
+    """Reference: the per-sample loop that assign_headings replaced."""
+    yaw = np.zeros(trace.pos.shape[:2])
+    for d in range(trace.n_drones):
+        current = 0.0
+        for k in range(trace.n_samples):
+            p = trace.pos[d, k]
+            target_q = next((q for q in allowed_targets[d]
+                             if scenario.targets[q].box.contains(p)), None)
+            blade_q = next((q for q in allowed_blades[d]
+                            if scenario.blades[q].box.contains(p)), None)
+            if target_q is not None:
+                current = scenario.targets[target_q].yaw
+            elif blade_q is not None:
+                side = scenario.blades[blade_q]
+                a = np.asarray(side.seg_start)
+                u = np.asarray(side.seg_end) - a
+                s = min(1.0, max(0.0, float((p - a) @ u) / float(u @ u)))
+                closest = a + s * u
+                current = math.atan2(closest[1] - p[1], closest[0] - p[0])
+            elif math.hypot(trace.vel[d, k, 0], trace.vel[d, k, 1]) > speed_floor:
+                current = math.atan2(trace.vel[d, k, 1], trace.vel[d, k, 0])
+            yaw[d, k] = current
+    return yaw
+
+
+class _Plan:
+    """Assigned tasks per drone, in the order a route visits them."""
+
+    def __init__(self, tasks):
+        self.tasks = tasks
+
+    def assigned_tasks(self, d):
+        return self.tasks[d]
+
+
+def test_assign_headings_matches_sample_loop(rng):
+    # overlapping target boxes and a blade corridor overlapping a target,
+    # so the first allowed target, then the blade, must win
+    scenario = make_scenario(n_drones=2, targets=[(-1.0, 1.0, 1.0), (-0.5, 1.3, 1.0),
+                                                  (1.0, 1.5, 1.0)], blade=True)
+    for q, yaw in enumerate((0.3, -1.2, 2.5)):
+        scenario.targets[q] = Target(scenario.targets[q].box, yaw=yaw)
+    # a slanted blade, so that clamping the projection to the segment shows
+    scenario.blades[0] = BladeSide((2.0, 3.5, 1.0), (0.5, 3.5, 3.0), scenario.blades[0].box)
+    plan = _Plan([[("target", 1), ("target", 0), ("blade", 0)], [("target", 2)]])
+    everything = ([[0, 1, 2]] * 2, [[0]] * 2)
+    for _ in range(20):
+        acc = rng.normal(scale=3.0, size=(2, 120, 3))
+        acc[:, rng.integers(0, 120, 30)] = 0.0  # slow stretches below the speed floor
+        start = np.array([[-1.0, 1.0, 1.0], [1.5, 1.5, 1.0]]) + rng.normal(scale=0.5, size=(2, 3))
+        trace = rollout(start, np.zeros((2, 3)), acc * rng.uniform(0.0, 1.0), 0.05)
+        trace.vel[:, :rng.integers(0, 10)] = 0.0  # no valid heading at first: 0 is held
+        for chosen, allowed in ((None, everything),
+                                (plan, ([[1, 0], [2]], [[0], []]))):
+            got = assign_headings(trace, scenario, chosen)
+            want = _headings_loop(trace, scenario, *allowed)
+            # numpy's arctan2 may differ from math.atan2 in the last bit
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
 def test_scenario_json_round_trip_and_strictness():
     scenario = make_scenario(n_drones=2, blade=True,
                              obstacles=[((-1, -1, 0), (1, 1, 2))])

@@ -137,3 +137,33 @@ def test_bundled_scenarios_load():
     for name in ("windturbine_mock", "two_drone_swap"):
         scenario = load_scenario(bundled_scenario_path(name))
         assert scenario.n_drones >= 2
+
+
+@pytest.mark.parametrize("mode", ["basic", "attrition"])
+def test_cli_plan_exit_code_matches_monitor(tmp_path, mode):
+    # the verdict of plan is the exact monitor's on the trace it writes; on
+    # the bundled turbine the attrition ascent ends with a negative smooth
+    # objective, yet its trace satisfies the mission
+    scenario = str(bundled_scenario_path("windturbine_mock"))
+    out = tmp_path / mode
+    code = main(["plan", "--scenario", scenario, "--mode", mode, "--out", str(out)])
+    monitored = main(["monitor", "--scenario", scenario, "--trace", str(out / "trace.csv")])
+    report = json.loads((out / "report.json").read_text())
+    assert code == monitored == 0
+    assert report["status"] in (SATISFIED_WITH_MARGIN, SATISFIED_NO_MARGIN)
+    assert report["report"]["exact"] > 0
+
+
+def test_cli_replay_event_status_follows_exact(tmp_path):
+    scenario = str(bundled_scenario_path("windturbine_mock"))
+    disturbances = tmp_path / "disturbances.json"
+    disturbances.write_text(json.dumps([
+        {"time": 0.75, "drone": 1, "offset": [0.913, 1.165, 0.0]},
+        {"time": 2.4, "drone": 0, "offset": [-1.343, -0.064, 0.0]}]))
+    main(["replay", "--scenario", scenario, "--disturbances", str(disturbances),
+          "--out", str(tmp_path / "replay")])
+    events = json.loads((tmp_path / "replay" / "events.json").read_text())
+    assert events
+    for event in events:
+        satisfied = event["status"] in (SATISFIED_WITH_MARGIN, SATISFIED_NO_MARGIN)
+        assert satisfied == (event["exact"] > 0), event
