@@ -1,32 +1,25 @@
 """Routing warm-start: graph construction, exact assignment, seed synthesis.
 
 The routing problem (multi-depot coverage with per-drone symmetric
-time-of-flight weights) is solved exactly at desk scale: a dynamic
-program over task subsets per drone (Held-Karp with a completion table)
-combined with a partition dynamic program across drones. Because the
-weights are metric, restricting to visit-once closed routes loses
-nothing, and ties are broken toward the lexicographically smallest
-route sequence.
-
-Both programs are numpy passes that reproduce the per-subset loops bit
-for bit (each candidate is the same float addition, and a minimum does
-not depend on the order it is taken in). Held-Karp fills its completion
-table one subset-size layer at a time, one vector pass per task. The
-partition program builds, for each set C of k tasks, the (rows, 2^k)
-block of its submasks and takes the minimum over each row, in blocks of
-about _PAIR_CHUNK pairs (one set per block once 2^k exceeds it), so the
-3^n submask table is never held. Memory is dominated by the Held-Karp
-tables, drones * 2^n * n doubles.
+time-of-flight weights) is solved exactly at desk scale: Held-Karp with a
+completion table per drone, over the subsets of the tasks C_d it can
+serve, and a partition program across drones. Because the weights are
+metric, visit-once closed routes lose nothing; ties go to the
+lexicographically smallest route sequence. Both programs are numpy passes
+that reproduce the per-subset loops bit for bit (each candidate is the
+same float addition, and a minimum does not depend on its order). Memory
+is dominated by the Held-Karp tables, sum over d of 2^|C_d| * |C_d| doubles.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import Trace, min_steps_rest_to_rest, rollout, steer_rest_to_rest, time_of_flight
+from .dynamics import min_steps_rest_to_rest, rollout, steer_rest_to_rest, time_of_flight
 from .errors import HorizonOverflow, LengthMismatch, Uncoverable
 from .mission import Scenario
 
@@ -208,7 +201,7 @@ def build_graph(scenario: Scenario) -> InspectionGraph:
 # ---------------------------------------------------------------------------
 # Exact assignment
 
-_PAIR_CHUNK = 1 << 12  # (set, submask) pairs per partition block; bounds its temporaries
+_PAIR_CHUNK = 1 << 14  # candidates per partition block; bounds its temporaries
 
 # The set arithmetic below uses only &, ^ and | on integer arrays: each
 # further integer kernel (shift, negation, arithmetic with a scalar)
@@ -216,87 +209,90 @@ _PAIR_CHUNK = 1 << 12  # (set, submask) pairs per partition block; bounds its te
 # counts those pages.
 
 
-def _members(subsets: np.ndarray, n: int) -> np.ndarray:
-    """(rows, n) bool: task u belongs to subsets[row]."""
-    members = np.empty((len(subsets), n), dtype=bool)
-    for u in range(n):
-        members[:, u] = subsets & (1 << u)
-    return members
-
-
-def _popcount_layers(n: int) -> list:
-    """Subsets of n tasks by size: element k holds the k-task subsets, ascending."""
-    layers = [[] for _ in range(n + 1)]
-    for subset in range(1 << n):
-        layers[subset.bit_count()].append(subset)
-    return [np.array(layer, dtype=int) for layer in layers]
-
-
-def _submasks(covered: np.ndarray, n: int, k: int) -> np.ndarray:
-    """(rows, 2^k) submasks of the k-task sets in covered: column j deposits
-    the bits of j into the set bits of its row, lowest first."""
-    powers = np.array([1 << u for u in range(n)], dtype=covered.dtype)
-    bits = powers[np.nonzero(_members(covered, n))[1]].reshape(len(covered), k)
-    sub = np.zeros((len(covered), 1), dtype=covered.dtype)
-    for i in range(k):
+def _submasks(bits: np.ndarray) -> np.ndarray:
+    """(rows, 2^k) submasks of the sets whose members are the (rows, k)
+    single bits: column j deposits the bits of j into them, lowest first."""
+    sub = np.zeros((len(bits), 1), dtype=int)
+    for i in range(bits.shape[1]):
         sub = np.concatenate([sub, sub | bits[:, i:i + 1]], axis=1)
     return sub
 
 
-class _DroneRouter:
-    """Held-Karp tables for one drone: optimal closed tours over subsets."""
+def _subsets(tasks) -> np.ndarray:
+    """All 2^k subsets of the k given tasks, in _submasks order."""
+    return _submasks(np.array([1 << u for u in tasks], dtype=int).reshape(1, len(tasks)))[0]
 
-    def __init__(self, graph: InspectionGraph, d: int):
-        self.d = d
+
+def _popcount_layers(n: int) -> list:
+    """Subsets of n tasks by size: element k pairs the k-task subsets,
+    ascending, with their (rows, k) member tasks, lowest first."""
+    layers = [[] for _ in range(n + 1)]
+    for subset in range(1 << n):
+        layers[subset.bit_count()].append(subset)
+    powers = np.array([1 << u for u in range(n)], dtype=int)
+    return [(sets, np.nonzero(sets[:, None] & powers)[1].reshape(len(sets), k))
+            for k, sets in enumerate(np.array(layer, dtype=int) for layer in layers)]
+
+
+class _DroneRouter:
+    """Held-Karp tables for one drone over the subsets of its capable tasks.
+
+    Local subset s is the task set masks[s]: bit j of s is task tasks[j],
+    and tasks ascend, so local order is global order. A set with a task
+    the drone cannot serve has no finite tour and no entry.
+    """
+
+    def __init__(self, graph: InspectionGraph, d: int, layers=_popcount_layers):
         self.n = graph.n_tasks
         self.depot = graph.depot_vertex(d)
-        w_task = graph.w_task[d].copy()
-        w_depot = graph.w_depot[d].copy()
         blocked = ~graph.capable[d]
-        w_task[blocked, :] = np.inf
-        w_task[:, blocked] = np.inf
-        w_depot[blocked] = np.inf
-        self.w_task = np.where(w_task >= INFEASIBLE_EDGE, np.inf, w_task)
-        self.w_depot = np.where(w_depot >= INFEASIBLE_EDGE, np.inf, w_depot)
-        # completion[S][v]: cheapest way to leave task v, visit set S, return
-        # home; inf where v is in S. Each entry depends only on subsets one
-        # task smaller, so the table fills one popcount layer at a time.
-        n = self.n
-        self.completion = np.full((1 << n, n), np.inf)
-        self.completion[0, :] = self.w_depot
-        for layer in _popcount_layers(n)[1:]:
-            members = _members(layer, n)
-            for u in range(n):
-                has_u = members[:, u]
-                rows = layer[has_u]
-                cand = self.completion[rows ^ (1 << u), u][:, None] + self.w_task[:, u]
-                cand[members[has_u]] = np.inf
-                np.minimum(self.completion[rows], cand, out=cand)
-                self.completion[rows] = cand
-        # tour_cost[S]: cheapest closed tour over S; the subsets containing u
+        self.w_task = np.where(blocked[:, None] | blocked | (graph.w_task[d] >= INFEASIBLE_EDGE),
+                               np.inf, graph.w_task[d])
+        self.w_depot = np.where(blocked | (graph.w_depot[d] >= INFEASIBLE_EDGE),
+                                np.inf, graph.w_depot[d])
+        self.tasks = np.flatnonzero(graph.capable[d])
+        self.masks = _subsets(self.tasks.tolist())
+        c = len(self.tasks)
+        self.layers = layers(c)
+        # completion[s][j]: cheapest way to leave task j, visit set s, return
+        # home; inf where j is in s. It fills one popcount layer at a time,
+        # one pass per member u of s: w[j, u] + completion[s ^ u, u].
+        self.powers = np.array([1 << j for j in range(c)], dtype=int)
+        w_into = self.w_task[np.ix_(self.tasks, self.tasks)].T.copy()
+        w_depot = self.w_depot[self.tasks]
+        self.completion = np.full((1 << c, c), np.inf)
+        self.completion[0, :] = w_depot
+        for sets, at in self.layers[1:]:
+            prev = self.completion[sets[:, None] ^ self.powers[at], at]
+            cand = np.full((len(sets), c), np.inf)
+            for i in range(at.shape[1]):
+                np.minimum(cand, prev[:, i, None] + w_into[at[:, i]], out=cand)
+            np.put_along_axis(cand, at, np.inf, axis=1)
+            self.completion[sets] = cand
+        # tour_cost[s]: cheapest closed tour over s; the subsets containing u
         # are the odd halves of a (-1, 2, 2^u) reshape of the subset axis
-        self.tour_cost = np.full(1 << n, np.inf)
+        self.tour_cost = np.full(1 << c, np.inf)
         self.tour_cost[0] = 0.0
-        for u in range(n):
+        for u in range(c):
             with_u = self.tour_cost.reshape(-1, 2, 1 << u)[:, 1]
             without_u = self.completion[:, u].reshape(-1, 2, 1 << u)[:, 0]
-            np.minimum(with_u, self.w_depot[u] + without_u, out=with_u)
+            np.minimum(with_u, w_depot[u] + without_u, out=with_u)
 
     def lex_min_tour(self, subset: int) -> list:
-        """Lexicographically smallest optimal tour over the subset."""
+        """Lexicographically smallest optimal tour over the local subset."""
         tour = [self.depot]
         budget = self.tour_cost[subset]
         current = None
         while subset:
-            for u in range(self.n):
-                if not subset & (1 << u):
+            for j, u in enumerate(self.tasks.tolist()):
+                if not subset & (1 << j):
                     continue
                 hop = self.w_depot[u] if current is None else self.w_task[current, u]
-                remaining = self.completion[subset ^ (1 << u), u]
+                remaining = self.completion[subset ^ (1 << j), j]
                 if abs((hop + remaining) - budget) <= _TIE_TOL * max(1.0, abs(budget)):
                     tour.append(u)
                     budget -= hop
-                    subset ^= 1 << u
+                    subset ^= 1 << j
                     current = u
                     break
             else:
@@ -307,23 +303,30 @@ class _DroneRouter:
 def _partition_table(routers: list, n: int) -> np.ndarray:
     """best[d][S]: cheapest cost for drones d.. to cover exactly the set S.
 
-    Row d is the (min, +) product of drone d's tour costs with row d + 1
-    over the submasks of S, built in blocks of about _PAIR_CHUNK
-    (set, submask) pairs. For a set C, C ^ sub is a smaller set or, for
-    sub = 0, C itself in row d + 1, which the drone loop fills first; so
-    ascending set size is a valid order.
+    Rows fill from the last drone up; the last is its tour costs plus the
+    one finite tail, 0.0. Entry A | B of row d, A a set of drone d's tasks
+    and B of the others, is the least tour_cost[s] + best[d + 1][(A ^ s) | B]
+    over submasks s of A (any other submask has an infinite tour), in blocks
+    of about _PAIR_CHUNK candidates. Row 0 is filled only at the full set.
     """
     drones = len(routers)
     best = np.full((drones + 1, 1 << n), np.inf)
     best[drones, 0] = 0.0
-    for k, layer in enumerate(_popcount_layers(n)):
-        rows = max(1, _PAIR_CHUNK >> k)
-        for start in range(0, len(layer), rows):
-            covered = layer[start:start + rows]
-            sub = _submasks(covered, n, k)
-            rest = covered[:, None] ^ sub
-            for d in range(drones - 1, -1, -1):
-                best[d, covered] = (routers[d].tour_cost[sub] + best[d + 1, rest]).min(axis=1)
+    for d in range(drones - 1, -1, -1):
+        router = routers[d]
+        if 0 < d == drones - 1:
+            best[d, router.masks] = router.tour_cost + 0.0
+            continue
+        spread = _subsets(sorted(set(range(n)).difference(router.tasks.tolist())))
+        layers, spread = (router.layers, spread) if d else (router.layers[-1:], spread[-1:])
+        for sets, at in layers:
+            rows = max(1, (_PAIR_CHUNK >> at.shape[1]) // len(spread))
+            for start in range(0, len(sets), rows):
+                block = sets[start:start + rows]
+                sub = _submasks(router.powers[at[start:start + rows]])
+                rest = router.masks[block[:, None] ^ sub][:, :, None] | spread
+                cand = router.tour_cost[sub][:, :, None] + best[d + 1, rest]
+                best[d, router.masks[block][:, None] | spread] = cand.min(axis=1)
     return best
 
 
@@ -337,27 +340,27 @@ def solve_assignment(graph: InspectionGraph) -> RoutePlan:
         if not graph.capable[:, task.vertex].any():
             raise Uncoverable(f"{task.name} has no capable drone")
 
-    n, drones = graph.n_tasks, graph.n_drones
-    routers = [_DroneRouter(graph, d) for d in range(drones)]
-    full = (1 << n) - 1
+    layers = functools.cache(_popcount_layers)  # built once per set size per solve
+    routers = [_DroneRouter(graph, d, layers) for d in range(graph.n_drones)]
+    remaining = full = (1 << graph.n_tasks) - 1
 
-    best = _partition_table(routers, n)
+    best = _partition_table(routers, graph.n_tasks)
     objective = best[0, full]
     if not np.isfinite(objective):
         raise Uncoverable("no feasible partition covers all tasks")
 
     tours = []
-    remaining = full
-    for d in range(drones):
-        subsets = _submasks(np.array([remaining]), n, remaining.bit_count())[0]
-        total = routers[d].tour_cost[subsets] + best[d + 1, remaining ^ subsets]
+    for d, router in enumerate(routers):
+        subsets = _subsets([j for j, u in enumerate(router.tasks.tolist())
+                            if remaining & (1 << u)])
+        total = router.tour_cost[subsets] + best[d + 1, remaining ^ router.masks[subsets]]
         target = best[d, remaining]
         tied = np.isfinite(total) & (np.abs(total - target)
                                      <= _TIE_TOL * max(1.0, abs(target)))
-        candidates = {s: routers[d].lex_min_tour(s) for s in subsets[tied].tolist()}
+        candidates = {s: router.lex_min_tour(s) for s in subsets[tied].tolist()}
         chosen = min(candidates, key=lambda s: tuple(candidates[s]))
         tours.append([candidates[chosen]])
-        remaining ^= chosen
+        remaining ^= int(router.masks[chosen])
     return RoutePlan(tours=tours, objective=float(objective), tasks=list(graph.tasks))
 
 
@@ -596,8 +599,3 @@ def seed_with_schedule(plan: RoutePlan, scenario: Scenario, min_scale: float = 0
                     np.stack(accs), scenario.ts)
     return trace, schedules
 
-
-def seed_trajectories(plan: RoutePlan, scenario: Scenario, derate: float = 0.9) -> Trace:
-    """Dynamically feasible warm-start trace realizing the route plan."""
-    trace, _ = seed_with_schedule(plan, scenario, derate=derate)
-    return trace

@@ -10,7 +10,7 @@ from stlfleet.mission import compile_mission
 from stlfleet.optimizer import (ITERATION_CAP, SATISFIED_WITH_MARGIN, VIOLATED,
                                 OptimizerConfig, optimize, pullback_gradient)
 from stlfleet.robustness import eval_exact, eval_smooth, gradient_smooth
-from stlfleet.warmstart import build_graph, seed_trajectories, solve_assignment
+from stlfleet.warmstart import build_graph, seed_with_schedule, solve_assignment
 
 from test_mission import make_scenario
 
@@ -76,7 +76,7 @@ def test_satisfying_seed_keeps_margin_and_monotone_history():
     scenario = make_scenario(targets=[(-2.0, -3.0, 1.0)], mission=13.0,
                              home_offset=(0.0, -1.5, 0.0), home_half=0.85)
     plan = solve_assignment(build_graph(scenario))
-    seed = seed_trajectories(plan, scenario)
+    seed = seed_with_schedule(plan, scenario)[0]
     formula, _ = compile_mission(scenario)
     config = OptimizerConfig(max_iters=300, rng_seed=7, margin=0.05)
     result = optimize(formula, seed, scenario, config)
@@ -93,7 +93,7 @@ def test_straight_line_seed_reaches_positive_exact():
     scenario = make_scenario(targets=[(-1.2, -3.0, 1.0)], mission=8.0,
                              home_offset=(0.0, -1.5, 0.0), home_half=0.85)
     formula, _ = compile_mission(scenario)
-    seed = seed_trajectories(solve_assignment(build_graph(scenario)), scenario)
+    seed = seed_with_schedule(solve_assignment(build_graph(scenario)), scenario)[0]
     config = OptimizerConfig(max_iters=120, rng_seed=3)
     result = optimize(formula, seed, scenario, config)
     assert eval_exact(formula, result.trace, 0) > 0
@@ -107,7 +107,7 @@ def test_optimizer_repairs_separation_conflict_seed():
                              capability=[{"targets": {0}, "blades": None},
                                          {"targets": {1}, "blades": None}])
     formula, _ = compile_mission(scenario)
-    seed = seed_trajectories(solve_assignment(build_graph(scenario)), scenario)
+    seed = seed_with_schedule(solve_assignment(build_graph(scenario)), scenario)[0]
     assert eval_exact(formula, seed, 0) < 0
     config = OptimizerConfig(max_iters=600, rng_seed=0)
     result = optimize(formula, seed, scenario, config)
@@ -208,7 +208,7 @@ def test_seed_too_short_raises():
 def test_velocity_bounds_hold_at_margin_status():
     scenario = make_scenario(targets=[(-2.0, -3.0, 1.0)], mission=13.0)
     plan = solve_assignment(build_graph(scenario))
-    seed = seed_trajectories(plan, scenario)
+    seed = seed_with_schedule(plan, scenario)[0]
     formula, _ = compile_mission(scenario)
     result = optimize(formula, seed, scenario, OptimizerConfig(max_iters=120, rng_seed=2))
     if result.status == SATISFIED_WITH_MARGIN:
@@ -219,7 +219,7 @@ def test_velocity_bounds_hold_at_margin_status():
 def test_plan_result_serialization():
     scenario = make_scenario(targets=[(-2.0, -3.0, 1.0)], mission=13.0)
     plan = solve_assignment(build_graph(scenario))
-    seed = seed_trajectories(plan, scenario)
+    seed = seed_with_schedule(plan, scenario)[0]
     formula, _ = compile_mission(scenario)
     result = optimize(formula, seed, scenario, OptimizerConfig(max_iters=10, rng_seed=2))
     parsed = result.to_dict()

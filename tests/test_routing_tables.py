@@ -1,8 +1,11 @@
 """Vectorized routing tables against the per-subset loops they replaced.
 
 The reference functions below are the original pure-Python Held-Karp,
-partition and reconstruction loops. The numpy programs in warmstart must
-reproduce every table entry bit for bit, and the same plan.
+partition and reconstruction loops over all 2^n subsets. The numpy programs
+in warmstart keep only the entries the solver can use (a drone's capable
+subsets, row 0 of the partition at the full set); those must equal the
+reference bit for bit, every entry left out must be inf or unread, and the
+plan must be the same.
 """
 
 from unittest import mock
@@ -12,7 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stlfleet import warmstart
-from stlfleet.warmstart import _TIE_TOL, _DroneRouter, _partition_table, solve_assignment
+from stlfleet.warmstart import (_TIE_TOL, _DroneRouter, _partition_table, solve_assignment,
+                                verify_plan)
 
 from test_warmstart import graph_from_weights
 
@@ -103,15 +107,26 @@ def reference_tours(router, completion, tour_cost, best, d, remaining):
 
 @settings(max_examples=60, deadline=None)
 @given(tasks=st.integers(0, 8), drones=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
-       integer_weights=st.booleans(), idle_drone=st.booleans(),
+       integer_weights=st.booleans(), idle_drone=st.booleans(), narrow=st.booleans(),
        chunk=st.sampled_from([1, 8, warmstart._PAIR_CHUNK]))
-@example(tasks=0, drones=1, seed=0, integer_weights=False, idle_drone=False, chunk=1)
-@example(tasks=0, drones=3, seed=1, integer_weights=True, idle_drone=True, chunk=8)
-@example(tasks=1, drones=1, seed=2, integer_weights=False, idle_drone=False, chunk=1)
-@example(tasks=1, drones=2, seed=3, integer_weights=True, idle_drone=True, chunk=8)
-@example(tasks=8, drones=4, seed=4, integer_weights=True, idle_drone=True, chunk=8)
+@example(tasks=0, drones=1, seed=0, integer_weights=False, idle_drone=False, narrow=False,
+         chunk=1)
+@example(tasks=0, drones=3, seed=1, integer_weights=True, idle_drone=True, narrow=False,
+         chunk=8)
+@example(tasks=1, drones=1, seed=2, integer_weights=False, idle_drone=False, narrow=False,
+         chunk=1)
+@example(tasks=1, drones=2, seed=3, integer_weights=True, idle_drone=True, narrow=False,
+         chunk=8)
+@example(tasks=8, drones=4, seed=4, integer_weights=True, idle_drone=True, narrow=False,
+         chunk=8)
+@example(tasks=8, drones=4, seed=5, integer_weights=False, idle_drone=False, narrow=True,
+         chunk=1)
+@example(tasks=8, drones=3, seed=6, integer_weights=True, idle_drone=False, narrow=True,
+         chunk=8)
+@example(tasks=6, drones=2, seed=7, integer_weights=False, idle_drone=True, narrow=True,
+         chunk=warmstart._PAIR_CHUNK)
 def test_vectorized_tables_bitwise_equal_loop_reference(tasks, drones, seed, integer_weights,
-                                                         idle_drone, chunk):
+                                                         idle_drone, narrow, chunk):
     rng = np.random.default_rng(seed)
     # small integer weights make many optima tie, which exercises tie-breaking
     if integer_weights:
@@ -123,6 +138,13 @@ def test_vectorized_tables_bitwise_equal_loop_reference(tasks, drones, seed, int
     w_task = (w_task + w_task.transpose(0, 2, 1)) / 2
     w_task[:, np.arange(tasks), np.arange(tasks)] = 0.0
     capable = rng.random((drones, tasks)) < 0.6
+    if narrow and tasks:
+        # one all-capable drone beside drones capable of one or two tasks
+        capable[0] = True
+        for d in range(1, drones):
+            capable[d] = False
+            capable[d, rng.choice(tasks, size=min(tasks, int(rng.integers(1, 3))),
+                                  replace=False)] = True
     idle = int(rng.integers(drones)) if idle_drone and drones > 1 else None
     if idle is not None:
         capable[idle] = False
@@ -133,13 +155,28 @@ def test_vectorized_tables_bitwise_equal_loop_reference(tasks, drones, seed, int
 
     routers = [_DroneRouter(graph, d) for d in range(drones)]
     tables = [reference_heldkarp(router) for router in routers]
-    for router, (completion, tour_cost) in zip(routers, tables):
-        assert np.array_equal(router.completion, completion)
-        assert np.array_equal(router.tour_cost, tour_cost)
+    for d, (router, (completion, tour_cost)) in enumerate(zip(routers, tables)):
+        # the compact tables hold exactly the subsets of the capable tasks
+        own = sum(1 << int(u) for u in np.flatnonzero(capable[d]))
+        assert router.tasks.tolist() == np.flatnonzero(capable[d]).tolist()
+        assert sorted(router.masks.tolist()) == [s for s in range(1 << tasks) if s & own == s]
+        inside = np.ix_(router.masks, router.tasks)
+        assert np.array_equal(router.completion, completion[inside])
+        assert np.array_equal(router.tour_cost, tour_cost[router.masks])
+        # and every reference entry they leave out is inf
+        outside = np.ones(completion.shape, dtype=bool)
+        outside[inside] = False
+        assert np.all(completion[outside] == np.inf)
+        outside = np.ones(tour_cost.shape, dtype=bool)
+        outside[router.masks] = False
+        assert np.all(tour_cost[outside] == np.inf)
     best = reference_partition([tour_cost for _, tour_cost in tables], tasks)
     # small chunks split every layer into many blocks, as large instances do
     with mock.patch.object(warmstart, "_PAIR_CHUNK", chunk):
-        assert np.array_equal(_partition_table(routers, tasks), best)
+        table = _partition_table(routers, tasks)
+    # row 0 is filled only at the full set, the one entry the solver reads
+    assert np.array_equal(table[1:], best[1:])
+    assert np.array_equal(table[0, (1 << tasks) - 1], best[0, (1 << tasks) - 1])
 
     plan = solve_assignment(graph)
     assert repr(plan.objective) == repr(float(best[0, (1 << tasks) - 1]))
@@ -149,3 +186,28 @@ def test_vectorized_tables_bitwise_equal_loop_reference(tasks, drones, seed, int
         assert plan.tours[d] == [tour]
         remaining ^= chosen
     assert remaining == 0
+
+
+def test_sixteen_task_tables_span_only_capable_subsets():
+    """Drone 0 serves all 16 tasks and drones 1-2 serve 11 each: every
+    router's tables are sized by its capable set, and the plan is valid."""
+    rng = np.random.default_rng(16)
+    points = rng.uniform(-10.0, 10.0, (16, 3))
+    depots = rng.uniform(-10.0, 10.0, (3, 3))
+    speed = np.array([1.0, 1.3, 0.8])
+    w_task = np.linalg.norm(points[:, None] - points, axis=-1) / speed[:, None, None]
+    w_depot = np.linalg.norm(depots[:, None] - points, axis=-1) / speed[:, None]
+    capable = np.ones((3, 16), dtype=bool)
+    for d in (1, 2):
+        capable[d, rng.choice(16, size=5, replace=False)] = False
+    graph = graph_from_weights(w_task, w_depot, capable)
+    for d in range(3):
+        size = int(capable[d].sum())
+        router = _DroneRouter(graph, d)
+        assert router.completion.shape == (2 ** size, size)
+        assert router.tour_cost.shape == (2 ** size,)
+    plan = solve_assignment(graph)
+    ok, violations = verify_plan(plan, graph)
+    assert ok, violations
+    visited = sorted(v for cycles in plan.tours for cycle in cycles for v in cycle if v < 16)
+    assert visited == list(range(16))

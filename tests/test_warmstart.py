@@ -6,8 +6,8 @@ import pytest
 from stlfleet.dynamics import DroneLimits
 from stlfleet.errors import HorizonOverflow, Uncoverable
 from stlfleet.warmstart import (InspectionGraph, RoutePlan, TaskNode, build_graph,
-                                seed_trajectories, seed_with_schedule,
-                                solve_assignment, stitch_subtours, verify_plan)
+                                seed_with_schedule, solve_assignment, stitch_subtours,
+                                verify_plan)
 
 from test_mission import make_scenario
 
@@ -220,7 +220,7 @@ def test_seed_empty_route_hovers_at_depot():
     scenario = make_scenario(targets=[])
     graph = build_graph(scenario)
     plan = solve_assignment(graph)
-    trace = seed_trajectories(plan, scenario)
+    trace = seed_with_schedule(plan, scenario)[0]
     assert trace.n_samples == scenario.n_samples + 1
     assert np.allclose(trace.pos[0], scenario.depots[0])
     assert trace.is_consistent(1e-9)
@@ -268,7 +268,7 @@ def test_seed_compression_and_overflow():
     scenario = make_scenario(targets=[(4.0, -3.0, 1.0), (4.0, 4.0, 1.0)], mission=8.0)
     graph = build_graph(scenario)
     plan = solve_assignment(graph)
-    trace = seed_trajectories(plan, scenario)
+    trace = seed_with_schedule(plan, scenario)[0]
     assert trace.n_samples == scenario.n_samples + 1
     assert trace.is_consistent(1e-9)
     a_max = np.asarray(scenario.limits[0].a_max)
@@ -276,6 +276,6 @@ def test_seed_compression_and_overflow():
 
     cramped = make_scenario(targets=[(4.0, -3.0, 1.0), (4.0, 4.0, 1.0)], mission=2.0)
     with pytest.raises(HorizonOverflow) as err:
-        seed_trajectories(solve_assignment(build_graph(cramped)), cramped)
+        seed_with_schedule(solve_assignment(build_graph(cramped)), cramped)
     assert err.value.trace is not None
     assert err.value.trace.duration > cramped.mission_duration
