@@ -19,9 +19,9 @@ from .errors import LengthMismatch
 
 _CSV_COLUMNS = ["t", "drone", "px", "py", "pz", "vx", "vy", "vz", "ax", "ay", "az"]
 _CSV_FMT = "%.12g"  # 12 significant digits keep re-imported robustness within 1e-9
-_CSV_ROW = ",".join([_CSV_FMT, "%d"] + [_CSV_FMT] * 9) + "\r\n"
+_CSV_STATE = ",".join([_CSV_FMT] * 9) + "\r\n"  # the cells after t and drone
 _CSV_LAST_ROW = ",".join([_CSV_FMT, "%d"] + [_CSV_FMT] * 6) + ",,,\r\n"  # no acceleration
-_CSV_BLOCK = 64  # samples formatted per write
+_CSV_BLOCK = 256  # samples formatted per write
 
 
 @dataclass(frozen=True)
@@ -133,25 +133,34 @@ class Trace:
             self._write_csv(path_or_buffer)
 
     def _write_csv(self, handle) -> None:
-        # csv.writer's excel dialect with one % format per row (no field
-        # needs quoting), written in blocks of samples to bound temporaries
+        # csv.writer's excel dialect (no field needs quoting), in blocks of
+        # samples to bound temporaries. Each time is formatted once, and a
+        # drone's other cells only where its row differs bit for bit from its
+        # previous row (so -0.0 still prints -0); a repeated row reuses text.
         d, n = self.n_drones, self.n_samples
         handle.write(",".join(_CSV_COLUMNS) + "\r\n")
-        times = self.times()
-        for start in range(0, n, _CSV_BLOCK):
-            stop = min(n, start + _CSV_BLOCK)
-            table = np.empty((stop - start, d, len(_CSV_COLUMNS)))
-            table[:, :, 0] = times[start:stop, None]
-            table[:, :, 1] = np.arange(d)
-            table[:, :, 2:5] = self.pos[:, start:stop].transpose(1, 0, 2)
-            table[:, :, 5:8] = self.vel[:, start:stop].transpose(1, 0, 2)
-            acc = self.acc[:, start:stop].transpose(1, 0, 2)
-            table[:len(acc), :, 8:] = acc
-            rows = table.reshape(-1, len(_CSV_COLUMNS)).tolist()
-            split = len(acc) * d
-            lines = [_CSV_ROW % tuple(row) for row in rows[:split]]
-            lines += [_CSV_LAST_ROW % tuple(row[:8]) for row in rows[split:]]
-            handle.write("".join(lines))
+        state = (self.pos[:, :-1], self.vel[:, :-1], self.acc)  # rows with acceleration
+        bits = [part.view(np.int64) for part in state]
+        fresh = np.ones((d, n - 1), dtype=bool)
+        fresh[:, 1:] = np.any([(b[:, 1:] ^ b[:, :-1]).any(axis=2) for b in bits], axis=0)
+        times = self.times().tolist()
+        formats = ["%d," % j + _CSV_STATE for j in range(d)]
+        texts = [""] * d  # latest text per drone: block[0], before the fresh rows
+        for start in range(0, n - 1, _CSV_BLOCK):
+            stop = min(n - 1, start + _CSV_BLOCK)
+            table = np.concatenate([part[:, start:stop] for part in state], axis=2)
+            stamps = [_CSV_FMT % t + "," for t in times[start:stop]]
+            parts = [""] * (2 * d * len(stamps))  # time, then the other cells, per row
+            for j in range(d):
+                rows = fresh[j, start:stop]
+                block = [texts[j], *map(formats[j].__mod__, map(tuple, table[j, rows].tolist()))]
+                parts[2 * j::2 * d] = stamps
+                parts[2 * j + 1::2 * d] = map(block.__getitem__,
+                                              itertools.accumulate(rows.tolist()))
+                texts[j] = block[-1]
+            handle.write("".join(parts))
+        final = np.concatenate([self.pos[:, -1], self.vel[:, -1]], axis=1).tolist()
+        handle.write("".join(_CSV_LAST_ROW % (times[-1], j, *row) for j, row in enumerate(final)))
 
     @staticmethod
     def from_csv(path_or_buffer) -> "Trace":
@@ -260,18 +269,23 @@ def project_controls(accelerations, limits, relaxed: bool = False) -> np.ndarray
     return acc
 
 
-def time_of_flight(start, goal, limits: DroneLimits, relaxed: bool = False) -> float:
-    """Rest-to-rest minimum travel time between two points.
+def times_of_flight(start, goal, v_max, a_max) -> np.ndarray:
+    """Rest-to-rest minimum travel times between (..., 3) start and goal
+    points, under per-axis bound arrays that broadcast against them.
 
     Axes are decoupled: each axis runs a bang-bang (triangular) or
     bang-coast-bang (trapezoidal) profile and the slowest axis decides.
     """
     delta = np.abs(np.asarray(goal, float) - np.asarray(start, float))
-    v_max, a_max = limits.bounds(relaxed)
     times = np.where(delta <= v_max * v_max / a_max,
                      2.0 * np.sqrt(delta / a_max),
                      delta / v_max + v_max / a_max)
-    return float(np.max(np.where(delta == 0.0, 0.0, times)))
+    return np.max(np.where(delta == 0.0, 0.0, times), axis=-1)
+
+
+def time_of_flight(start, goal, limits: DroneLimits, relaxed: bool = False) -> float:
+    """Rest-to-rest minimum travel time between two points; see times_of_flight."""
+    return float(times_of_flight(start, goal, *limits.bounds(relaxed)))
 
 
 def steer_rest_to_rest(delta, n_steps, ts, v_max, a_max):
@@ -310,8 +324,7 @@ def steer_rest_to_rest(delta, n_steps, ts, v_max, a_max):
 
 def min_steps_rest_to_rest(delta, ts, v_max, a_max, max_extra: int = 64):
     """Smallest sample count for which steer_rest_to_rest succeeds."""
-    base = max(1, int(np.ceil(time_of_flight(np.zeros(3), delta,
-                                             DroneLimits(tuple(v_max), tuple(a_max))) / ts)))
+    base = max(1, int(np.ceil(times_of_flight(np.zeros(3), delta, v_max, a_max) / ts)))
     for n in range(base, base + max_extra):
         acc = steer_rest_to_rest(delta, n, ts, v_max, a_max)
         if acc is not None:

@@ -208,11 +208,11 @@ def optimize(formula, seed_trace: Trace, scenario, config: OptimizerConfig = Non
         free = np.zeros(seed_trace.n_drones, dtype=bool)
         free[list(free_drones)] = True
 
+    # a frozen drone's infinite caps leave its values, NaN included, as they are
+    caps = np.where(free[:, None], a_caps, np.inf)[:, None, :]
+
     def project(acc):
-        out = acc.copy()
-        for d in np.nonzero(free)[0]:
-            np.clip(out[d], -a_caps[d], a_caps[d], out=out[d])
-        return out
+        return np.clip(acc, -caps, caps)
 
     seed_acc = project(seed_trace.acc.copy())
     rng = np.random.default_rng(config.rng_seed)

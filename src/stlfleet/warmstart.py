@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import min_steps_rest_to_rest, rollout, steer_rest_to_rest, time_of_flight
+from .dynamics import min_steps_rest_to_rest, rollout, steer_rest_to_rest, times_of_flight
 from .errors import HorizonOverflow, LengthMismatch, Uncoverable
 from .mission import Scenario
 
@@ -173,16 +173,13 @@ def build_graph(scenario: Scenario) -> InspectionGraph:
 
     n_tasks, n_drones = len(tasks), scenario.n_drones
     positions = np.array([t.position for t in tasks]).reshape(n_tasks, 3)
-    w_task = np.zeros((n_drones, n_tasks, n_tasks))
-    w_depot = np.zeros((n_drones, n_tasks))
+    bounds = np.array([limits.bounds() for limits in scenario.limits])  # (drones, 2, 3)
+    v_max, a_max = bounds[:, 0, None], bounds[:, 1, None]  # broadcast over the edges
+    w_depot = times_of_flight(scenario.depots[:, None], positions, v_max, a_max)
+    # every ordered pair: x - y is exactly -(y - x), so the table is symmetric
+    w_task = times_of_flight(positions[:, None], positions, v_max[:, None], a_max[:, None])
     capable = np.ones((n_drones, n_tasks), dtype=bool)
     for d in range(n_drones):
-        limits = scenario.limits[d]
-        for i in range(n_tasks):
-            w_depot[d, i] = time_of_flight(scenario.depots[d], positions[i], limits)
-            for j in range(i + 1, n_tasks):
-                w = time_of_flight(positions[i], positions[j], limits)
-                w_task[d, i, j] = w_task[d, j, i] = w
         for task in tasks:
             if task.kind == "target":
                 ok = d in scenario.capable_drones("targets", task.index)

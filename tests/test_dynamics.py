@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from stlfleet.dynamics import (_CSV_COLUMNS, _CSV_FMT, DroneLimits, Trace,
                                min_steps_rest_to_rest, project_controls, rollout,
-                               steer_rest_to_rest, steer_to_state, step, time_of_flight)
+                               steer_rest_to_rest, steer_to_state, step, time_of_flight,
+                               times_of_flight)
 from stlfleet.errors import LengthMismatch
 
 
@@ -116,6 +117,52 @@ def test_time_of_flight_symmetry_and_triangle(rng):
                 <= time_of_flight(a, b, limits) + time_of_flight(b, c, limits) + 1e-12)
 
 
+def _bits(values):
+    return np.asarray(values, float).view(np.int64)
+
+
+def _time_of_flight_reference(start, goal, limits, relaxed=False):
+    """The scalar formula before times_of_flight, on one pair of points."""
+    delta = np.abs(np.asarray(goal, float) - np.asarray(start, float))
+    v_max, a_max = limits.bounds(relaxed)
+    times = np.where(delta <= v_max * v_max / a_max,
+                     2.0 * np.sqrt(delta / a_max),
+                     delta / v_max + v_max / a_max)
+    return float(np.max(np.where(delta == 0.0, 0.0, times)))
+
+
+# kind per row: 0 zero delta, 1 one nonzero axis, 2 every axis exactly at
+# the triangular/trapezoidal switch v_max**2 / a_max, 3 a generic delta
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 24), relaxed=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(rows=1, relaxed=False, seed=0)
+@example(rows=8, relaxed=True, seed=1)
+def test_times_of_flight_bitwise_equals_scalar(rows, relaxed, seed):
+    rng = np.random.default_rng(seed)
+    limits = []
+    for _ in range(rows):
+        v, a = rng.uniform(0.3, 2.0, 3), rng.uniform(0.3, 2.0, 3)
+        limits.append(DroneLimits(v, a, v * rng.uniform(1.0, 3.0), a * rng.uniform(1.0, 5.0)))
+    v_max, a_max = (np.array([lim.bounds(relaxed)[k] for lim in limits]) for k in (0, 1))
+    kind = rng.integers(4, size=rows)
+    start = np.where((kind == 2)[:, None], 0.0, rng.uniform(-10.0, 10.0, (rows, 3)))
+    delta = rng.uniform(-10.0, 10.0, (rows, 3))
+    delta[kind == 0] = 0.0
+    delta[kind == 1] *= np.eye(3)[rng.integers(3, size=(kind == 1).sum())]
+    delta[kind == 2] = rng.choice([-1.0, 1.0], ((kind == 2).sum(), 3)) * (
+        v_max * v_max / a_max)[kind == 2]
+    goal = start + delta
+    got = _bits(times_of_flight(start, goal, v_max, a_max))
+    for scalar in (time_of_flight, _time_of_flight_reference):
+        want = [scalar(s, g, lim, relaxed) for s, g, lim in zip(start, goal, limits)]
+        assert np.array_equal(got, _bits(want))
+    # build_graph's layout: one (1, 3) bound row per drone against every edge
+    grid = times_of_flight(start, goal, v_max[:3, None], a_max[:3, None])
+    want = [[_time_of_flight_reference(s, g, lim, relaxed) for s, g in zip(start, goal)]
+            for lim in limits[:3]]
+    assert np.array_equal(_bits(grid), _bits(want))
+
+
 def test_steer_rest_to_rest_exact_landing(rng):
     ts = 0.05
     for _ in range(50):
@@ -182,7 +229,7 @@ def _csv_writer_reference(trace):
     return buffer.getvalue()
 
 
-# 65 samples put the final, acceleration-free sample alone in a write block
+# one sample writes only the final row, which has no acceleration cells
 @pytest.mark.parametrize("drones,samples", [(1, 1), (3, 1), (0, 4), (1, 2), (2, 65), (3, 801)])
 def test_csv_writer_matches_csv_module(rng, drones, samples):
     acc = rng.normal(scale=3.0, size=(drones, samples - 1, 3))
@@ -193,6 +240,70 @@ def test_csv_writer_matches_csv_module(rng, drones, samples):
         trace.vel[0, 0, 1] = -np.inf
         trace.acc[0, 0, 2] = -0.0
         trace.acc[-1, -1, 0] = 1e-300
+    assert trace.to_csv_string() == _csv_writer_reference(trace)
+
+
+def _held(drones, samples, seed=0):
+    """Every drone repeats one random state row, at rest."""
+    pos = np.repeat(np.random.default_rng(seed).normal(scale=9.0, size=(drones, 1, 3)),
+                    samples, axis=1)
+    return Trace(0.5, pos, np.zeros_like(pos), np.zeros((drones, samples - 1, 3)))
+
+
+def _long_runs():
+    trace = _held(2, 400)
+    # leaves and comes back to the first row; that run crosses the writer's
+    # 256-sample block, so its rows reuse text across blocks
+    trace.pos[:, 150:230] += 1.0
+    trace.acc[1, 40:42] = 0.25
+    return trace
+
+
+def _signed_zeros():
+    trace = _held(1, 7)
+    trace.acc[0, 2, 1] = -0.0
+    trace.vel[0, 4, 0] = -0.0
+    trace.pos[0, 5:, 2] = 0.0
+    trace.pos[0, 6, 2] = -0.0  # the final row differs only in a zero's sign
+    return trace
+
+
+def _non_finite():
+    trace = _held(2, 9)
+    trace.pos[0, 2:7] = np.nan
+    trace.pos[0, 6].view(np.int64)[0] ^= 1  # a NaN with another payload
+    trace.vel[1, 1:5, 2] = np.inf
+    trace.acc[1, 3:, 0] = -np.inf
+    return trace
+
+
+def _one_moving():
+    rng = np.random.default_rng(3)
+    acc = np.zeros((2, 60, 3))
+    acc[1] = rng.normal(size=(60, 3))
+    return rollout(rng.normal(size=(2, 3)), np.zeros((2, 3)), acc, 0.05)
+
+
+@pytest.mark.parametrize("build", [
+    _long_runs, _signed_zeros, _non_finite, _one_moving,
+    lambda: _held(3, 1), lambda: _held(0, 5), lambda: _held(1, 2)],
+    ids=["long runs", "signed zeros", "nan and inf", "one moving", "one sample",
+         "no drones", "two samples"])
+def test_csv_writer_matches_csv_module_on_hovering_traces(build):
+    trace = build()
+    assert trace.to_csv_string() == _csv_writer_reference(trace)
+
+
+@settings(max_examples=60, deadline=None)
+@given(drones=st.integers(0, 3), samples=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_csv_writer_matches_csv_module_on_repeating_rows(drones, samples, seed):
+    # every state row is drawn from a pool of four, so runs, returns to an
+    # earlier row and rows differing only in a zero's sign all occur
+    rng = np.random.default_rng(seed)
+    pool = np.array([np.zeros(9), np.full(9, -0.0), rng.normal(size=9),
+                     [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-300, 1.0, -1.0, 2.5]])
+    rows = pool[rng.integers(len(pool), size=(drones, samples))]
+    trace = Trace(0.05, rows[..., :3], rows[..., 3:6], rows[:, :-1, 6:])
     assert trace.to_csv_string() == _csv_writer_reference(trace)
 
 

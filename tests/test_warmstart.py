@@ -2,12 +2,16 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from stlfleet.dynamics import DroneLimits
+from stlfleet.dynamics import DroneLimits, time_of_flight
 from stlfleet.errors import HorizonOverflow, Uncoverable
+from stlfleet.fixtures import fixture_windturbine
+from stlfleet.mission import BladeSide, Box
 from stlfleet.warmstart import (InspectionGraph, RoutePlan, TaskNode, build_graph,
-                                seed_with_schedule, solve_assignment, stitch_subtours,
-                                verify_plan)
+                                INFEASIBLE_EDGE, seed_with_schedule, solve_assignment,
+                                stitch_subtours, verify_plan)
 
 from test_mission import make_scenario
 
@@ -77,6 +81,72 @@ def test_build_graph_time_of_flight_weight():
     i = next(t.vertex for t in graph.tasks if t.index == 0)
     j = next(t.vertex for t in graph.tasks if t.index == 1)
     assert graph.w_task[0, i, j] == pytest.approx(2.0)  # 1 m at v=a=1
+
+
+def _graph_weights_reference(scenario, tasks):
+    """w_task, w_depot and capable by the original loop: one scalar
+    time_of_flight per drone per task pair and depot edge."""
+    n_tasks, n_drones = len(tasks), scenario.n_drones
+    positions = np.array([t.position for t in tasks]).reshape(n_tasks, 3)
+    w_task = np.zeros((n_drones, n_tasks, n_tasks))
+    w_depot = np.zeros((n_drones, n_tasks))
+    capable = np.ones((n_drones, n_tasks), dtype=bool)
+    for d in range(n_drones):
+        limits = scenario.limits[d]
+        for i in range(n_tasks):
+            w_depot[d, i] = time_of_flight(scenario.depots[d], positions[i], limits)
+            for j in range(i + 1, n_tasks):
+                w = time_of_flight(positions[i], positions[j], limits)
+                w_task[d, i, j] = w_task[d, j, i] = w
+        for task in tasks:
+            if task.kind == "target":
+                ok = d in scenario.capable_drones("targets", task.index)
+            else:
+                ok = all(d in scenario.capable_drones("blades", q) for q in task.sides)
+            if not ok:
+                capable[d, task.vertex] = False
+                w_depot[d, task.vertex] = INFEASIBLE_EDGE
+                w_task[d, task.vertex, :] = INFEASIBLE_EDGE
+                w_task[d, :, task.vertex] = INFEASIBLE_EDGE
+                w_task[d, task.vertex, task.vertex] = 0.0
+    return w_task, w_depot, capable
+
+
+def _assert_graph_matches_loop(scenario):
+    graph = build_graph(scenario)
+    w_task, w_depot, capable = _graph_weights_reference(scenario, graph.tasks)
+    assert np.array_equal(graph.w_task, w_task)
+    assert np.array_equal(graph.w_depot, w_depot)
+    assert np.array_equal(graph.capable, capable)
+
+
+def test_build_graph_weights_equal_loop_on_turbine():
+    # the turbine merges a two-sided blade, and drones 0 and 1 lose it
+    _assert_graph_matches_loop(fixture_windturbine())
+
+
+@settings(max_examples=40, deadline=None)
+@given(drones=st.integers(1, 3), targets=st.integers(0, 7), blade_sides=st.integers(0, 2),
+       seed=st.integers(0, 2**32 - 1))
+@example(drones=3, targets=6, blade_sides=2, seed=0)
+@example(drones=2, targets=0, blade_sides=1, seed=1)
+def test_build_graph_weights_equal_loop(drones, targets, blade_sides, seed):
+    rng = np.random.default_rng(seed)
+    centers = [tuple(c) for c in rng.uniform([-6.0, -6.0, 1.0], [6.0, 6.0, 6.0], (targets, 3))]
+    scenario = make_scenario(n_drones=drones, targets=centers)
+    # per-axis limits that differ between drones
+    scenario.limits = [DroneLimits(rng.uniform(0.5, 1.5, 3), rng.uniform(0.5, 1.5, 3))
+                       for _ in range(drones)]
+    for side in range(blade_sides):  # sides of one blade merge into one task
+        x = 2.0 + 2.5 * side
+        scenario.blades.append(BladeSide((3.0, 2.0, 0.8), (3.0, 2.0, 4.2),
+                                         Box((x - 1.2, 0.8, 0.6), (x, 3.2, 4.0))))
+    # every drone but the first loses a random share of the tasks
+    scenario.capability = [{"targets": None, "blades": None}] + [
+        {"targets": {q for q in range(targets) if rng.random() < 0.6},
+         "blades": {q for q in range(blade_sides) if rng.random() < 0.6}}
+        for _ in range(drones - 1)]
+    _assert_graph_matches_loop(scenario)
 
 
 def test_solver_single_drone_example():
