@@ -201,6 +201,7 @@ def optimize(formula, seed_trace: Trace, scenario, config: OptimizerConfig = Non
     objective = _Objective(objective_formula, seed_trace.pos[:, 0].copy(),
                            seed_trace.vel[:, 0].copy(), ts, sharpness, weights)
     monitor = Program(formula, ts, weights)  # exact checks and the final report
+    monitor._borrow_atoms(objective.program)  # the accepted trial's atom rows
 
     if free_drones is None:
         free = np.ones(seed_trace.n_drones, dtype=bool)

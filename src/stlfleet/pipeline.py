@@ -30,12 +30,16 @@ BASIC = "basic"
 ATTRITION = "attrition"
 
 
+def _input_file(path, what) -> Path:
+    path = Path(path)
+    if not path.is_file():
+        raise ParseError(f"{what} file not found: {path}")
+    return path
+
+
 def load_scenario(path) -> Scenario:
     """Parse and validate a scenario JSON file."""
-    path = Path(path)
-    if not path.exists():
-        raise ParseError(f"scenario file not found: {path}")
-    return scenario_from_json(path.read_text())
+    return scenario_from_json(_input_file(path, "scenario").read_text())
 
 
 @dataclass
@@ -156,7 +160,7 @@ def run_replay(scenario: Scenario, disturbances, mode: str = BASIC,
 
 def monitor_trace(scenario: Scenario, trace_path) -> dict:
     """Re-evaluate the mission robustness of a stored trace."""
-    trace = Trace.from_csv(trace_path)
+    trace = Trace.from_csv(_input_file(trace_path, "trace"))
     formula, weights = compile_mission(scenario)
     report = make_report(formula, trace, scenario.sharpness, weights=weights)
     classes = safety_class_robustness(scenario, trace)
@@ -166,4 +170,4 @@ def monitor_trace(scenario: Scenario, trace_path) -> dict:
 
 
 def load_disturbance_file(path):
-    return load_disturbances(Path(path).read_text())
+    return load_disturbances(_input_file(path, "disturbance").read_text())

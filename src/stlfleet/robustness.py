@@ -31,18 +31,15 @@ gradients, and the per-node report.
 
 Between calls a program keeps its last smooth (or weighted-smooth)
 forward pass and nothing else: every instruction's values and the tape
-the reverse sweep reads, of which a batch keeps its stacked operands,
-extremes and sums of exponential weights and a separation or segment
-group its offsets and distances. The pass is keyed by its semantics
-(sharpness, weighting) and by the exact bytes and shapes of the trace's
-positions and velocities. A gradient of a trace with the same key runs
-only the reverse sweep, so a line search's accepted trial is not
-evaluated twice; any other gradient runs its own forward pass. The kept
-pass is dropped when the next forward pass starts and once a gradient
-has used it, so a program holds at most one. Box atoms keep only a
-reference to the trace, from which the reverse sweep finds the face
-that carries each gradient again; a kept pass is reused only while that
-trace still holds the key's bits, so a stale tape is never read.
+the reverse sweep reads (a row batch keeps its whole reduction). The
+pass is keyed by its semantics and by the shapes and bytes of the
+trace's positions and velocities, and is lent out only while the kept
+trace, from which box atoms find the face of each gradient again, still
+holds those bits. A gradient of the same key runs only the reverse sweep,
+which frees each tape entry once read, and drops the pass, so a line
+search's accepted trial is not evaluated twice. Atom rows depend on nothing but the predicates and the trace, so
+the exact monitor of a formula that the objective conjoins takes them
+from the objective's kept pass over the same bits and evaluates no atom.
 
 Every result is bit for bit that of a node-by-node recursive
 evaluation: elementwise steps round as before, sums over a reduction's
@@ -69,42 +66,36 @@ _SCALE = "scale"
 _SHARE = "share"
 
 
-@np.errstate(invalid="ignore")  # see the smooth reductions below
 def smooth_min(values, sharpness: float) -> float:
     """Log-sum-exp under-approximation of min; exact for singleton input."""
-    values = np.asarray(values, float)
-    if values.size == 0:
-        raise EmptyInput("smooth_min of an empty set")
-    if sharpness <= 0:
-        raise ValueError(f"sharpness must be positive, got {sharpness}")
-    return float(_softmin(values, sharpness)[0])
+    return _smooth_one(values, sharpness, _softmin, "smooth_min")
 
 
-@np.errstate(invalid="ignore")
 def smooth_max(values, sharpness: float) -> float:
     """Softmax-weighted average: a convex combination, so min <= result <= max."""
+    return _smooth_one(values, sharpness, _softmax_avg, "smooth_max")
+
+
+@np.errstate(invalid="ignore")  # see the smooth reductions below
+def _smooth_one(values, sharpness, kernel, name):
     values = np.asarray(values, float)
     if values.size == 0:
-        raise EmptyInput("smooth_max of an empty set")
+        raise EmptyInput(f"{name} of an empty set")
     if sharpness <= 0:
         raise ValueError(f"sharpness must be positive, got {sharpness}")
-    return float(_softmax_avg(values, sharpness)[0])
+    return float(kernel(values, sharpness)[0])
 
 
 # Smooth reductions come in two layouts. Row kernels reduce the last axis
 # of (..., m) rows and return the exponential weights and their sum, from
-# which the partials are built. Slab kernels reduce m operand slabs of
-# shape (K, n), read through a ``_Slabs`` a block at a time given the hard
-# extreme ``edge``; they keep only the sum of the weights, and their
-# partials are a function of a block that rebuilds its weights. Their
-# ``add`` sums the streamed terms in the row layout's order, so both
-# layouts give the same bits.
-#
-# Callers run them with numpy's invalid-operation warnings off: an
-# infinite operand makes inf - inf or 0 * inf, and the results it turns
-# into NaN are rebuilt afterwards, so finite input pays for one NaN check
-# and keeps every bit. An infinite result passes no gradient to any
-# operand, and neither does an infinite operand.
+# which the partials are built. Slab kernels reduce m (K, n) operand slabs,
+# read a block at a time through a ``_Slabs`` given the hard extreme
+# ``edge``; they keep only the sum of the weights, and their partials
+# rebuild a block's weights. ``add`` sums in the row layout's order, so
+# both layouts give the same bits. Callers turn numpy's invalid-operation
+# warnings off: the NaNs of inf - inf or 0 * inf are rebuilt afterwards,
+# so finite input pays for one NaN check. An infinite result or operand
+# passes no gradient.
 
 
 def _softmin(values, lam):
@@ -358,11 +349,6 @@ def _sequential_sum(term, slabs, shape):
     return total
 
 
-def _sign_pos(values):
-    # sign(0) is defined as +1 so the positive branch stays continuous from above
-    return np.where(values >= 0.0, 1.0, -1.0)
-
-
 # ---------------------------------------------------------------------------
 # Atom margins and their gradients
 #
@@ -406,10 +392,9 @@ class _Boxes:
         return self.scale * value, (trace if keep else None)
 
     def entries(self, trace, adjoint, n_drones):
-        # the face that carries the gradient, found from the trace one face
-        # at a time so that no (K, 6, L) margins are built: the first face of
-        # least margin, a NaN before any number, as argmin over the faces
-        # (and argmax over an outside box's negated margins) picks it
+        # the face that carries the gradient, found one face at a time with
+        # no (K, 6, L) margins: the first face of least margin, NaN first, as
+        # argmin (argmax over negated outside margins) picks it
         state = trace.vel if self.kind == stl.VELOCITY_BOX else trace.pos
         for face in range(6):
             axis = face // 2
@@ -456,19 +441,19 @@ class _Segments:
 
     def __init__(self, preds):
         self.drones = np.array([p.subject[0] for p in preds])
-        self.starts = [np.asarray(p.seg_start) for p in preds]
-        self.spans = [np.asarray(p.seg_end) - a for p, a in zip(preds, self.starts)]
+        self.starts = np.array([p.seg_start for p in preds], float)
+        self.spans = np.array([p.seg_end for p in preds], float) - self.starts
+        self.lengths = np.array([u @ u for u in self.spans])[:, None]
         self.inner = np.array([p.standoff - p.tolerance for p in preds])[:, None]
         self.outer = np.array([p.standoff + p.tolerance for p in preds])[:, None]
         self.scale = np.array([p.scale for p in preds])[:, None]
 
     def forward(self, trace, keep=False):
-        offsets = []
-        for d, a, u in zip(self.drones, self.starts, self.spans):
-            p = trace.pos[d]
-            s = np.clip(((p - a) @ u) / (u @ u), 0.0, 1.0)
-            offsets.append(p - (a + s[:, None] * u))
-        offset = np.stack(offsets)
+        # projections as one (K, L, 3) @ (K, 3, 1) product
+        p = trace.pos[self.drones]
+        s = np.clip(np.matmul(p - self.starts[:, None], self.spans[..., None])[..., 0]
+                    / self.lengths, 0.0, 1.0)
+        offset = p - (self.starts[:, None] + s[..., None] * self.spans[:, None])
         dist = np.linalg.norm(offset, axis=2)
         value = np.minimum(dist - self.inner, self.outer - dist)
         return self.scale * value, (offset, dist)
@@ -539,6 +524,7 @@ class Program:
         self.leaves = [index for index, op in enumerate(self.ops) if op.kind == stl.ATOM]
         self.batches = self._batch()
         self._kept = None           # (key, trace, values, tape) of the last smooth pass
+        self._lender = None         # (program, [(op index, its op index)]) of atoms
 
     # -- compilation
 
@@ -636,9 +622,7 @@ class Program:
 
     @np.errstate(invalid="ignore")  # see the smooth reductions
     def _forward(self, trace, lam, weighting):
-        """Every instruction's values. A smooth pass is kept, with the tape of
-        what the reverse sweep needs from each atom group and batch, until
-        the next pass or the gradient that uses it."""
+        """Every instruction's values; a smooth pass is kept with its tape."""
         self._kept = None
         length = trace.n_samples
         root = self.ops[-1]
@@ -648,36 +632,50 @@ class Program:
                 f"{self.formula.node_id!r}, which needs {root.steps + 1}")
         values = [None] * len(self.ops)
         tape = None if lam is None else {}
-        for group, indices in self.groups:
-            rows, data = group.forward(trace, keep=tape is not None)
-            for index, row in zip(indices, rows):
-                values[index] = row
-            if tape is not None:
-                tape[group] = data
+        lender = self._lender
+        lent = lender[0]._kept_over(trace) if lender and tape is None else None
+        if lent:
+            for index, theirs in lender[1]:
+                values[index] = lent[2][theirs]
+        else:
+            for group, indices in self.groups:
+                rows, data = group.forward(trace, keep=tape is not None)
+                for index, row in zip(indices, rows):
+                    values[index] = row
+                if tape is not None:
+                    tape[group] = data
         for batch in self.batches:
             batch.forward(values, length, lam, weighting, tape)
         if tape is not None:
             self._kept = (_pass_key(trace, lam, weighting), trace, values, tape)
         return values
 
-    def _keeps(self, key) -> bool:
-        """Whether the kept pass is the pass of ``key``: the same semantics
-        over the same bits, still held by the kept trace, from which its box
-        atoms read their faces again."""
+    def _kept_over(self, trace, semantics=None):
+        """The kept pass, if over the bits of ``trace`` (and of ``semantics``,
+        when given) and its trace, read again by box atoms, still holds them."""
         kept = self._kept
-        return kept is not None and kept[0] == key and _pass_key(kept[1], *key[:2]) == key
+        if kept is None:
+            return None
+        key = _pass_key(trace, *(semantics or kept[0][:2]))
+        return kept if kept[0] == key and _pass_key(kept[1], *key[:2]) == key else None
+
+    def _borrow_atoms(self, lender):
+        """Take the atom rows of exact passes from ``lender``'s kept pass over
+        the same bits, if each atom here is one of ``lender``'s predicates."""
+        theirs = {id(pred): index for members in lender._atoms.values()
+                  for index, pred in members}
+        pairs = [(index, theirs.get(id(pred))) for members in self._atoms.values()
+                 for index, pred in members]
+        if all(j is not None for _, j in pairs):
+            self._lender = (lender, pairs)
 
     @np.errstate(invalid="ignore")
     def _gradient(self, trace, sharpness, weighted=False, t_index=0):
-        """(value, d/d positions, d/d velocities) of the smooth semantics at t_index.
-
-        Weighted evaluation uses the soft combination so the value stays
-        differentiable.
-        """
+        """(value, d/d positions, d/d velocities) of the smooth semantics at t_index."""
         lam, weighting = self._semantics(sharpness, weighted, True)
         if lam is None:
             raise ValueError("gradients are defined for the smooth evaluation paths")
-        if not self._keeps(_pass_key(trace, lam, weighting)):
+        if not self._kept_over(trace, (lam, weighting)):
             self._forward(trace, lam, weighting)
         _, _, values, tape = self._kept
         self._kept = None
@@ -691,7 +689,7 @@ class Program:
         entries = {}
         for group, indices in self.groups:
             adjoint = np.stack([adjoints[index] for index in indices])
-            flat, amounts = group.entries(tape[group], adjoint, trace.n_drones)
+            flat, amounts = group.entries(tape.pop(group), adjoint, trace.n_drones)
             entries.update(zip(indices, zip(flat, amounts)))
         # one bincount adds every atom's entries in left-to-right leaf order,
         # the order of a recursive sweep, so the sums round the same way
@@ -771,47 +769,47 @@ class _Batch:
             return
         slab = n >= self.arity
         operands, weights, tilt = self._operands(values, n, slab)
-        edge = total = None
-        if not slab:
-            result = _reduce(operands, self.red, weights, tilt, lam, weighting)
+        if not slab:  # rows, taped with their reduction
+            result, taped = _reduce(operands, self.red, weights, tilt, lam, weighting)
         elif self.arity == 1:  # a single operand passes through unweighted
-            result = operands[0].copy()
+            result, taped = operands[0].copy(), None
         else:
             slabs = _Slabs(operands, weights, tilt, weighting)
             result = edge = slabs.edge(self.red)
+            total = None
             if lam is not None:
                 result, total = self.red.slab_soft(slabs, lam, edge, self.add)
+            taped = (operands, weights, tilt, edge, total, result)
         for index, row in zip(self.indices, result):
             values[index] = row
         if tape is not None:
-            tape[self] = (operands, weights, tilt, edge, total, result)
+            tape[self] = taped
 
     def backward(self, values, adjoints, lam, weighting, tape):
         if not self.reduces:
             for index, op in zip(self.indices, self.ops):
                 _single_backprop(op, values, adjoints[index], adjoints, lam, weighting)
             return
-        operands, weights, tilt = tape[self][:3]
         adjoint = np.stack([adjoints[index] for index in self.indices])
         n = adjoint.shape[1]
         if n < self.arity:
-            rows = adjoint[..., None] * _partials(operands, self.red, weights, tilt,
-                                                  lam, weighting)
+            rows = _partials(self.red, lam, tape.pop(self), None)
+            rows *= adjoint[..., None]
             blocks = [(rows.transpose(2, 0, 1), 0, self.arity)]
         else:
-            blocks = self._slab_contributions(tape[self], adjoint, lam, weighting)
+            blocks = self._slab_contributions(tape.pop(self), adjoint, lam, weighting)
         if not self.window:
+            # one zeroed buffer; an operand's adjoint views its first len(operand)
+            width = max(len(values[arg]) for args in self.args for arg in args)
+            full = np.zeros((self.arity, len(self.indices), width))
             for part, j0, j1 in blocks:
-                for r in range(j0, j1):
-                    for node, args in enumerate(self.args):
-                        full = np.zeros(len(values[args[r]]))
-                        full[:n] = part[r - j0, node]
-                        adjoints[args[r]] = full
+                full[j0:j1, :, :n] = part
+            for node, args in enumerate(self.args):
+                for r, arg in enumerate(args):
+                    adjoints[arg] = full[r, node, :len(values[arg])]
             return
-        # each operand sample adds its contributions in order of the output
-        # sample they come from, as a sequential scatter-add in flattened
-        # (sample, offset) order would: by descending offset, or by
-        # ascending sample for rows
+        # each operand sample adds its contributions by ascending output
+        # sample, as a sequential scatter-add in (sample, offset) order would
         full = np.zeros((len(self.indices), n + self.hi))
         lo = self.lo
         if n < self.arity:
@@ -827,10 +825,10 @@ class _Batch:
     def _slab_contributions(self, taped, adjoint, lam, weighting):
         """Yield (adjoint * partials of slabs j0..j1, j0, j1), from the last
         slab down."""
-        operands, weights, tilt, edge, total, result = taped
         if self.arity == 1:
             yield adjoint[None], 0, 1  # adjoint * 1.0
             return
+        operands, weights, tilt, edge, total, result = taped
         slabs = _Slabs(operands, weights, tilt, weighting)
         partial = self.red.slab_partials(slabs, lam, edge, total, result, self.add)
         scratch = np.empty((min(slabs.block, self.arity),) + adjoint.shape)
@@ -867,44 +865,39 @@ def _single_backprop(op, values, adjoint, adjoints, lam, weighting):
 
 
 def _share_factor(operands, tilt):
-    return tilt * _sign_pos(operands) + 0.5
-
-
-def _weighted(operands, weights, tilt, weighting):
-    """Operands after a weighted pass's weights, and the smooth transform's factor.
-
-    The exact weighted semantics multiplies by the raw weights; the
-    smooth one applies the normalized-weight transform, which scales each
-    operand by a factor that depends on its sign and the share of its
-    weight, keeping signs and, under uniform weights, arg-extrema
-    unchanged. ``weights`` and ``tilt`` broadcast against ``operands``.
-    """
-    if weighting == _SCALE:
-        return operands * weights, None
-    if weighting == _SHARE:
-        factor = _share_factor(operands, tilt)
-        return factor * operands, factor
-    return operands, None
+    # sign(0) is +1, so the positive branch stays continuous from above
+    return tilt * np.where(operands >= 0.0, 1.0, -1.0) + 0.5
 
 
 def _reduce(operands, red, weights, tilt, lam, weighting):
-    """Reduce the last axis of ``operands`` under one pass's semantics."""
+    """Reduce the last axis of ``operands``: the result and, for a smooth
+    reduction of m >= 2 operands, its tape. A weighted pass scales operands
+    by the raw weights (exact) or by a factor of their sign and weight share
+    (smooth), which keeps signs and, under uniform weights, arg-extrema.
+    """
     if operands.shape[-1] == 1:
-        return operands[..., 0].copy()
-    operands, _ = _weighted(operands, weights, tilt, weighting)
+        return operands[..., 0].copy(), None
+    factor = None
+    if weighting == _SCALE:
+        operands = operands * weights
+    elif weighting == _SHARE:
+        factor = _share_factor(operands, tilt)
+        operands = factor * operands
     if lam is None:
-        return red.hard.reduce(operands, axis=-1)
-    return red.soft(operands, lam)[0]
-
-
-def _partials(operands, red, weights, tilt, lam, weighting):
-    """Partials of the smooth reduction of ``operands`` with respect to each operand."""
-    if operands.shape[-1] == 1:
-        return np.ones_like(operands)
-    operands, factor = _weighted(operands, weights, tilt, weighting)
+        return red.hard.reduce(operands, axis=-1), None
     result, w, total = red.soft(operands, lam)
-    partials = red.partials(operands, lam, w, total, result)
-    return partials if factor is None else partials * factor
+    return result, (operands, factor, w, total, result)
+
+
+def _partials(red, lam, taped, operands):
+    """Partials of a smooth reduction with respect to each of its ``operands``."""
+    if taped is None:
+        return np.ones_like(operands)
+    weighted, factor, w, total, result = taped
+    partials = red.partials(weighted, lam, w, total, result)
+    if factor is not None:
+        partials *= factor
+    return partials
 
 
 def _prefix_min(values, lam):
@@ -921,8 +914,8 @@ def _until_values(op, values, out_len, lam, weighting):
     for t in range(out_len):
         prefix = _prefix_min(hold[t:t + hi + 1], lam)[lo:]
         pair = np.stack([goal[t + lo:t + hi + 1], prefix], axis=1)
-        candidates = _reduce(pair, op.pair, None, None, lam, None)
-        out[t] = _reduce(candidates[None, :], op.red, op.weights, op.tilt, lam, weighting)[0]
+        candidates = _reduce(pair, op.pair, None, None, lam, None)[0]
+        out[t] = _reduce(candidates[None, :], op.red, op.weights, op.tilt, lam, weighting)[0][0]
     return out
 
 
@@ -937,10 +930,11 @@ def _until_backprop(op, values, adjoint, adjoints, lam, weighting):
         log_cum = np.logaddexp.accumulate(-lam * seg)
         prefix = (-log_cum / lam)[lo:]
         pair = np.stack([goal[t + lo:t + hi + 1], prefix], axis=1)
-        pair_partials = _partials(pair, op.pair, None, None, lam, None)
-        candidates = _reduce(pair, op.pair, None, None, lam, None)
-        outer = _partials(candidates[None, :], op.red, op.weights, op.tilt, lam, weighting)
-        contrib = adjoint[t] * outer[0]
+        candidates, taped = _reduce(pair, op.pair, None, None, lam, None)
+        pair_partials = _partials(op.pair, lam, taped, pair)
+        row = candidates[None, :]
+        taped = _reduce(row, op.red, op.weights, op.tilt, lam, weighting)[1]
+        contrib = adjoint[t] * _partials(op.red, lam, taped, row)[0]
         goal_adj[t + lo:t + hi + 1] += contrib * pair_partials[:, 0]
         # prefix smooth-min partial wrt hold[u]: exp(-lam*hold[u] - log_cum_i),
         # and hold[u] feeds every prefix i with u <= lo + i; an infinite

@@ -133,6 +133,22 @@ def test_cli_bad_scenario_exit_code(tmp_path):
     assert main(["routes", "--scenario", str(bad), "--out", str(tmp_path)]) == 2
 
 
+def test_cli_missing_trace_exit_code(tmp_path, capsys):
+    scenario = str(bundled_scenario_path("windturbine_mock"))
+    missing = tmp_path / "missing.csv"
+    assert main(["monitor", "--scenario", scenario, "--trace", str(missing)]) == 2
+    assert "trace file not found" in capsys.readouterr().err
+
+
+def test_cli_missing_disturbances_exit_code(tmp_path, capsys):
+    scenario = str(bundled_scenario_path("windturbine_mock"))
+    missing = tmp_path / "missing.json"
+    assert main(["replay", "--scenario", scenario, "--disturbances", str(missing),
+                 "--out", str(tmp_path / "replay")]) == 2
+    assert "disturbance file not found" in capsys.readouterr().err
+    assert not (tmp_path / "replay").exists()  # nothing was planned
+
+
 def test_bundled_scenarios_load():
     for name in ("windturbine_mock", "two_drone_swap"):
         scenario = load_scenario(bundled_scenario_path(name))

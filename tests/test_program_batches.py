@@ -398,3 +398,62 @@ def test_sequential_sum_matches_numpy_column_sum(block):
             term, slabs = streamed(rows, block)
             got = _sequential_sum(term, slabs, (n, 1))[:, 0]
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), (arity, n)
+
+
+# ---------------------------------------------------------------------------
+# The reverse paths of Boolean batches and of row batches
+
+
+def assert_gradients_match(program, trace, lam, t_index=0):
+    for weighted, weighting in ((False, None), (True, _SHARE)):
+        value, dpos, dvel = program._gradient(trace, lam, weighted=weighted, t_index=t_index)
+        ref_value, ref_dpos, ref_dvel = ref_gradient(program, trace, lam, weighting, t_index)
+        assert value == ref_value
+        assert np.array_equal(dpos, ref_dpos) and np.array_equal(dvel, ref_dvel)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_boolean_batch_with_operands_of_unequal_length(seed):
+    # each Boolean node conjoins operands of L, L - 3 and L - 5 samples, so
+    # their adjoints are views of unequal length into one shared buffer
+    rng = np.random.default_rng(seed)
+    kind, combine = (stl.AND, stl.land) if seed % 2 else (stl.OR, stl.lor)
+    outer = stl.Interval(0.0, int(rng.integers(0, 4)) * TS)
+
+    def leaf():
+        return stl.atom(random_predicate(rng, 2))
+
+    def node():
+        return combine(leaf(), stl.always(stl.Interval(0.0, 3 * TS), leaf()),
+                       stl.eventually(stl.Interval(TS, 5 * TS), leaf()))
+
+    formula = stl.land(*[stl.eventually(outer, node()) for _ in range(3)])
+    program = Program(formula, TS, random_weights(rng, formula))
+    unequal = [batch for batch in program.batches if batch.kind == kind
+               and len(batch.indices) > 1
+               and len({program.ops[a].steps for a in batch.args[0]}) > 1]
+    assert unequal
+    steps = program.ops[-1].steps
+    for length in (steps + 1, steps + 30):  # n < m and n >= m for the Boolean batch
+        trace = random_trace(rng, n_drones=2, length=length)
+        assert_gradients_match(program, trace, float(rng.choice([0.7, 4.0, 25.0])))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_row_batches_under_weighted_smooth_pass(seed):
+    # 20 windows of 21 samples over a trace of 23 give window batches with
+    # n = 3 < 21 and a root of 20 operands with n = 3: every reducing batch
+    # reduces rows and tapes its reduction with its share factor
+    rng = np.random.default_rng(100 + seed)
+    interval = stl.Interval(0.0, 20 * TS)
+    windows = [(stl.always if rng.random() < 0.5 else stl.eventually)(
+        interval, stl.atom(random_predicate(rng, 2))) for _ in range(20)]
+    formula = stl.land(*windows)
+    program = Program(formula, TS, random_weights(rng, formula))
+    trace = random_trace(rng, n_drones=2, length=23)
+    lam = float(rng.choice([0.7, 4.0, 25.0]))
+    program._forward(trace, lam, _SHARE)
+    reducing = [batch for batch in program.batches if batch.reduces]
+    assert reducing and all(3 < batch.arity for batch in reducing)
+    assert all(program._kept[3][batch][1] is not None for batch in reducing)  # share factors
+    assert_gradients_match(program, trace, lam, t_index=int(rng.integers(0, 3)))
