@@ -11,7 +11,7 @@ from .replanner import detect_event, replan, simulate_with_disturbance
 from .robustness import (RobustnessReport, eval_exact, eval_smooth, eval_weighted,
                          eval_weighted_smooth, gradient_smooth, make_report,
                          smooth_max, smooth_min)
-from .warmstart import build_graph, solve_assignment, stitch_subtours, verify_plan
+from .warmstart import build_graph, solve_assignment, verify_plan
 
 
 def bundled_scenario_path(name: str):
@@ -27,6 +27,6 @@ __all__ = [
     "run_pipeline", "run_replay", "detect_event", "replan",
     "simulate_with_disturbance", "RobustnessReport", "eval_exact", "eval_smooth",
     "eval_weighted", "eval_weighted_smooth", "gradient_smooth", "make_report",
-    "smooth_max", "smooth_min", "build_graph", "solve_assignment", "stitch_subtours",
-    "verify_plan", "bundled_scenario_path",
+    "smooth_max", "smooth_min", "build_graph", "solve_assignment", "verify_plan",
+    "bundled_scenario_path",
 ]

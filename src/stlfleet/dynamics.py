@@ -113,12 +113,6 @@ class Trace:
     def is_consistent(self, tol: float = 1e-9) -> bool:
         return self.consistency_error() <= tol
 
-    def slice(self, start: int, stop: int) -> "Trace":
-        """Sub-trace over samples [start, stop] inclusive."""
-        return Trace(self.ts, self.pos[:, start:stop + 1].copy(),
-                     self.vel[:, start:stop + 1].copy(),
-                     self.acc[:, start:stop].copy())
-
     def copy(self) -> "Trace":
         return Trace(self.ts, self.pos.copy(), self.vel.copy(), self.acc.copy())
 

@@ -107,11 +107,21 @@ class Scenario:
             raise ValidationError("fleet.limits and fleet.home_boxes must match depot count")
         if self.capability is None:
             self.capability = [{"targets": None, "blades": None}] * self.n_drones
+        if len(self.capability) != self.n_drones:
+            raise ValidationError("fleet.capability must match depot count")
+        for d, mask in enumerate(self.capability):
+            for kind, count in (("targets", len(self.targets)), ("blades", len(self.blades))):
+                unknown = [q for q in mask.get(kind) or () if q not in range(count)]
+                if unknown:
+                    raise ValidationError(f"fleet.capability[{d}].{kind} names {unknown}, "
+                                          f"but the scenario has {count} {kind}")
+        if not (np.isfinite(self.ts) and self.ts > 0):
+            raise ValidationError(f"timing.sample must be positive and finite, got {self.ts}")
         for label, value in (("timing.mission", self.mission_duration),
                              ("timing.inspect", self.inspect_duration),
                              ("timing.blade", self.blade_duration)):
-            if value <= 0:
-                raise ValidationError(f"{label} must be positive")
+            if not (np.isfinite(value) and value > 0):
+                raise ValidationError(f"{label} must be positive and finite, got {value}")
             steps = value / self.ts
             if abs(steps - round(steps)) > 1e-6:
                 raise ValidationError(f"{label} = {value} is not a multiple of ts = {self.ts}")
@@ -485,18 +495,25 @@ def scenario_from_dict(data: dict) -> Scenario:
         for i, raw in enumerate(data.get("blades", [])):
             _check_keys(raw, "blades[]", f"blades[{i}]")
             _check_keys(raw["box"], "blades[].box", f"blades[{i}].box")
+            blade_id = raw.get("blade_id", 0)
+            if type(blade_id) is not int:
+                raise ValidationError(f"blades[{i}].blade_id must be an integer, "
+                                      f"got {blade_id!r}")
             blades.append(BladeSide(tuple(raw["leading_edge"]), tuple(raw["rotor_shaft"]),
                                     Box(tuple(raw["box"]["lower"]), tuple(raw["box"]["upper"])),
-                                    blade_id=int(raw.get("blade_id", 0))))
+                                    blade_id=blade_id))
         fleet = data["fleet"]
         _check_keys(fleet, "fleet", "fleet")
         limits = []
         for i, raw in enumerate(fleet["limits"]):
             _check_keys(raw, "fleet.limits[]", f"fleet.limits[{i}]")
-            limits.append(DroneLimits(
-                v_max=_limit(raw["v_max"]), a_max=_limit(raw["a_max"]),
-                v_max_relaxed=_limit(raw.get("v_max_relaxed")),
-                a_max_relaxed=_limit(raw.get("a_max_relaxed"))))
+            try:
+                limits.append(DroneLimits(
+                    v_max=_limit(raw["v_max"]), a_max=_limit(raw["a_max"]),
+                    v_max_relaxed=_limit(raw.get("v_max_relaxed")),
+                    a_max_relaxed=_limit(raw.get("a_max_relaxed"))))
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"fleet.limits[{i}]: {exc}") from exc
         home_boxes = []
         for i, raw in enumerate(fleet["home_boxes"]):
             _check_keys(raw, "fleet.home_boxes[]", f"fleet.home_boxes[{i}]")

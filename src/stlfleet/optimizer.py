@@ -28,34 +28,36 @@ VIOLATED = "violated"
 ITERATION_CAP = "iteration_cap"
 
 
+# line search: first step, shrink on a failed trial, growth after an
+# accepted step, and the smallest step tried
+_STEP_INIT = 0.25
+_STEP_SHRINK = 0.5
+_STEP_GROW = 1.4
+_STEP_MIN = 1e-7
+_OBJECTIVE_TOL = 1e-7  # an accepted step improving less than this ends the run
+# m/s margins are worth much less than meter margins at mission scale;
+# scaling them up stops the velocity clauses from dominating the
+# objective while leaving a genuine speed reserve demanded
+_VELOCITY_MARGIN_SCALE = 8.0
+# moment smoothing for the adaptive ascent direction; the direction is
+# still subjected to a monotone line search, so the objective history
+# stays non-decreasing whatever the moments do
+_MOMENTUM_DECAY = 0.9
+_CURVATURE_DECAY = 0.999
+_RESTART_NOISE = 0.05  # stddev as a fraction of each drone's a_max
+
+
 @dataclass
 class OptimizerConfig:
     sharpness: float = None        # None: take the scenario value
     margin: float = None           # demanded smooth-robustness buffer; None: scenario
     max_iters: int = 300
-    step_init: float = 0.25
-    step_shrink: float = 0.5
-    step_grow: float = 1.4
-    step_min: float = 1e-7
-    objective_tol: float = 1e-7
-    # m/s margins are worth much less than meter margins at mission scale;
-    # scaling them up stops the velocity clauses from dominating the
-    # objective while leaving a genuine speed reserve demanded
-    velocity_margin_scale: float = 8.0
-    # moment smoothing for the adaptive ascent direction; the direction is
-    # still subjected to a monotone line search, so the objective history
-    # stays non-decreasing whatever the moments do
-    momentum_decay: float = 0.9
-    curvature_decay: float = 0.999
     rng_seed: int = 0
     perturb_restarts: int = 1
-    restart_noise: float = 0.05    # stddev as a fraction of each drone's a_max
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.objective_tol <= 0 or self.step_init <= 0:
-            raise ValueError("tolerances and steps must be positive")
 
 
 @dataclass
@@ -168,7 +170,7 @@ class _Objective:
 
 def optimize(formula, seed_trace: Trace, scenario, config: OptimizerConfig = None,
              weights: stl.WeightMap = None, free_drones=None,
-             limits_override: dict = None, augment_velocity: bool = True) -> PlanResult:
+             limits_override: dict = None) -> PlanResult:
     """Maximize (weighted) smooth robustness from a warm-start trace.
 
     The ascent accepts only improving iterates, so the objective history
@@ -195,9 +197,8 @@ def optimize(formula, seed_trace: Trace, scenario, config: OptimizerConfig = Non
               else scenario.limits[d] for d in range(seed_trace.n_drones)]
     a_caps = np.stack([np.asarray(limits[d].a_max) for d in range(seed_trace.n_drones)])
 
-    objective_formula = (_augment(formula, seed_trace.n_samples, ts, limits,
-                                  config.velocity_margin_scale)
-                         if augment_velocity else formula)
+    objective_formula = _augment(formula, seed_trace.n_samples, ts, limits,
+                                 _VELOCITY_MARGIN_SCALE)
     objective = _Objective(objective_formula, seed_trace.pos[:, 0].copy(),
                            seed_trace.vel[:, 0].copy(), ts, sharpness, weights)
     monitor = Program(formula, ts, weights)  # exact checks and the final report
@@ -226,12 +227,12 @@ def optimize(formula, seed_trace: Trace, scenario, config: OptimizerConfig = Non
         # so the reported status stays consistent with the returned trace
         best = (eval_exact(monitor, objective.trace(acc), 0), current, acc)
         best_margin = best if current >= margin else None
-        step = config.step_init
+        step = _STEP_INIT
         iterations = 0
         capped = False
         moment = np.zeros_like(acc)
         curvature = np.zeros_like(acc)
-        b1, b2 = config.momentum_decay, config.curvature_decay
+        b1, b2 = _MOMENTUM_DECAY, _CURVATURE_DECAY
         while iterations < config.max_iters:
             iterations += 1
             moment = b1 * moment + (1 - b1) * grad
@@ -243,13 +244,13 @@ def optimize(formula, seed_trace: Trace, scenario, config: OptimizerConfig = Non
             for direction in (adaptive, grad):
                 masked = np.where(free[:, None, None], direction, 0.0)
                 trial_step = step
-                while trial_step >= config.step_min:
+                while trial_step >= _STEP_MIN:
                     trial = project(acc + trial_step * masked)
                     value = objective.value(trial)
                     if np.isfinite(value) and value > current:
                         accepted = True
                         break
-                    trial_step *= config.step_shrink
+                    trial_step *= _STEP_SHRINK
                 if accepted:
                     break
             if not accepted:
@@ -264,10 +265,10 @@ def optimize(formula, seed_trace: Trace, scenario, config: OptimizerConfig = Non
                                       or (exact_here, current) > best_margin[:2]):
                 best_margin = (exact_here, current, acc)
             grad = objective.value_and_gradient(acc)[1]
-            step = min(step * config.step_grow, 10.0 * config.step_init)
+            step = min(step * _STEP_GROW, 10.0 * _STEP_INIT)
             if current >= margin:
                 break
-            if improvement < config.objective_tol:
+            if improvement < _OBJECTIVE_TOL:
                 break
         else:
             capped = True
@@ -282,7 +283,7 @@ def optimize(formula, seed_trace: Trace, scenario, config: OptimizerConfig = Non
         for _ in range(config.perturb_restarts):
             restarts_used += 1
             noise = rng.normal(scale=1.0, size=seed_acc.shape) * (
-                config.restart_noise * a_caps[:, None, :])
+                _RESTART_NOISE * a_caps[:, None, :])
             noise[~free] = 0.0
             retry = run(project(seed_acc + noise))
             if retry[0][:2] > best[:2]:

@@ -1,9 +1,10 @@
 """End-to-end orchestration: scenario file in, planning artifacts out.
 
-Stage order: routing graph, exact assignment, subtour stitching, seed
-synthesis, mission compilation, smooth-robustness optimization (weighted
-in attrition mode), heading annotation, export. Every stage is timed and
-failures are re-raised tagged with the stage name.
+Stage order: routing graph, exact assignment (one closed route per
+drone), seed synthesis, mission compilation, smooth-robustness
+optimization (weighted in attrition mode), heading annotation, export.
+Every stage is timed and failures are re-raised tagged with the stage
+name.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .optimizer import (SATISFIED_NO_MARGIN, SATISFIED_WITH_MARGIN,
                         OptimizerConfig, PlanResult, optimize)
 from .replanner import load_disturbances, simulate_with_disturbance
 from .robustness import eval_exact, make_report
-from .warmstart import build_graph, seed_with_schedule, solve_assignment, stitch_subtours
+from .warmstart import build_graph, seed_with_schedule, solve_assignment
 
 BASIC = "basic"
 ATTRITION = "attrition"
@@ -113,16 +114,26 @@ class _StageClock:
         return value
 
 
+def _warm_start(clock, scenario):
+    """Graph, assignment and seed stages: (graph, plan, seed, schedules).
+
+    The solver returns one closed route per drone, so no stitching stage
+    runs; its timing stays in the record at 0.0 for readers that list it.
+    """
+    graph = clock.run("build_graph", build_graph, scenario)
+    plan = clock.run("solve_assignment", solve_assignment, graph)
+    clock.timings["stitch_subtours"] = 0.0
+    seed, schedules = clock.run("seed_trajectories", seed_with_schedule, plan, scenario)
+    return graph, plan, seed, schedules
+
+
 def run_pipeline(scenario: Scenario, mode: str = BASIC,
                  config: OptimizerConfig = None) -> PipelineOutput:
     """Warm-start, optimize, annotate; see the module docstring."""
     if mode not in (BASIC, ATTRITION):
         raise ValueError(f"unknown mode {mode!r}")
     clock = _StageClock()
-    graph = clock.run("build_graph", build_graph, scenario)
-    plan = clock.run("solve_assignment", solve_assignment, graph)
-    plan = clock.run("stitch_subtours", stitch_subtours, plan, graph)
-    seed, schedules = clock.run("seed_trajectories", seed_with_schedule, plan, scenario)
+    _, plan, seed, schedules = _warm_start(clock, scenario)
     formula, weights = clock.run("compile_mission", compile_mission, scenario)
     result = clock.run("optimize", optimize, formula, seed, scenario, config,
                        weights=weights if mode == ATTRITION else None)
@@ -137,11 +148,7 @@ def run_pipeline(scenario: Scenario, mode: str = BASIC,
 def run_routes_only(scenario: Scenario):
     """Warm-start stages only: graph, assignment, seed."""
     clock = _StageClock()
-    graph = clock.run("build_graph", build_graph, scenario)
-    plan = clock.run("solve_assignment", solve_assignment, graph)
-    plan = clock.run("stitch_subtours", stitch_subtours, plan, graph)
-    seed, schedules = clock.run("seed_trajectories", seed_with_schedule, plan, scenario)
-    return graph, plan, seed, schedules, clock.timings
+    return (*_warm_start(clock, scenario), clock.timings)
 
 
 def run_replay(scenario: Scenario, disturbances, mode: str = BASIC,
@@ -160,7 +167,11 @@ def run_replay(scenario: Scenario, disturbances, mode: str = BASIC,
 
 def monitor_trace(scenario: Scenario, trace_path) -> dict:
     """Re-evaluate the mission robustness of a stored trace."""
-    trace = Trace.from_csv(_input_file(trace_path, "trace"))
+    path = _input_file(trace_path, "trace")
+    try:
+        trace = Trace.from_csv(path)
+    except ValueError as exc:
+        raise ParseError(f"trace file {path}: {exc}") from exc
     formula, weights = compile_mission(scenario)
     report = make_report(formula, trace, scenario.sharpness, weights=weights)
     classes = safety_class_robustness(scenario, trace)

@@ -63,10 +63,6 @@ class Interval:
         return (_seconds_to_steps(self.lo, ts, snap),
                 _seconds_to_steps(self.hi, ts, snap))
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
 
 def _seconds_to_steps(seconds: float, ts: float, snap: bool) -> int:
     if ts <= 0:
@@ -166,10 +162,6 @@ class Predicate:
         return Predicate(name, VELOCITY_BOX, (int(drone),),
                          lower=tuple(map(float, lower)), upper=tuple(map(float, upper)),
                          scale=float(scale))
-
-    @property
-    def drones(self) -> tuple:
-        return self.subject
 
 
 @dataclass(frozen=True)
@@ -318,9 +310,6 @@ class WeightMap:
             raise NonPositiveWeight(
                 f"weights for {node_id!r} have size {arr.size}, node arity is {arity}")
         return arr
-
-    def has(self, node_id: str) -> bool:
-        return node_id in self._map
 
     def items(self):
         return self._map.items()

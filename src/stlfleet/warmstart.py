@@ -93,35 +93,24 @@ class InspectionGraph:
 
 @dataclass
 class RoutePlan:
-    """Closed routes per drone, as lists of cycles over graph vertices.
+    """One closed route per drone over graph vertices.
 
-    Each cycle [v0, v1, ..., vk] closes back to v0; the first cycle of a
-    drone starts at its depot. A drone with nothing to do keeps the
-    degenerate cycle [depot], a self-loop that counts as its single
-    departure and arrival.
+    A route is held as a list with one cycle [depot, v1, ..., vk] that
+    closes back to the depot; a drone with nothing to do keeps the
+    degenerate cycle [depot]. Plans read from outside may hold other
+    lists, which verify_plan reports.
     """
 
-    tours: list                   # per drone: list of cycles
+    tours: list                   # per drone: [cycle]
     objective: float
     tasks: list = field(default_factory=list)
 
     def sequence(self, d: int) -> list:
         if len(self.tours[d]) != 1:
-            raise LengthMismatch(f"drone {d} has {len(self.tours[d])} cycles; stitch first")
+            raise LengthMismatch(f"drone {d} has {len(self.tours[d])} cycles; "
+                                 f"a route is one closed cycle")
         cycle = self.tours[d][0]
         return list(cycle) + [cycle[0]]
-
-    def z_counts(self) -> dict:
-        counts = {}
-        for d, cycles in enumerate(self.tours):
-            for cycle in cycles:
-                if len(cycle) == 1:
-                    key = (cycle[0], cycle[0], d)
-                    counts[key] = counts.get(key, 0) + 1
-                    continue
-                for a, b in zip(cycle, cycle[1:] + [cycle[0]]):
-                    counts[(a, b, d)] = counts.get((a, b, d), 0) + 1
-        return counts
 
     def assigned_tasks(self, d: int):
         """Visit-ordered (kind, index) pairs for drone d."""
@@ -362,77 +351,52 @@ def solve_assignment(graph: InspectionGraph) -> RoutePlan:
 
 
 # ---------------------------------------------------------------------------
-# Constraint verification (coverage, flow conservation, depot degree)
+# Route verification
 
 
 def verify_plan(plan: RoutePlan, graph: InspectionGraph):
-    """Check the implied integer edge counts against the routing constraints."""
-    z = plan.z_counts()
+    """Check each drone's route and the coverage of the tasks.
+
+    A route is one cycle that starts at the drone's own depot, holds each
+    vertex once and visits only tasks the drone can serve; together the
+    routes visit every task. Returns (ok, violations), each violation
+    prefixed by the check it fails: flow (not one closed walk), depot,
+    capability or coverage.
+    """
+    n = graph.n_tasks
     violations = []
-    for task in graph.tasks:
-        arrivals = sum(count for (i, j, d), count in z.items()
-                       if j == task.vertex and i != j)
-        if arrivals < 1:
-            violations.append(f"coverage: {task.name} (vertex {task.vertex}) is never visited")
+    if len(plan.tours) != graph.n_drones:
+        violations.append(f"depot: {len(plan.tours)} routes for {graph.n_drones} drones")
+    visited = set()
     for d in range(graph.n_drones):
-        for task in graph.tasks:
-            v = task.vertex
-            inflow = sum(c for (i, j, dd), c in z.items() if dd == d and j == v and i != j)
-            outflow = sum(c for (i, j, dd), c in z.items() if dd == d and i == v and i != j)
-            if inflow != outflow:
-                violations.append(
-                    f"flow: drone {d} at {task.name}: in {inflow} != out {outflow}")
+        cycles = plan.tours[d] if d < len(plan.tours) else []
+        route = [v for cycle in cycles for v in cycle]
         depot = graph.depot_vertex(d)
-        departures = sum(c for (i, j, dd), c in z.items() if dd == d and i == depot)
-        arrivals = sum(c for (i, j, dd), c in z.items() if dd == d and j == depot)
+        if len(cycles) != 1:
+            violations.append(f"flow: drone {d} flies {len(cycles)} cycles, expected 1")
+        departures = route.count(depot)
         if departures != 1:
             violations.append(f"depot: drone {d} departs {departures} times, expected 1")
-        if arrivals != 1:
-            violations.append(f"depot: drone {d} arrives {arrivals} times, expected 1")
+        elif route[0] != depot:
+            violations.append(f"depot: drone {d} starts at vertex {route[0]}, "
+                              f"not at its depot {depot}")
+        for v in sorted(set(route)):
+            if v == depot:
+                continue
+            if route.count(v) > 1:
+                violations.append(f"flow: drone {d} visits vertex {v} {route.count(v)} times")
+            if not 0 <= v < n + graph.n_drones:
+                violations.append(f"flow: drone {d} visits vertex {v}, which is not in the graph")
+            elif v >= n:
+                violations.append(f"depot: drone {d} passes vertex {v}, "
+                                  f"the depot of drone {v - n}")
+            elif not graph.capable[d, v]:
+                violations.append(f"capability: drone {d} cannot serve {graph.tasks[v].name}")
+        visited.update(route)
+    for task in graph.tasks:
+        if task.vertex not in visited:
+            violations.append(f"coverage: {task.name} (vertex {task.vertex}) is never visited")
     return len(violations) == 0, violations
-
-
-# ---------------------------------------------------------------------------
-# Subtour stitching
-
-
-def _cycle_edges(cycle):
-    if len(cycle) == 1:
-        return [(cycle[0], cycle[0])]
-    return list(zip(cycle, cycle[1:] + [cycle[0]]))
-
-
-def stitch_subtours(plan: RoutePlan, graph: InspectionGraph) -> RoutePlan:
-    """Splice disconnected cycles of each drone into one closed route.
-
-    Every (edge, edge, orientation) junction pair is tried and the
-    cheapest splice wins; already-connected plans come back unchanged.
-    """
-    tours = []
-    for d, cycles in enumerate(plan.tours):
-        cycles = [list(c) for c in cycles]
-        while len(cycles) > 1:
-            base, extra = cycles[0], cycles[1]
-            best = None
-            for i, (a, b) in enumerate(_cycle_edges(base)):
-                for rotation in range(len(extra)):
-                    rotated = extra[rotation:] + extra[:rotation]
-                    for candidate in (rotated, rotated[::-1]):
-                        c, e = candidate[0], candidate[-1]
-                        delta = (graph.weight(a, c, d) + graph.weight(e, b, d)
-                                 - graph.weight(a, b, d))
-                        merged = base[:i + 1] + candidate + base[i + 1:]
-                        key = (delta, tuple(merged))
-                        if best is None or key < best[0]:
-                            best = (key, merged)
-            cycles = [best[1]] + cycles[2:]
-        tours.append(cycles)
-    objective = 0.0
-    for d, cycles in enumerate(tours):
-        for cycle in cycles:
-            if len(cycle) > 1:
-                objective += sum(graph.weight(a, b, d) for a, b in _cycle_edges(cycle))
-    return RoutePlan(tours=tours, objective=objective, tasks=list(plan.tasks))
 
 
 # ---------------------------------------------------------------------------

@@ -213,13 +213,11 @@ def test_criterion_6_constraint_verification():
     ok, violations = verify_plan(double, graph)
     assert not ok and any("depot" in v for v in violations)
 
-    # flow violation: enters task 0 but exits from task 1
-    class BrokenFlow(RoutePlan):
-        def z_counts(self):
-            return {(depot, 0, 0): 1, (1, depot, 0): 1}
-
-    broken = BrokenFlow(tours=[[[depot, 0]]], objective=0.0, tasks=graph.tasks)
-    ok, violations = verify_plan(broken, graph)
+    # flow violation: task 1 flown as a disconnected subtour
+    subtour = RoutePlan(tours=[[[depot, 0], [1]]]
+                        + [[[graph.depot_vertex(d)]] for d in range(1, graph.n_drones)],
+                        objective=0.0, tasks=graph.tasks)
+    ok, violations = verify_plan(subtour, graph)
     assert not ok and any(v.startswith("flow") for v in violations)
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0

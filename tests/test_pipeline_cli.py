@@ -71,6 +71,44 @@ def test_scenario_file_errors(tmp_path):
         load_scenario(bad2)
 
 
+def _set(path, value):
+    """Scenario edit that sets the dict entry at ``path`` (keys and indices)."""
+    def edit(data):
+        *parents, last = path
+        for key in parents:
+            data = data[key]
+        data[last] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, field, trace", [
+    (_set(("timing", "sample"), 0.0), "timing.sample", None),
+    (_set(("timing", "sample"), -0.05), "timing.sample", None),
+    (_set(("timing", "mission"), math.nan), "timing.mission", None),
+    (_set(("fleet", "limits", 0, "v_max"), [-1.0, 1.0, 1.0]), "fleet.limits[0]", None),
+    (_set(("blades", 0, "blade_id"), "root"), "blades[0].blade_id", None),
+    (_set(("fleet", "capability"), [{"targets": [99], "blades": "all"}]),
+     "fleet.capability[0].targets", None),
+    (_set(("timing", "sample"), 0.05), "trace file",
+     "t,drone,px,py,pz,vx,vy,vz,ax,ay,az\r\n0,0,1,2,x,4,5,6,,,\r\n"),
+], ids=["zero-sample", "negative-sample", "nan-duration", "negative-v-max",
+        "text-blade-id", "unknown-capability-target", "text-trace-cell"])
+def test_cli_bad_input_exits_2_naming_the_field(tmp_path, capsys, edit, field, trace):
+    data = json.loads(scenario_to_json(make_scenario(blade=True)))
+    edit(data)
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(data))
+    if trace is None:
+        argv = ["routes", "--scenario", str(scenario_path), "--out", str(tmp_path / "out")]
+    else:
+        (tmp_path / "trace.csv").write_text(trace)
+        argv = ["monitor", "--scenario", str(scenario_path),
+                "--trace", str(tmp_path / "trace.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err, err
+
+
 def test_uncoverable_error_is_stage_tagged(tmp_path):
     scenario = make_scenario(n_drones=1, capability=[{"targets": set(), "blades": None}])
     with pytest.raises(PipelineError) as err:

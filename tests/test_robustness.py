@@ -12,7 +12,7 @@ from stlfleet.mission import compile_mission
 from stlfleet.robustness import (Program, eval_exact, eval_smooth, eval_weighted,
                                  eval_weighted_smooth, gradient_smooth,
                                  make_report, smooth_max, smooth_min)
-from stlfleet.warmstart import build_graph, seed_with_schedule, solve_assignment, stitch_subtours
+from stlfleet.warmstart import build_graph, seed_with_schedule, solve_assignment
 
 from conftest import (halfspace, oracle_eval, random_formula, random_trace,
                       scalar_trace, weight_arity)
@@ -460,7 +460,7 @@ def test_turbine_report_per_node_unchanged():
                           .read_text())
     scenario = fixture_windturbine()
     graph = build_graph(scenario)
-    seed, _ = seed_with_schedule(stitch_subtours(solve_assignment(graph), graph), scenario)
+    seed, _ = seed_with_schedule(solve_assignment(graph), scenario)
     formula, weights = compile_mission(scenario)
     report = make_report(formula, seed, scenario.sharpness, weights=weights)
     per_node = [[node.kind, *report.per_node[node.node_id]] for node in formula]

@@ -5,18 +5,20 @@ partition and reconstruction loops over all 2^n subsets. The numpy programs
 in warmstart keep only the entries the solver can use (a drone's capable
 subsets, row 0 of the partition at the full set); those must equal the
 reference bit for bit, every entry left out must be inf or unread, and the
-plan must be the same.
+plan must be the same. verify_plan is checked against the plans the solver
+returns and against single mutations of them.
 """
 
 from unittest import mock
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stlfleet import warmstart
-from stlfleet.warmstart import (_TIE_TOL, _DroneRouter, _partition_table, solve_assignment,
-                                verify_plan)
+from stlfleet.fixtures import fixture_windturbine
+from stlfleet.warmstart import (_TIE_TOL, RoutePlan, _DroneRouter, _partition_table,
+                                build_graph, solve_assignment, verify_plan)
 
 from test_warmstart import graph_from_weights
 
@@ -105,28 +107,8 @@ def reference_tours(router, completion, tour_cost, best, d, remaining):
     return chosen, lex_min_tour(chosen)
 
 
-@settings(max_examples=60, deadline=None)
-@given(tasks=st.integers(0, 8), drones=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
-       integer_weights=st.booleans(), idle_drone=st.booleans(), narrow=st.booleans(),
-       chunk=st.sampled_from([1, 8, warmstart._PAIR_CHUNK]))
-@example(tasks=0, drones=1, seed=0, integer_weights=False, idle_drone=False, narrow=False,
-         chunk=1)
-@example(tasks=0, drones=3, seed=1, integer_weights=True, idle_drone=True, narrow=False,
-         chunk=8)
-@example(tasks=1, drones=1, seed=2, integer_weights=False, idle_drone=False, narrow=False,
-         chunk=1)
-@example(tasks=1, drones=2, seed=3, integer_weights=True, idle_drone=True, narrow=False,
-         chunk=8)
-@example(tasks=8, drones=4, seed=4, integer_weights=True, idle_drone=True, narrow=False,
-         chunk=8)
-@example(tasks=8, drones=4, seed=5, integer_weights=False, idle_drone=False, narrow=True,
-         chunk=1)
-@example(tasks=8, drones=3, seed=6, integer_weights=True, idle_drone=False, narrow=True,
-         chunk=8)
-@example(tasks=6, drones=2, seed=7, integer_weights=False, idle_drone=True, narrow=True,
-         chunk=warmstart._PAIR_CHUNK)
-def test_vectorized_tables_bitwise_equal_loop_reference(tasks, drones, seed, integer_weights,
-                                                         idle_drone, narrow, chunk):
+def random_graph(tasks, drones, seed, integer_weights=False, idle_drone=False, narrow=False):
+    """Random symmetric instance in which every task has a capable drone."""
     rng = np.random.default_rng(seed)
     # small integer weights make many optima tie, which exercises tie-breaking
     if integer_weights:
@@ -151,7 +133,33 @@ def test_vectorized_tables_bitwise_equal_loop_reference(tasks, drones, seed, int
     workers = [d for d in range(drones) if d != idle]
     for t in np.flatnonzero(~capable.any(axis=0)):
         capable[workers[int(rng.integers(len(workers)))], t] = True
-    graph = graph_from_weights(w_task, w_depot, capable)
+    return graph_from_weights(w_task, w_depot, capable)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tasks=st.integers(0, 8), drones=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       integer_weights=st.booleans(), idle_drone=st.booleans(), narrow=st.booleans(),
+       chunk=st.sampled_from([1, 8, warmstart._PAIR_CHUNK]))
+@example(tasks=0, drones=1, seed=0, integer_weights=False, idle_drone=False, narrow=False,
+         chunk=1)
+@example(tasks=0, drones=3, seed=1, integer_weights=True, idle_drone=True, narrow=False,
+         chunk=8)
+@example(tasks=1, drones=1, seed=2, integer_weights=False, idle_drone=False, narrow=False,
+         chunk=1)
+@example(tasks=1, drones=2, seed=3, integer_weights=True, idle_drone=True, narrow=False,
+         chunk=8)
+@example(tasks=8, drones=4, seed=4, integer_weights=True, idle_drone=True, narrow=False,
+         chunk=8)
+@example(tasks=8, drones=4, seed=5, integer_weights=False, idle_drone=False, narrow=True,
+         chunk=1)
+@example(tasks=8, drones=3, seed=6, integer_weights=True, idle_drone=False, narrow=True,
+         chunk=8)
+@example(tasks=6, drones=2, seed=7, integer_weights=False, idle_drone=True, narrow=True,
+         chunk=warmstart._PAIR_CHUNK)
+def test_vectorized_tables_bitwise_equal_loop_reference(tasks, drones, seed, integer_weights,
+                                                         idle_drone, narrow, chunk):
+    graph = random_graph(tasks, drones, seed, integer_weights, idle_drone, narrow)
+    capable = graph.capable
 
     routers = [_DroneRouter(graph, d) for d in range(drones)]
     tables = [reference_heldkarp(router) for router in routers]
@@ -211,3 +219,74 @@ def test_sixteen_task_tables_span_only_capable_subsets():
     assert ok, violations
     visited = sorted(v for cycles in plan.tours for cycle in cycles for v in cycle if v < 16)
     assert visited == list(range(16))
+
+
+# a single mutation of a solver plan, and the check that must catch it
+MUTATIONS = {"split": "flow", "drop": "coverage", "repeat": "flow",
+             "foreign_depot": "depot", "incapable": "capability"}
+TURBINE = "turbine"
+
+
+def mutate(graph, tours, mutation, rng):
+    """The plan's routes after one mutation, or None where it has no room for it."""
+    routes = [list(cycles[0]) for cycles in tours]
+    if mutation == "incapable":
+        # move a task to a drone that cannot serve it
+        moves = [(d, int(v)) for d in range(graph.n_drones)
+                 for v in np.flatnonzero(~graph.capable[d])]
+        if not moves:
+            return None
+        d, v = moves[int(rng.integers(len(moves)))]
+        next(route for route in routes if v in route).remove(v)
+        routes[d].append(v)
+        return [[route] for route in routes]
+    busy = [d for d, route in enumerate(routes) if len(route) > 1]
+    if not busy:
+        return None
+    d = busy[int(rng.integers(len(busy)))]
+    route = routes[d]
+    if mutation == "split":
+        cut = int(rng.integers(1, len(route)))
+        return [[route[:cut], route[cut:]] if e == d else [other]
+                for e, other in enumerate(routes)]
+    if mutation == "drop":
+        route.pop(int(rng.integers(1, len(route))))
+    elif mutation == "repeat":
+        task = route[int(rng.integers(1, len(route)))]
+        route.insert(int(rng.integers(1, len(route) + 1)), task)
+    else:
+        others = [graph.depot_vertex(e) for e in range(graph.n_drones) if e != d]
+        if not others:
+            return None
+        route.insert(int(rng.integers(1, len(route) + 1)), others[int(rng.integers(len(others)))])
+    return [[route] for route in routes]
+
+
+@settings(max_examples=80, deadline=None)
+@given(instance=st.tuples(st.integers(0, 8), st.integers(1, 4), st.integers(0, 2**32 - 1),
+                          st.booleans(), st.booleans(), st.booleans()),
+       mutation=st.sampled_from([None, *MUTATIONS]), pick=st.integers(0, 2**32 - 1))
+# the bundled turbine has tasks 0-9, of which the blade 0 is drone 2's alone,
+# and depots 10-12; the solver flies [10, 1, 2, 3, 4], [11, 5, 6, 7, 8], [12, 0, 9]
+@example(instance=TURBINE, mutation=("flow", {0: [[10, 1], [2, 3, 4]]}), pick=0)
+@example(instance=TURBINE, mutation=("depot", {0: [[10, 1, 2, 11, 3, 4]]}), pick=0)
+@example(instance=TURBINE, mutation=("flow", {0: [[10, 1, 2, 3, 4, 1]]}), pick=0)
+@example(instance=TURBINE, mutation=("capability", {0: [[10, 0, 1, 2, 3, 4]], 2: [[12, 9]]}),
+         pick=0)
+def test_verify_plan_accepts_solver_plans_and_rejects_each_mutation(instance, mutation, pick):
+    graph = build_graph(fixture_windturbine()) if instance == TURBINE else random_graph(*instance)
+    plan = solve_assignment(graph)
+    ok, violations = verify_plan(plan, graph)
+    assert ok, violations
+    if mutation is None:
+        return
+    if isinstance(mutation, tuple):
+        check, routes = mutation
+        tours = [routes.get(d, cycles) for d, cycles in enumerate(plan.tours)]
+    else:
+        check = MUTATIONS[mutation]
+        tours = mutate(graph, plan.tours, mutation, np.random.default_rng(pick))
+        assume(tours is not None)
+    # a plan read back from route_plan.json carries no task list
+    ok, violations = verify_plan(RoutePlan(tours=tours, objective=plan.objective), graph)
+    assert not ok and any(v.startswith(f"{check}:") for v in violations), violations

@@ -11,7 +11,7 @@ from stlfleet.fixtures import fixture_windturbine
 from stlfleet.mission import BladeSide, Box
 from stlfleet.warmstart import (InspectionGraph, RoutePlan, TaskNode, build_graph,
                                 INFEASIBLE_EDGE, seed_with_schedule, solve_assignment,
-                                stitch_subtours, verify_plan)
+                                verify_plan)
 
 from test_mission import make_scenario
 
@@ -243,47 +243,10 @@ def test_verify_plan_violations():
     ok, violations = verify_plan(double_departure, graph)
     assert not ok and any("departs 2" in v for v in violations)
 
-    class BrokenFlow(RoutePlan):
-        def z_counts(self):
-            # drone enters task 0 but leaves from task 1: flow violated at both
-            return {(2, 0, 0): 1, (1, 2, 0): 1}
-
-    broken = BrokenFlow(tours=[[[2, 0]]], objective=2.0, tasks=graph.tasks)
-    ok, violations = verify_plan(broken, graph)
+    # one closed walk that passes task 0 twice
+    repeated = RoutePlan(tours=[[[2, 0, 1, 0]]], objective=3.0, tasks=graph.tasks)
+    ok, violations = verify_plan(repeated, graph)
     assert not ok and any(v.startswith("flow") for v in violations)
-
-
-def test_stitch_noop_and_two_cycle_merge():
-    w_task = np.array([[[0.0, 1.0, 4.0, 4.0],
-                        [1.0, 0.0, 4.0, 4.0],
-                        [4.0, 4.0, 0.0, 1.0],
-                        [4.0, 4.0, 1.0, 0.0]]])
-    w_depot = np.array([[1.0, 1.5, 1.5, 2.5]])
-    graph = graph_from_weights(w_task, w_depot)
-    solved = solve_assignment(graph)
-    assert stitch_subtours(solved, graph).tours == solved.tours
-
-    raw = RoutePlan(tours=[[[4, 0, 1], [2, 3]]], objective=0.0, tasks=graph.tasks)
-    stitched = stitch_subtours(raw, graph)
-    assert len(stitched.tours[0]) == 1
-    cycle = stitched.tours[0][0]
-    assert sorted(cycle) == [0, 1, 2, 3, 4]
-
-    # brute force over splice points: enumerate all single cycles containing all
-    best = np.inf
-    for perm in itertools.permutations([0, 1, 2, 3]):
-        cost = (graph.w_depot[0, perm[0]] + graph.w_depot[0, perm[-1]]
-                + sum(graph.w_task[0, a, b] for a, b in zip(perm, perm[1:])))
-        best = min(best, cost)
-    spliced_cost = sum(graph.weight(a, b, 0)
-                       for a, b in zip(cycle, cycle[1:] + [cycle[0]]))
-    # splicing is restricted to junction pairs, so it can be suboptimal but
-    # must stay within the brute-force optimum plus the worst single edge
-    assert spliced_cost == pytest.approx(stitched.objective)
-    assert spliced_cost >= best - 1e-9
-
-    empty = RoutePlan(tours=[[[4]]], objective=0.0, tasks=graph.tasks)
-    assert stitch_subtours(empty, graph).tours == [[[4]]]
 
 
 def test_seed_empty_route_hovers_at_depot():
