@@ -16,12 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LengthMismatch
+from .stl import _GRID_RTOL
 
 _CSV_COLUMNS = ["t", "drone", "px", "py", "pz", "vx", "vy", "vz", "ax", "ay", "az"]
 _CSV_FMT = "%.12g"  # 12 significant digits keep re-imported robustness within 1e-9
 _CSV_STATE = ",".join([_CSV_FMT] * 9) + "\r\n"  # the cells after t and drone
 _CSV_LAST_ROW = ",".join([_CSV_FMT, "%d"] + [_CSV_FMT] * 6) + ",,,\r\n"  # no acceleration
 _CSV_BLOCK = 256  # samples formatted per write
+REST_TO_REST_EXTRA = 64  # steps min_steps_rest_to_rest tries past the time of flight
 
 
 @dataclass(frozen=True)
@@ -166,7 +168,9 @@ class Trace:
     @staticmethod
     def _read_csv(handle) -> "Trace":
         # rows may come in any order; a missing (sample, drone) row reads as
-        # zeros, and a row with an empty ax cell has no acceleration
+        # zeros, and a row with an empty ax cell has no acceleration. Sample
+        # times must lie on a uniform grid from 0, drone ids must run from 0
+        # and no (sample, drone) pair may repeat.
         reader = csv.reader(handle)
         header = next(reader)
         if header != _CSV_COLUMNS:
@@ -187,6 +191,19 @@ class Trace:
         pos = np.zeros((d, n, 3))
         vel = np.zeros((d, n, 3))
         acc = np.zeros((d, n - 1, 3))
+        ts = times[1] - times[0] if n > 1 else 1.0
+        steps = np.array(times) / ts
+        off = np.abs(steps - np.arange(n)) > _GRID_RTOL * np.maximum(1.0, steps)
+        if off.any():
+            raise LengthMismatch(f"trace CSV sample time {times[off.argmax()]} is off the "
+                                 f"uniform {ts:.12g} s grid from 0")
+        if set(drone_ids) != set(range(d)):
+            raise LengthMismatch(f"trace CSV drone ids {sorted(set(drone_ids))} "
+                                 f"do not run 0..{d - 1}")
+        seen = np.zeros((d, n), dtype=bool)
+        seen[dr, k] = True
+        if np.count_nonzero(seen) != len(rows):
+            raise LengthMismatch("trace CSV repeats a (sample, drone) row")
         state = np.fromiter(map(float, itertools.chain(*columns[2:8])), float,
                             6 * len(rows)).reshape(6, -1)
         pos[dr, k] = state[:3].T
@@ -198,7 +215,6 @@ class Trace:
                      for column in columns[8:]]
             acc[dr[moving], k[moving]] = np.fromiter(map(float, itertools.chain(*cells)),
                                                      float, 3 * len(moving)).reshape(3, -1).T
-        ts = times[1] - times[0] if n > 1 else 1.0
         return Trace(round(ts, 12), pos, vel, acc)
 
     def to_csv_string(self) -> str:
@@ -316,15 +332,16 @@ def steer_rest_to_rest(delta, n_steps, ts, v_max, a_max):
     return acc
 
 
-def min_steps_rest_to_rest(delta, ts, v_max, a_max, max_extra: int = 64):
-    """Smallest sample count for which steer_rest_to_rest succeeds."""
+def min_steps_rest_to_rest(delta, ts, v_max, a_max):
+    """Smallest sample count for which steer_rest_to_rest succeeds, searched
+    up to REST_TO_REST_EXTRA steps past the continuous time of flight."""
     base = max(1, int(np.ceil(times_of_flight(np.zeros(3), delta, v_max, a_max) / ts)))
-    for n in range(base, base + max_extra):
+    for n in range(base, base + REST_TO_REST_EXTRA):
         acc = steer_rest_to_rest(delta, n, ts, v_max, a_max)
         if acc is not None:
             return n, acc
     raise LengthMismatch(f"no rest-to-rest profile found for delta {delta} within "
-                         f"{base + max_extra} steps")
+                         f"{base + REST_TO_REST_EXTRA} steps")
 
 
 def steer_to_state(pos_err, vel_err, n_steps, ts):

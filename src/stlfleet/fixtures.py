@@ -1,125 +1,21 @@
-"""Bundled desk-scale scenarios.
+"""Bundled desk-scale scenarios, read from the package's scenario files.
 
-The turbine geometry is a reconstruction: the mock-up dimensions, fleet
-limits, timing, thresholds, and weights are taken from the experiment
-description, while target placement (unpublished) is chosen so that the
-mission is feasible inside the 13 s horizon: each drone starts inside
-its first inspection area, clusters sit a short hop apart, and the
-parked blade hangs vertically with both sweep corridors reachable
-without circling the turbine.
+README.md ("Bundled scenarios") gives their geometry and the placement
+rationale; the JSON files are the one definition of their numbers.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from .dynamics import DroneLimits
-from .mission import BladeSide, Box, Scenario, Target
-
-
-def _cube(center, side):
-    half = side / 2.0
-    center = np.asarray(center, float)
-    return Box(tuple(center - half), tuple(center + half))
+from . import bundled_scenario_path
+from .mission import Scenario
+from .pipeline import load_scenario
 
 
 def fixture_windturbine() -> Scenario:
-    """Three drones, nine pylon targets, one two-sided blade, 13 s mission.
-
-    Drone 0 and drone 1 each sweep a four-box ladder on the west and
-    south pylon faces; drone 2 (the only blade-capable unit) sweeps both
-    blade corridors and inspects the blade-root area where its second
-    sweep ends. Depots sit just outside the home boxes so the stay-home
-    clause never sees a boundary crossing on the way out.
-    """
-    box = 2.4
-    targets = [
-        # west face ladder, drone 0: starts inside the first box
-        Target(_cube((-2.7, -1.2, 4.7), box), yaw=0.0),
-        Target(_cube((-2.7, -0.7, 4.7), box), yaw=0.0),
-        Target(_cube((-2.7, -0.3, 4.7), box), yaw=0.0),
-        Target(_cube((-2.7, -0.3, 5.1), box), yaw=0.0),
-        # south face ladder, drone 1
-        Target(_cube((0.1, -2.7, 4.6), box), yaw=np.pi / 2),
-        Target(_cube((0.1, -2.7, 4.85), box), yaw=np.pi / 2),
-        Target(_cube((-0.15, -2.7, 4.85), box), yaw=np.pi / 2),
-        Target(_cube((-0.15, -2.7, 4.6), box), yaw=np.pi / 2),
-        # blade-root area, drone 2: centered on the second sweep exit
-        Target(_cube((0.855, 3.5, 4.8625), box), yaw=float(np.arctan2(-2.35, -0.855))),
-    ]
-    # parked blade: 7 m from the rotor shaft straight down, north of the pylon
-    rotor_shaft = (0.0, 1.15, 11.3)
-    leading_edge = (0.0, 1.15, 4.3)
-    blades = [
-        BladeSide(leading_edge, rotor_shaft,
-                  Box((-2.15, 2.3, 3.3), (0.45, 4.7, 6.1)), blade_id=0),
-        BladeSide(leading_edge, rotor_shaft,
-                  Box((-0.45, 2.3, 3.3), (2.15, 4.7, 6.1)), blade_id=0),
-    ]
-    depots = np.array([
-        [-2.7, -1.2, 4.7],     # inside targets[0]
-        [0.1, -2.7, 4.6],      # inside targets[4]
-        [-0.855, 3.5, 4.25],   # at the first sweep corridor entry
-    ])
-    # homes sit a short hop beyond each drone's last task, far enough from
-    # every long-occupancy point (depot dwells, sweep corridors) that the
-    # stay-home clause never accumulates near-boundary samples
-    home_boxes = [
-        _cube((-2.7, 1.25, 5.1), 2.0),
-        _cube((-1.9, -2.7, 4.75), 2.0),
-        _cube((0.855, 5.4, 4.86), 2.0),
-    ]
-    return Scenario(
-        workspace=Box((-4.0, -10.0, 0.0), (4.0, 10.0, 14.0)),
-        obstacles=[
-            Box((-0.75, -0.75, 0.0), (0.75, 0.75, 11.2)),   # pylon
-            Box((-0.9, -0.9, 11.2), (0.9, 1.6, 12.0)),      # nacelle
-            Box((-0.25, 0.9, 4.05), (0.25, 1.4, 11.3)),     # parked blade
-        ],
-        targets=targets,
-        blades=blades,
-        depots=depots,
-        limits=[
-            DroneLimits(1.0, 1.0, 2.0, 5.0),
-            DroneLimits(0.7, 0.7, 2.0, 5.0),
-            DroneLimits(1.0, 1.0, 2.0, 5.0),
-        ],
-        home_boxes=home_boxes,
-        mission_duration=13.0, inspect_duration=1.0, blade_duration=1.5, ts=0.05,
-        min_separation=1.0, blade_standoff=2.5, standoff_tolerance=1.0,
-        margin=0.2, sharpness=10.0, trigger_radius=1.0,
-        weights={"workspace": 2.0, "obstacle": 4.0, "separation": 3.0,
-                 "target": 1.0, "blade": 1.0, "home": 1.0},
-        capability=[
-            {"targets": None, "blades": set()},
-            {"targets": None, "blades": set()},
-            {"targets": None, "blades": None},
-        ],
-    )
+    """Three drones, nine pylon targets, one two-sided blade, 13 s mission."""
+    return load_scenario(bundled_scenario_path("windturbine_mock"))
 
 
 def fixture_two_drone_swap() -> Scenario:
-    """Two drones, two targets, an 8 s window.
-
-    Minimizing total flight time sends one drone through both targets,
-    but that serial route overruns the window, so the seed arrives
-    compressed with truncated dwells and violates the timing. Whether
-    the optimizer re-times the single-drone route or hands the far
-    target to the idle drone is an outcome to observe, not a contract.
-    """
-    return Scenario(
-        workspace=Box((-6.0, -6.0, 0.0), (6.0, 8.0, 4.0)),
-        obstacles=[],
-        targets=[
-            Target(_cube((1.6, 0.0, 1.0), 1.4), yaw=0.0),
-            Target(_cube((1.6, 2.2, 1.0), 1.4), yaw=0.0),
-        ],
-        blades=[],
-        depots=np.array([[0.0, 0.0, 1.0], [1.6, 3.2, 1.0]]),
-        limits=[DroneLimits(1.0, 1.0, 2.0, 5.0), DroneLimits(1.0, 1.0, 2.0, 5.0)],
-        home_boxes=[_cube((-1.0, 0.0, 1.0), 1.7), _cube((1.6, 4.5, 1.0), 1.7)],
-        mission_duration=8.0, inspect_duration=1.0, blade_duration=1.0, ts=0.05,
-        min_separation=0.5, blade_standoff=2.5, standoff_tolerance=1.0,
-        margin=0.05, sharpness=10.0, trigger_radius=1.0,
-        weights={},
-    )
+    """Two drones, two targets, an 8 s window."""
+    return load_scenario(bundled_scenario_path("two_drone_swap"))

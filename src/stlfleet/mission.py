@@ -19,7 +19,7 @@ from . import stl
 from .dynamics import DroneLimits, Trace
 from .errors import (DegenerateSegment, InfeasibleWindow, NoCapableDrone, ParseError,
                      ValidationError)
-from .robustness import eval_exact
+from .robustness import atom_values
 
 
 @dataclass(frozen=True)
@@ -129,6 +129,13 @@ class Scenario:
             raise ValidationError("timing.inspect exceeds timing.mission")
         if self.blade_duration > self.mission_duration:
             raise ValidationError("timing.blade exceeds timing.mission")
+        for key in ("min_separation", "sharpness", "trigger_radius"):
+            value = getattr(self, key)
+            if not (np.isfinite(value) and value > 0):
+                raise ValidationError(f"thresholds.{key} must be positive and finite, got {value}")
+        for key in ("margin", "blade_standoff", "standoff_tolerance"):
+            if not np.isfinite(getattr(self, key)):
+                raise ValidationError(f"thresholds.{key} must be finite, got {getattr(self, key)}")
         if self.blade_standoff - self.standoff_tolerance <= 0:
             raise ValidationError("thresholds: blade_standoff - standoff_tolerance must be > 0")
         for d, depot in enumerate(self.depots):
@@ -187,31 +194,33 @@ def band_robustness(dist: float, standoff: float, tolerance: float) -> float:
 # Mission compilation
 
 
+def _safety_predicates(scenario, d) -> dict:
+    """Drone d's safety predicates by class: workspace, obstacle, separation."""
+    ws = scenario.workspace
+    return {
+        "workspace": [stl.Predicate.box_inside(f"in_workspace[{d}]", d, ws.lower, ws.upper)],
+        "obstacle": [stl.Predicate.box_outside(f"clear_obstacle[{d},{q}]", d,
+                                               box.lower, box.upper)
+                     for q, box in enumerate(scenario.obstacles)],
+        "separation": [stl.Predicate.min_separation(f"separation[{d},{m}]", d, m,
+                                                    scenario.min_separation)
+                       for m in range(scenario.n_drones) if m != d],
+    }
+
+
 def _safety_clause(scenario, d, duration):
     """Always-clause over workspace, obstacles, and pairwise separation.
 
     An empty obstacle (or single-drone separation) conjunct is pruned
     rather than carried as a vacuous truth.
     """
-    conjuncts = []
-    weights = []
-    ws = stl.atom(stl.Predicate.box_inside(
-        f"in_workspace[{d}]", d, scenario.workspace.lower, scenario.workspace.upper),
-        label=f"workspace[{d}]")
-    conjuncts.append(ws)
-    weights.append(scenario.class_weight("workspace"))
-    if scenario.obstacles:
-        atoms = [stl.atom(stl.Predicate.box_outside(
-            f"clear_obstacle[{d},{q}]", d, box.lower, box.upper))
-            for q, box in enumerate(scenario.obstacles)]
-        conjuncts.append(stl.land(*atoms, label=f"obstacles[{d}]"))
-        weights.append(scenario.class_weight("obstacle"))
-    if scenario.n_drones > 1:
-        pairs = [stl.atom(stl.Predicate.min_separation(
-            f"separation[{d},{m}]", d, m, scenario.min_separation))
-            for m in range(scenario.n_drones) if m != d]
-        conjuncts.append(stl.land(*pairs, label=f"separation[{d}]"))
-        weights.append(scenario.class_weight("separation"))
+    preds = _safety_predicates(scenario, d)
+    conjuncts = [stl.atom(preds["workspace"][0], label=f"workspace[{d}]")]
+    weights = [scenario.class_weight("workspace")]
+    for name, label in (("obstacle", "obstacles"), ("separation", "separation")):
+        if preds[name]:
+            conjuncts.append(stl.land(*map(stl.atom, preds[name]), label=f"{label}[{d}]"))
+            weights.append(scenario.class_weight(name))
     if len(conjuncts) == 1:
         body = conjuncts[0]
         safety_weights = {}
@@ -318,41 +327,34 @@ def compile_mission(scenario: Scenario):
 def safety_class_robustness(scenario: Scenario, trace: Trace) -> dict:
     """Exact robustness of each safety class held over the whole mission.
 
-    Complements the per-node report: mission clauses nest the classes
-    inside one always, so the per-class minimum over the window is
-    computed here from dedicated monitor formulas.
+    Complements the per-node report, where the mission nests the classes
+    inside one always per drone: each class is the least margin of its
+    atoms over the window [0, min(mission, trace duration)], NaN if any
+    of them is NaN, as the exact semantics give it.
     """
-    duration = min(scenario.mission_duration, trace.duration)
-    out = {}
-    specs = {"workspace": [], "obstacle": [], "separation": []}
+    window = stl.Interval(0.0, min(scenario.mission_duration, trace.duration))
+    last = window.to_steps(trace.ts)[1]
+    classes = {}
     for d in range(scenario.n_drones):
-        specs["workspace"].append(stl.atom(stl.Predicate.box_inside(
-            f"mon_ws[{d}]", d, scenario.workspace.lower, scenario.workspace.upper)))
-        for q, box in enumerate(scenario.obstacles):
-            specs["obstacle"].append(stl.atom(stl.Predicate.box_outside(
-                f"mon_obs[{d},{q}]", d, box.lower, box.upper)))
-        for m in range(d + 1, scenario.n_drones):
-            specs["separation"].append(stl.atom(stl.Predicate.min_separation(
-                f"mon_dis[{d},{m}]", d, m, scenario.min_separation)))
-    for name, atoms in specs.items():
-        if not atoms:
-            continue
-        body = atoms[0] if len(atoms) == 1 else stl.land(*atoms)
-        out[name] = eval_exact(stl.always(stl.Interval(0.0, duration), body), trace)
-    return out
+        for name, preds in _safety_predicates(scenario, d).items():
+            classes.setdefault(name, []).extend(preds)
+    return {name: float(np.min([atom_values(p, trace)[:last + 1] for p in preds]))
+            for name, preds in classes.items() if preds}
 
 
 # ---------------------------------------------------------------------------
 # Heading annotation
 
 
-def assign_headings(trace: Trace, scenario: Scenario, plan=None,
-                    speed_floor: float = 0.05) -> np.ndarray:
+HEADING_SPEED_FLOOR = 0.05  # m/s of horizontal speed above which yaw follows velocity
+
+
+def assign_headings(trace: Trace, scenario: Scenario, plan=None) -> np.ndarray:
     """Post-hoc yaw per (drone, sample); not an optimized degree of freedom.
 
     Inside an assigned target box the configured target yaw is held;
     inside an assigned blade corridor the drone faces the closest blade
-    point; in transit above the speed floor the yaw follows the
+    point; in transit above HEADING_SPEED_FLOOR the yaw follows the
     horizontal velocity; otherwise the last valid heading is held.
     """
     n_drones, n_samples = trace.pos.shape[0], trace.pos.shape[1]
@@ -373,12 +375,11 @@ def assign_headings(trace: Trace, scenario: Scenario, plan=None,
             side = scenario.blades[q]
             inside = side.box.contains(p) & ~valid
             a = np.asarray(side.seg_start)
-            u = np.asarray(side.seg_end) - a
-            s = np.clip(((p[inside] - a) @ u) / float(u @ u), 0.0, 1.0)
-            toward = a + s[:, None] * u - p[inside]
-            heading[inside] = np.arctan2(toward[:, 1], toward[:, 0])
+            away = stl.segment_offsets(p[inside][None], a[None],
+                                       (np.asarray(side.seg_end) - a)[None])[0]
+            heading[inside] = np.arctan2(-away[:, 1], -away[:, 0])
             valid |= inside
-        moving = ~valid & (np.hypot(v[:, 0], v[:, 1]) > speed_floor)
+        moving = ~valid & (np.hypot(v[:, 0], v[:, 1]) > HEADING_SPEED_FLOOR)
         heading[moving] = np.arctan2(v[moving, 1], v[moving, 0])
         valid |= moving
         # hold the last valid heading; 0 before the first one
@@ -391,18 +392,10 @@ def _allowed_tasks(scenario, plan):
     """Targets/blades each drone may claim while annotating headings."""
     n = scenario.n_drones
     if plan is None:
-        targets = [list(range(len(scenario.targets)))] * n
-        blades = [list(range(len(scenario.blades)))] * n
-        return targets, blades
-    targets = [[] for _ in range(n)]
-    blades = [[] for _ in range(n)]
-    for d in range(n):
-        for kind, index in plan.assigned_tasks(d):
-            if kind == "target":
-                targets[d].append(index)
-            else:
-                blades[d].extend(index if isinstance(index, (list, tuple)) else [index])
-    return targets, blades
+        return [range(len(scenario.targets))] * n, [range(len(scenario.blades))] * n
+    tasks = [plan.assigned_tasks(d) for d in range(n)]
+    return ([[q for kind, q in pairs if kind == "target"] for pairs in tasks],
+            [[q for kind, sides in pairs if kind == "blade" for q in sides] for pairs in tasks])
 
 
 def headings_to_csv(yaw: np.ndarray, ts: float) -> str:
@@ -475,32 +468,44 @@ def _check_keys(mapping, schema_key, path):
                              f"(allowed: {sorted(allowed)})")
 
 
+def _number(value, path) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{path} must be a number, got {value!r}")
+    return float(value)
+
+
+def _point(value, path) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"{path} must be a list of numbers, got {value!r}")
+    return tuple(_number(x, f"{path}[{i}]") for i, x in enumerate(value))
+
+
+def _box(raw, schema_key, path) -> Box:
+    _check_keys(raw, schema_key, path)
+    return Box(_point(raw["lower"], f"{path}.lower"), _point(raw["upper"], f"{path}.upper"))
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ParseError("scenario root must be a JSON object")
     _check_keys(data, "", "")
     try:
-        _check_keys(data["workspace"], "workspace", "workspace")
-        workspace = Box(tuple(data["workspace"]["lower"]), tuple(data["workspace"]["upper"]))
-        obstacles = []
-        for i, raw in enumerate(data.get("obstacles", [])):
-            _check_keys(raw, "obstacles[]", f"obstacles[{i}]")
-            obstacles.append(Box(tuple(raw["lower"]), tuple(raw["upper"])))
-        targets = []
-        for i, raw in enumerate(data.get("targets", [])):
-            _check_keys(raw, "targets[]", f"targets[{i}]")
-            targets.append(Target(Box(tuple(raw["lower"]), tuple(raw["upper"])),
-                                  yaw=float(raw.get("yaw", 0.0))))
+        workspace = _box(data["workspace"], "workspace", "workspace")
+        obstacles = [_box(raw, "obstacles[]", f"obstacles[{i}]")
+                     for i, raw in enumerate(data.get("obstacles", []))]
+        targets = [Target(_box(raw, "targets[]", f"targets[{i}]"),
+                          yaw=_number(raw.get("yaw", 0.0), f"targets[{i}].yaw"))
+                   for i, raw in enumerate(data.get("targets", []))]
         blades = []
         for i, raw in enumerate(data.get("blades", [])):
             _check_keys(raw, "blades[]", f"blades[{i}]")
-            _check_keys(raw["box"], "blades[].box", f"blades[{i}].box")
             blade_id = raw.get("blade_id", 0)
             if type(blade_id) is not int:
                 raise ValidationError(f"blades[{i}].blade_id must be an integer, "
                                       f"got {blade_id!r}")
-            blades.append(BladeSide(tuple(raw["leading_edge"]), tuple(raw["rotor_shaft"]),
-                                    Box(tuple(raw["box"]["lower"]), tuple(raw["box"]["upper"])),
+            blades.append(BladeSide(_point(raw["leading_edge"], f"blades[{i}].leading_edge"),
+                                    _point(raw["rotor_shaft"], f"blades[{i}].rotor_shaft"),
+                                    _box(raw["box"], "blades[].box", f"blades[{i}].box"),
                                     blade_id=blade_id))
         fleet = data["fleet"]
         _check_keys(fleet, "fleet", "fleet")
@@ -508,16 +513,12 @@ def scenario_from_dict(data: dict) -> Scenario:
         for i, raw in enumerate(fleet["limits"]):
             _check_keys(raw, "fleet.limits[]", f"fleet.limits[{i}]")
             try:
-                limits.append(DroneLimits(
-                    v_max=_limit(raw["v_max"]), a_max=_limit(raw["a_max"]),
-                    v_max_relaxed=_limit(raw.get("v_max_relaxed")),
-                    a_max_relaxed=_limit(raw.get("a_max_relaxed"))))
+                limits.append(DroneLimits(raw["v_max"], raw["a_max"], raw.get("v_max_relaxed"),
+                                          raw.get("a_max_relaxed")))
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"fleet.limits[{i}]: {exc}") from exc
-        home_boxes = []
-        for i, raw in enumerate(fleet["home_boxes"]):
-            _check_keys(raw, "fleet.home_boxes[]", f"fleet.home_boxes[{i}]")
-            home_boxes.append(Box(tuple(raw["lower"]), tuple(raw["upper"])))
+        home_boxes = [_box(raw, "fleet.home_boxes[]", f"fleet.home_boxes[{i}]")
+                      for i, raw in enumerate(fleet["home_boxes"])]
         capability = None
         if "capability" in fleet:
             capability = []
@@ -532,31 +533,23 @@ def scenario_from_dict(data: dict) -> Scenario:
         _check_keys(timing, "timing", "timing")
         thresholds = data["thresholds"]
         _check_keys(thresholds, "thresholds", "thresholds")
+        return Scenario(
+            workspace=workspace, obstacles=obstacles, targets=targets, blades=blades,
+            depots=[_point(p, f"fleet.depots[{i}]") for i, p in enumerate(fleet["depots"])],
+            limits=limits, home_boxes=home_boxes,
+            mission_duration=_number(timing["mission"], "timing.mission"),
+            inspect_duration=_number(timing["inspect"], "timing.inspect"),
+            blade_duration=_number(timing["blade"], "timing.blade"),
+            ts=_number(timing["sample"], "timing.sample"),
+            **{key: _number(thresholds[key], f"thresholds.{key}")
+               for key in ("min_separation", "blade_standoff", "standoff_tolerance")},
+            **{key: _number(thresholds.get(key, default), f"thresholds.{key}")
+               for key, default in (("margin", 0.2), ("sharpness", 10.0),
+                                    ("trigger_radius", 1.0))},
+            weights={k: _number(v, f"weights.{k}") for k, v in data.get("weights", {}).items()},
+            capability=capability)
     except KeyError as exc:
         raise ParseError(f"missing required key {exc}") from exc
-
-    return Scenario(
-        workspace=workspace, obstacles=obstacles, targets=targets, blades=blades,
-        depots=np.asarray(fleet["depots"], float), limits=limits, home_boxes=home_boxes,
-        mission_duration=float(timing["mission"]),
-        inspect_duration=float(timing["inspect"]),
-        blade_duration=float(timing["blade"]), ts=float(timing["sample"]),
-        min_separation=float(thresholds["min_separation"]),
-        blade_standoff=float(thresholds["blade_standoff"]),
-        standoff_tolerance=float(thresholds["standoff_tolerance"]),
-        margin=float(thresholds.get("margin", 0.2)),
-        sharpness=float(thresholds.get("sharpness", 10.0)),
-        trigger_radius=float(thresholds.get("trigger_radius", 1.0)),
-        weights={k: float(v) for k, v in data.get("weights", {}).items()},
-        capability=capability)
-
-
-def _limit(value):
-    if value is None:
-        return None
-    if isinstance(value, (int, float)):
-        return float(value)
-    return tuple(float(x) for x in value)
 
 
 def scenario_to_json(s: Scenario, indent=2) -> str:

@@ -443,17 +443,12 @@ class _Segments:
         self.drones = np.array([p.subject[0] for p in preds])
         self.starts = np.array([p.seg_start for p in preds], float)
         self.spans = np.array([p.seg_end for p in preds], float) - self.starts
-        self.lengths = np.array([u @ u for u in self.spans])[:, None]
         self.inner = np.array([p.standoff - p.tolerance for p in preds])[:, None]
         self.outer = np.array([p.standoff + p.tolerance for p in preds])[:, None]
         self.scale = np.array([p.scale for p in preds])[:, None]
 
     def forward(self, trace, keep=False):
-        # projections as one (K, L, 3) @ (K, 3, 1) product
-        p = trace.pos[self.drones]
-        s = np.clip(np.matmul(p - self.starts[:, None], self.spans[..., None])[..., 0]
-                    / self.lengths, 0.0, 1.0)
-        offset = p - (self.starts[:, None] + s[..., None] * self.spans[:, None])
+        offset = stl.segment_offsets(trace.pos[self.drones], self.starts, self.spans)
         dist = np.linalg.norm(offset, axis=2)
         value = np.minimum(dist - self.inner, self.outer - dist)
         return self.scale * value, (offset, dist)

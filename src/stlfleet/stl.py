@@ -84,6 +84,19 @@ SEGMENT_BAND = "segment_band"
 VELOCITY_BOX = "velocity_box"
 
 
+def segment_offsets(points, starts, spans):
+    """Offsets from points to their nearest points on segments.
+
+    Segment k runs from starts[k] to starts[k] + spans[k], both (K, 3);
+    its (K, L, 3) points project onto it with one batched product, clamped
+    to the segment's ends.
+    """
+    lengths = np.array([u @ u for u in spans])[:, None]
+    s = np.clip(np.matmul(points - starts[:, None], spans[..., None])[..., 0] / lengths,
+                0.0, 1.0)
+    return points - (starts[:, None] + s[..., None] * spans[:, None])
+
+
 @dataclass(frozen=True)
 class Predicate:
     """Atomic proposition with a real-valued margin over one fleet state.

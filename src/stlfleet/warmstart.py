@@ -19,12 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import stl
 from .dynamics import min_steps_rest_to_rest, rollout, steer_rest_to_rest, times_of_flight
 from .errors import HorizonOverflow, LengthMismatch, Uncoverable
 from .mission import Scenario
 
 INFEASIBLE_EDGE = 1.0e6  # sentinel weight for edges a drone may not use
 _TIE_TOL = 1e-9
+MIN_SEED_SCALE = 0.2  # least time compression of a seed route before HorizonOverflow
 
 
 @dataclass(frozen=True)
@@ -103,7 +105,7 @@ class RoutePlan:
 
     tours: list                   # per drone: [cycle]
     objective: float
-    tasks: list = field(default_factory=list)
+    tasks: list = field(default_factory=list)  # the graph's tasks: vertex v is tasks[v]
 
     def sequence(self, d: int) -> list:
         if len(self.tours[d]) != 1:
@@ -113,18 +115,10 @@ class RoutePlan:
         return list(cycle) + [cycle[0]]
 
     def assigned_tasks(self, d: int):
-        """Visit-ordered (kind, index) pairs for drone d."""
-        by_vertex = {task.vertex: task for task in self.tasks}
-        out = []
-        for cycle in self.tours[d]:
-            for v in cycle:
-                if v in by_vertex:
-                    task = by_vertex[v]
-                    if task.kind == "blade":
-                        out.append(("blade", task.sides))
-                    else:
-                        out.append(("target", task.index))
-        return out
+        """Visit-ordered (kind, index) pairs for drone d; a blade's index is
+        its tuple of sides."""
+        tasks = [self.tasks[v] for v in self.sequence(d)[1:-1]]
+        return [("blade", t.sides) if t.kind == "blade" else ("target", t.index) for t in tasks]
 
     def to_dict(self) -> dict:
         return {
@@ -414,10 +408,7 @@ class ScheduleEntry:
 def _sweep_geometry(side, standoff):
     a = np.asarray(side.seg_start)
     b = np.asarray(side.seg_end)
-    center = side.box.center
-    u = b - a
-    s = min(1.0, max(0.0, float((center - a) @ u) / float(u @ u)))
-    normal = center - (a + s * u)
+    normal = stl.segment_offsets(side.box.center[None, None], a[None], (b - a)[None])[0, 0]
     norm = np.linalg.norm(normal)
     if norm < 1e-9:
         raise Uncoverable("blade corridor box center lies on the blade axis")
@@ -460,7 +451,6 @@ def _drone_program(plan, scenario, d, derate=0.9):
     ts = scenario.ts
     dwell_steps = int(round(scenario.inspect_duration / ts))
     sweep_steps = int(round(scenario.blade_duration / ts))
-    by_vertex = {task.vertex: task for task in plan.tasks}
 
     pieces = []
     schedule = []
@@ -479,7 +469,7 @@ def _drone_program(plan, scenario, d, derate=0.9):
 
     route = plan.sequence(d)[1:-1]
     for vertex in route:
-        task = by_vertex[vertex]
+        task = plan.tasks[vertex]
         if task.kind == "target":
             transit(scenario.targets[task.index].box.center)
             pieces.append(np.zeros((dwell_steps, 3)))
@@ -519,13 +509,12 @@ def _compress(acc, n_steps, a_max):
     return np.clip(scaled, -np.asarray(a_max), np.asarray(a_max))
 
 
-def seed_with_schedule(plan: RoutePlan, scenario: Scenario, min_scale: float = 0.2,
-                       derate: float = 0.9):
+def seed_with_schedule(plan: RoutePlan, scenario: Scenario, derate: float = 0.9):
     """Seed trace plus the per-drone task schedule it realizes.
 
     Legs are planned against ``derate``-scaled limits so the seed keeps a
     kinematic reserve. Routes that cannot fit the mission duration are
-    time-scaled into it (accelerations clamped); below ``min_scale``
+    time-scaled into it (accelerations clamped); below MIN_SEED_SCALE
     compression the route is hopeless even at limit speeds and
     HorizonOverflow carries the unscaled trace for diagnosis.
     """
@@ -533,14 +522,14 @@ def seed_with_schedule(plan: RoutePlan, scenario: Scenario, min_scale: float = 0
     programs = [_drone_program(plan, scenario, d, derate) for d in range(scenario.n_drones)]
     longest = max(max(acc.shape[0] for acc, _ in programs), n_steps)
     worst = n_steps / longest
-    if worst < min_scale:
+    if worst < MIN_SEED_SCALE:
         padded = [np.vstack([acc, np.zeros((longest - acc.shape[0], 3))])
                   for acc, _ in programs]
         unscaled = rollout(scenario.depots, np.zeros_like(scenario.depots),
                            np.stack(padded), scenario.ts)
         raise HorizonOverflow(
             f"route needs {longest * scenario.ts:.2f} s but the mission allows "
-            f"{scenario.mission_duration:.2f} s (scale {worst:.2f} < {min_scale})",
+            f"{scenario.mission_duration:.2f} s (scale {worst:.2f} < {MIN_SEED_SCALE})",
             trace=unscaled)
 
     accs = []

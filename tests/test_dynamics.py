@@ -377,6 +377,44 @@ def test_csv_reader_rejects_like_row_loop(text, error):
         Trace.from_csv(io.StringIO(text))
 
 
+def _mission_trace_rows():
+    """A written 261-sample, two-drone trace (13 s at 0.05 s) as header and rows."""
+    trace = rollout(np.zeros((2, 3)), np.ones((2, 3)), np.zeros((2, 260, 3)), 0.05)
+    return trace.to_csv_string().splitlines(keepends=True)
+
+
+def _set_cells(rows, column, value, where):
+    """Rows with cell ``column`` set to ``value`` in the rows ``where`` selects."""
+    out = []
+    for i, row in enumerate(rows):
+        cells = row.split(",")
+        if where(i, cells):
+            cells[column] = value
+        out.append(",".join(cells))
+    return out
+
+
+_LAST = 2 * 261 - 1  # index of the last row: drone 1 at 13 s
+_drone_1 = lambda i, cells: cells[1] == "1"  # noqa: E731
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda rows: rows + [rows[2]], "repeats"),
+    (lambda rows: rows + _set_cells(rows[2:3], 2, "7", lambda i, cells: True), "repeats"),
+    (lambda rows: _set_cells(rows, 0, "13.5", lambda i, cells: i >= _LAST - 1), "off the"),
+    (lambda rows: _set_cells(rows, 0, "12.96", lambda i, cells: i == _LAST), "off the"),
+    (lambda rows: rows[2:], "off the"),  # the grid no longer starts at 0
+    (lambda rows: _set_cells(rows, 1, "2", _drone_1), "drone ids"),
+    (lambda rows: _set_cells(rows, 1, "-1", _drone_1), "drone ids"),
+], ids=["repeated-row", "repeated-key", "last-sample-moved", "one-row-moved",
+        "first-sample-missing", "drone-id-gap", "negative-drone-id"])
+def test_csv_reader_rejects_repeated_and_off_grid_rows(edit, message):
+    header, *rows = _mission_trace_rows()
+    assert Trace.from_csv(io.StringIO(header + "".join(rows))).n_samples == 261
+    with pytest.raises(LengthMismatch, match=message):
+        Trace.from_csv(io.StringIO(header + "".join(edit(rows))))
+
+
 def test_csv_reader_rejects_ragged_rows():
     text = ",".join(_CSV_COLUMNS) + "\r\n0,0,1,2,3,4,5,6,,\r\n"
     with pytest.raises(LengthMismatch):

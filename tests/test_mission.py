@@ -2,16 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stlfleet import stl
-from stlfleet.dynamics import DroneLimits, rollout
+from stlfleet.dynamics import DroneLimits, Trace, rollout
 from stlfleet.errors import (InfeasibleWindow, NoCapableDrone, ParseError,
                              ValidationError)
 from stlfleet.mission import (BladeSide, Box, Scenario, Target, assign_headings,
                               band_robustness, compile_mission, dist_to_blade,
                               safety_class_robustness, scenario_from_json,
                               scenario_to_json)
-from stlfleet.robustness import eval_exact
+from stlfleet.robustness import _Segments, eval_exact
 
 from conftest import scalar_trace
 
@@ -157,6 +159,72 @@ def test_safety_class_robustness_monitor(rng):
     assert values["workspace"] == pytest.approx(1.0)  # z margin binds
 
 
+def _safety_classes_by_formulas(scenario, trace):
+    """Reference: each safety class as its own always-formula over the
+    conjunction of the class's atoms, one separation atom per drone pair."""
+    duration = min(scenario.mission_duration, trace.duration)
+    out = {}
+    specs = {"workspace": [], "obstacle": [], "separation": []}
+    for d in range(scenario.n_drones):
+        specs["workspace"].append(stl.atom(stl.Predicate.box_inside(
+            f"mon_ws[{d}]", d, scenario.workspace.lower, scenario.workspace.upper)))
+        for q, box in enumerate(scenario.obstacles):
+            specs["obstacle"].append(stl.atom(stl.Predicate.box_outside(
+                f"mon_obs[{d},{q}]", d, box.lower, box.upper)))
+        for m in range(d + 1, scenario.n_drones):
+            specs["separation"].append(stl.atom(stl.Predicate.min_separation(
+                f"mon_dis[{d},{m}]", d, m, scenario.min_separation)))
+    for name, atoms in specs.items():
+        if not atoms:
+            continue
+        body = atoms[0] if len(atoms) == 1 else stl.land(*atoms)
+        out[name] = eval_exact(stl.always(stl.Interval(0.0, duration), body), trace)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(drones=st.integers(1, 4), obstacles=st.integers(0, 3),
+       samples=st.integers(1, 80), nans=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+def test_safety_classes_match_class_formulas(drones, obstacles, samples, nans, seed):
+    # a 2 s mission has 41 samples, so traces run shorter and longer than it;
+    # obstacles sit at y >= 0, clear of every depot at y = -3
+    rng = np.random.default_rng(seed)
+    corners = rng.uniform([-6.0, 0.0, 0.0], [4.0, 5.0, 5.0], size=(obstacles, 3))
+    boxes = [(lo, lo + rng.uniform(0.3, 3.0, 3)) for lo in corners]
+    scenario = make_scenario(n_drones=drones, obstacles=boxes, mission=2.0,
+                             min_separation=rng.uniform(0.2, 3.0))
+    pos = rng.normal(scale=4.0, size=(drones, samples, 3)) + [0.0, 0.0, 3.0]
+    # a NaN coordinate makes every margin that reads it NaN
+    pos.reshape(-1)[rng.choice(pos.size, size=min(nans, pos.size), replace=False)] = np.nan
+    trace = Trace(scenario.ts, pos, np.zeros_like(pos), np.zeros((drones, samples - 1, 3)))
+    got = safety_class_robustness(scenario, trace)
+    want = _safety_classes_by_formulas(scenario, trace)
+    assert list(got) == list(want)
+    for name, value in want.items():
+        assert got[name] == value or (math.isnan(got[name]) and math.isnan(value)), name
+
+
+def test_segment_offsets_match_dist_to_blade_and_band_atoms(rng):
+    for _ in range(50):
+        k, length = rng.integers(1, 5), rng.integers(1, 60)
+        starts = rng.uniform(-5.0, 5.0, size=(k, 3))
+        spans = rng.uniform(-4.0, 4.0, size=(k, 3))
+        points = rng.uniform(-8.0, 8.0, size=(k, length, 3))
+        dist = np.linalg.norm(stl.segment_offsets(points, starts, spans), axis=2)
+        for i in range(k):
+            oracle = [dist_to_blade(p, starts[i], starts[i] + spans[i]) for p in points[i]]
+            np.testing.assert_allclose(dist[i], oracle, rtol=1e-12, atol=0)
+        # the band atoms read the same projection, bit for bit
+        preds = [stl.Predicate.segment_band(f"band{i}", i, starts[i], starts[i] + spans[i],
+                                            standoff=2.0, tolerance=0.5) for i in range(k)]
+        trace = Trace(0.05, points, np.zeros_like(points), np.zeros((k, length - 1, 3)))
+        group = _Segments(preds)
+        _, (_, atom_dist) = group.forward(trace)
+        want = np.linalg.norm(stl.segment_offsets(trace.pos[group.drones], group.starts,
+                                                  group.spans), axis=2)
+        assert np.array_equal(atom_dist.view(np.int64), want.view(np.int64))
+
+
 def test_assign_headings_rules():
     scenario = make_scenario()
     # transit along +x: yaw 0
@@ -234,7 +302,7 @@ def test_assign_headings_matches_sample_loop(rng):
         scenario.targets[q] = Target(scenario.targets[q].box, yaw=yaw)
     # a slanted blade, so that clamping the projection to the segment shows
     scenario.blades[0] = BladeSide((2.0, 3.5, 1.0), (0.5, 3.5, 3.0), scenario.blades[0].box)
-    plan = _Plan([[("target", 1), ("target", 0), ("blade", 0)], [("target", 2)]])
+    plan = _Plan([[("target", 1), ("target", 0), ("blade", (0,))], [("target", 2)]])
     everything = ([[0, 1, 2]] * 2, [[0]] * 2)
     for _ in range(20):
         acc = rng.normal(scale=3.0, size=(2, 120, 3))

@@ -91,8 +91,27 @@ def _set(path, value):
      "fleet.capability[0].targets", None),
     (_set(("timing", "sample"), 0.05), "trace file",
      "t,drone,px,py,pz,vx,vy,vz,ax,ay,az\r\n0,0,1,2,x,4,5,6,,,\r\n"),
+    (_set(("timing", "mission"), "abc"), "timing.mission", None),
+    (_set(("workspace", "lower", 0), "abc"), "workspace.lower[0]", None),
+    (_set(("targets", 0, "yaw"), "abc"), "targets[0].yaw", None),
+    (_set(("fleet", "depots", 0, 0), "abc"), "fleet.depots[0][0]", None),
+    (_set(("weights", "workspace"), "abc"), "weights.workspace", None),
+    (_set(("thresholds", "sharpness"), math.nan), "thresholds.sharpness", None),
+    (_set(("thresholds", "sharpness"), -1.0), "thresholds.sharpness", None),
+    (_set(("thresholds", "margin"), math.nan), "thresholds.margin", None),
+    (_set(("thresholds", "min_separation"), -1.0), "thresholds.min_separation", None),
+    (_set(("thresholds", "trigger_radius"), 0.0), "thresholds.trigger_radius", None),
+    (_set(("timing", "sample"), 0.05), "trace CSV",
+     "t,drone,px,py,pz,vx,vy,vz,ax,ay,az\r\n0,0,1,2,3,4,5,6,0,0,0\r\n"
+     "0,0,1,2,3,4,5,6,0,0,0\r\n0.05,0,1,2,3,4,5,6,,,\r\n"),
+    (_set(("timing", "sample"), 0.05), "trace CSV",
+     "t,drone,px,py,pz,vx,vy,vz,ax,ay,az\r\n0,0,1,2,3,4,5,6,0,0,0\r\n"
+     "0.05,0,1,2,3,4,5,6,0,0,0\r\n0.12,0,1,2,3,4,5,6,,,\r\n"),
 ], ids=["zero-sample", "negative-sample", "nan-duration", "negative-v-max",
-        "text-blade-id", "unknown-capability-target", "text-trace-cell"])
+        "text-blade-id", "unknown-capability-target", "text-trace-cell",
+        "text-duration", "text-workspace-bound", "text-yaw", "text-depot", "text-weight",
+        "nan-sharpness", "negative-sharpness", "nan-margin", "negative-separation",
+        "zero-trigger-radius", "repeated-trace-row", "off-grid-trace-time"])
 def test_cli_bad_input_exits_2_naming_the_field(tmp_path, capsys, edit, field, trace):
     data = json.loads(scenario_to_json(make_scenario(blade=True)))
     edit(data)
@@ -107,6 +126,17 @@ def test_cli_bad_input_exits_2_naming_the_field(tmp_path, capsys, edit, field, t
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and field in err, err
+
+
+def test_cli_plan_rejects_nan_sharpness_before_planning(tmp_path, capsys):
+    data = json.loads(scenario_to_json(make_scenario()))
+    data["thresholds"]["sharpness"] = math.nan
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(data))
+    assert main(["plan", "--scenario", str(scenario_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: thresholds.sharpness"), err
+    assert not (tmp_path / "out").exists()
 
 
 def test_uncoverable_error_is_stage_tagged(tmp_path):
