@@ -44,12 +44,15 @@ class DroneLimits:
         object.__setattr__(self, "a_max_relaxed",
                            _bound3(self.a_max_relaxed) if self.a_max_relaxed is not None
                            else self.a_max)
-        for nominal, relaxed, what in ((self.v_max, self.v_max_relaxed, "velocity"),
-                                       (self.a_max, self.a_max_relaxed, "acceleration")):
-            if np.any(np.asarray(nominal) <= 0):
-                raise ValueError(f"{what} bound must be positive: {nominal}")
-            if np.any(np.asarray(relaxed) < np.asarray(nominal)):
-                raise ValueError(f"relaxed {what} bound below nominal: {relaxed} < {nominal}")
+        for nominal, relaxed in (("v_max", "v_max_relaxed"), ("a_max", "a_max_relaxed")):
+            low, high = np.asarray(getattr(self, nominal)), np.asarray(getattr(self, relaxed))
+            for name, bound in ((nominal, low), (relaxed, high)):
+                if not np.all(np.isfinite(bound) & (bound > 0)):  # NaN fails too
+                    raise ValueError(f"{name} must be positive and finite, got "
+                                     f"{getattr(self, name)}")
+            if np.any(high < low):
+                raise ValueError(f"{relaxed} below {nominal}: {getattr(self, relaxed)} < "
+                                 f"{getattr(self, nominal)}")
 
     def bounds(self, relaxed: bool = False) -> tuple[np.ndarray, np.ndarray]:
         if relaxed:

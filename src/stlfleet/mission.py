@@ -462,10 +462,16 @@ _SCHEMA = {
 
 def _check_keys(mapping, schema_key, path):
     allowed = _SCHEMA[schema_key]
-    for key in mapping:
+    for key in _mapping(mapping, path):
         if key not in allowed:
             raise ParseError(f"unknown key {key!r} at {path or '<root>'} "
                              f"(allowed: {sorted(allowed)})")
+
+
+def _mapping(value, path) -> dict:
+    if not isinstance(value, dict):
+        raise ValidationError(f"{path} must be an object, got {value!r}")
+    return value
 
 
 def _number(value, path) -> float:
@@ -480,6 +486,27 @@ def _point(value, path) -> tuple:
     return tuple(_number(x, f"{path}[{i}]") for i, x in enumerate(value))
 
 
+def _entries(value, path) -> list:
+    """(JSON path, item) of each item of a list-valued field."""
+    if not isinstance(value, list):
+        raise ValidationError(f"{path} must be a list, got {value!r}")
+    return [(f"{path}[{i}]", item) for i, item in enumerate(value)]
+
+
+def _indices(raw, key, path):
+    """A capability list: None for "all", else the set of its indices."""
+    value = raw.get(key, "all")
+    if value == "all":
+        return None
+    return {_index(q, where) for where, q in _entries(value, f"{path}.{key}")}
+
+
+def _index(value, path) -> int:
+    if type(value) is not int:
+        raise ValidationError(f"{path} must be an integer, got {value!r}")
+    return value
+
+
 def _box(raw, schema_key, path) -> Box:
     _check_keys(raw, schema_key, path)
     return Box(_point(raw["lower"], f"{path}.lower"), _point(raw["upper"], f"{path}.upper"))
@@ -491,51 +518,44 @@ def scenario_from_dict(data: dict) -> Scenario:
     _check_keys(data, "", "")
     try:
         workspace = _box(data["workspace"], "workspace", "workspace")
-        obstacles = [_box(raw, "obstacles[]", f"obstacles[{i}]")
-                     for i, raw in enumerate(data.get("obstacles", []))]
-        targets = [Target(_box(raw, "targets[]", f"targets[{i}]"),
-                          yaw=_number(raw.get("yaw", 0.0), f"targets[{i}].yaw"))
-                   for i, raw in enumerate(data.get("targets", []))]
+        obstacles = [_box(raw, "obstacles[]", path)
+                     for path, raw in _entries(data.get("obstacles", []), "obstacles")]
+        targets = [Target(_box(raw, "targets[]", path),
+                          yaw=_number(raw.get("yaw", 0.0), f"{path}.yaw"))
+                   for path, raw in _entries(data.get("targets", []), "targets")]
         blades = []
-        for i, raw in enumerate(data.get("blades", [])):
-            _check_keys(raw, "blades[]", f"blades[{i}]")
-            blade_id = raw.get("blade_id", 0)
-            if type(blade_id) is not int:
-                raise ValidationError(f"blades[{i}].blade_id must be an integer, "
-                                      f"got {blade_id!r}")
-            blades.append(BladeSide(_point(raw["leading_edge"], f"blades[{i}].leading_edge"),
-                                    _point(raw["rotor_shaft"], f"blades[{i}].rotor_shaft"),
-                                    _box(raw["box"], "blades[].box", f"blades[{i}].box"),
-                                    blade_id=blade_id))
+        for path, raw in _entries(data.get("blades", []), "blades"):
+            _check_keys(raw, "blades[]", path)
+            blades.append(BladeSide(_point(raw["leading_edge"], f"{path}.leading_edge"),
+                                    _point(raw["rotor_shaft"], f"{path}.rotor_shaft"),
+                                    _box(raw["box"], "blades[].box", f"{path}.box"),
+                                    blade_id=_index(raw.get("blade_id", 0), f"{path}.blade_id")))
         fleet = data["fleet"]
         _check_keys(fleet, "fleet", "fleet")
         limits = []
-        for i, raw in enumerate(fleet["limits"]):
-            _check_keys(raw, "fleet.limits[]", f"fleet.limits[{i}]")
+        for path, raw in _entries(fleet["limits"], "fleet.limits"):
+            _check_keys(raw, "fleet.limits[]", path)
             try:
                 limits.append(DroneLimits(raw["v_max"], raw["a_max"], raw.get("v_max_relaxed"),
                                           raw.get("a_max_relaxed")))
             except (TypeError, ValueError) as exc:
-                raise ValidationError(f"fleet.limits[{i}]: {exc}") from exc
-        home_boxes = [_box(raw, "fleet.home_boxes[]", f"fleet.home_boxes[{i}]")
-                      for i, raw in enumerate(fleet["home_boxes"])]
+                raise ValidationError(f"{path}: {exc}") from exc
+        home_boxes = [_box(raw, "fleet.home_boxes[]", path)
+                      for path, raw in _entries(fleet["home_boxes"], "fleet.home_boxes")]
         capability = None
         if "capability" in fleet:
             capability = []
-            for i, raw in enumerate(fleet["capability"]):
-                _check_keys(raw, "fleet.capability[]", f"fleet.capability[{i}]")
-                capability.append({
-                    "targets": None if raw.get("targets", "all") == "all"
-                    else set(raw["targets"]),
-                    "blades": None if raw.get("blades", "all") == "all"
-                    else set(raw["blades"])})
+            for path, raw in _entries(fleet["capability"], "fleet.capability"):
+                _check_keys(raw, "fleet.capability[]", path)
+                capability.append({"targets": _indices(raw, "targets", path),
+                                   "blades": _indices(raw, "blades", path)})
         timing = data["timing"]
         _check_keys(timing, "timing", "timing")
         thresholds = data["thresholds"]
         _check_keys(thresholds, "thresholds", "thresholds")
         return Scenario(
             workspace=workspace, obstacles=obstacles, targets=targets, blades=blades,
-            depots=[_point(p, f"fleet.depots[{i}]") for i, p in enumerate(fleet["depots"])],
+            depots=[_point(p, path) for path, p in _entries(fleet["depots"], "fleet.depots")],
             limits=limits, home_boxes=home_boxes,
             mission_duration=_number(timing["mission"], "timing.mission"),
             inspect_duration=_number(timing["inspect"], "timing.inspect"),
@@ -546,7 +566,8 @@ def scenario_from_dict(data: dict) -> Scenario:
             **{key: _number(thresholds.get(key, default), f"thresholds.{key}")
                for key, default in (("margin", 0.2), ("sharpness", 10.0),
                                     ("trigger_radius", 1.0))},
-            weights={k: _number(v, f"weights.{k}") for k, v in data.get("weights", {}).items()},
+            weights={k: _number(v, f"weights.{k}")
+                     for k, v in _mapping(data.get("weights", {}), "weights").items()},
             capability=capability)
     except KeyError as exc:
         raise ParseError(f"missing required key {exc}") from exc

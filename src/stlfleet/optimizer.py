@@ -295,6 +295,7 @@ def optimize(formula, seed_trace: Trace, scenario, config: OptimizerConfig = Non
         status = SATISFIED_WITH_MARGIN if smooth_best >= margin else SATISFIED_NO_MARGIN
     else:
         status = ITERATION_CAP if capped else VIOLATED
+    objective.program._kept = None  # no gradient follows the last trial
     report = make_report(monitor, final_trace, sharpness, weights=weights)
     return PlanResult(trace=final_trace, report=report, status=status,
                       iterations=iterations, objective_history=history,

@@ -23,23 +23,28 @@ one depth above the atoms. A window or Boolean batch of K nodes with n
 outputs over m operands each is one pass. Where n >= m it is
 offset-major: slab j holds operand j of the K nodes at the n samples
 (for windows the strided view operand[:, lo + j : lo + j + n]), and the
-pass walks the slabs a block at a time with elementwise operations, so
-no window matrix is built. Where n < m (windows over the whole trace) it
-reduces (K, n, m) rows. The same program serves the exact, smooth,
-weighted and weighted-smooth semantics, the reverse sweep that yields
-gradients, and the per-node report.
+pass runs elementwise over all m slabs at once. Where n < m (windows over
+the whole trace) it reduces (K, n, m) rows. The same program serves the
+exact, smooth, weighted and weighted-smooth semantics, the reverse sweep
+that yields gradients, and the per-node report.
 
 Between calls a program keeps its last smooth (or weighted-smooth)
 forward pass and nothing else: every instruction's values and the tape
-the reverse sweep reads (a row batch keeps its whole reduction). The
-pass is keyed by its semantics and by the shapes and bytes of the
-trace's positions and velocities, and is lent out only while the kept
-trace, from which box atoms find the face of each gradient again, still
-holds those bits. A gradient of the same key runs only the reverse sweep,
-which frees each tape entry once read, and drops the pass, so a line
-search's accepted trial is not evaluated twice. Atom rows depend on nothing but the predicates and the trace, so
-the exact monitor of a formula that the objective conjoins takes them
-from the objective's kept pass over the same bits and evaluates no atom.
+the reverse sweep reads. A row batch tapes its whole reduction; a slab
+batch tapes its (m, K, n) exponential weights, which the reverse sweep
+turns into adjoint contributions in place and scatters to the operand
+samples in one reduction over a shifted view of the same memory. So each
+exponential is taken once per accepted step. The pass is keyed by its
+semantics and by the shapes and bytes of the trace's positions and
+velocities, and is lent out only while the kept trace, from which box
+atoms find the face of each gradient again, still holds those bits. A
+gradient of the same key runs only the reverse sweep, which frees each
+tape entry once read, and drops the pass, so a line search's accepted
+trial is not evaluated twice. A report drops its pass, as no gradient
+follows it. Atom rows depend on nothing but the predicates and the
+trace, so the exact monitor of a formula that the objective conjoins
+takes them from the objective's kept pass over the same bits and
+evaluates no atom.
 
 Every result is bit for bit that of a node-by-node recursive
 evaluation: elementwise steps round as before, sums over a reduction's
@@ -88,11 +93,12 @@ def _smooth_one(values, sharpness, kernel, name):
 
 # Smooth reductions come in two layouts. Row kernels reduce the last axis
 # of (..., m) rows and return the exponential weights and their sum, from
-# which the partials are built. Slab kernels reduce m (K, n) operand slabs,
-# read a block at a time through a ``_Slabs`` given the hard extreme
-# ``edge``; they keep only the sum of the weights, and their partials
-# rebuild a block's weights. ``add`` sums in the row layout's order, so
-# both layouts give the same bits. Callers turn numpy's invalid-operation
+# which the partials are built. Slab kernels reduce an (m, K, n) array of
+# m operand slabs, given the hard extreme ``edge``: they write the weights
+# into ``terms``, an (m, K, n) array the caller provides, and the reverse
+# sweep turns that tape into the partials in place, so each exponential is
+# taken once. ``add`` sums slabs in the row layout's order, so both
+# layouts give the same bits. Callers turn numpy's invalid-operation
 # warnings off: the NaNs of inf - inf or 0 * inf are rebuilt afterwards,
 # so finite input pays for one NaN check. An infinite result or operand
 # passes no gradient.
@@ -145,135 +151,55 @@ def _softmax_partials(values, lam, w, total, result):
     return partials
 
 
-# operand values a slab kernel handles per numpy call (at least one slab)
-_BLOCK_VALUES = 1 << 14
+def _exp_terms(values, lam, edge, terms):
+    np.subtract(values, edge, out=terms)
+    terms *= lam
+    return np.exp(terms, out=terms)
 
 
-def _spans(lo, hi, size):
-    return [(j, min(j + size, hi)) for j in range(lo, hi, size)]
-
-
-class _Slabs:
-    """Slabs j0..j1 of an (m, K, n) operand array under one pass's weighting."""
-
-    def __init__(self, operands, weights, tilt, weighting):
-        self.operands, self.weights, self.tilt = operands, weights, tilt
-        self.weighting = weighting
-        self.m, k, n = operands.shape
-        self.block = max(1, _BLOCK_VALUES // (k * n))
-
-    def __call__(self, j0, j1, out):
-        """The weighted slabs: a view when unweighted, else written into ``out``."""
-        x = self.operands[j0:j1]
-        if self.weighting is None:
-            return x
-        if self.weighting == _SCALE:
-            return np.multiply(x, self.weights[j0:j1], out=out)
-        return np.multiply(self.factor(j0, j1), x, out=out)
-
-    def factor(self, j0, j1):
-        return _share_factor(self.operands[j0:j1], self.tilt[j0:j1])
-
-    def edge(self, red):
-        """The hard min/max over all slabs."""
-        if self.weighting is None:
-            return red.hard.reduce(self.operands, axis=0)
-        edge = None
-        scratch = np.empty((min(self.block, self.m),) + self.operands.shape[1:])
-        for j0, j1 in _spans(0, self.m, self.block):
-            part = red.hard.reduce(self(j0, j1, scratch[:j1 - j0]), axis=0)
-            edge = part if edge is None else red.hard(edge, part, out=edge)
-        return edge
-
-
-def _exp_term(slabs, lam, edge, total=None):
-    """Terms j0..j1 = exp(lam * (slab j - edge)), divided by ``total`` when
-    given, written into ``out``."""
-    def term(j0, j1, out):
-        np.subtract(slabs(j0, j1, out), edge, out=out)
-        out *= lam
-        np.exp(out, out=out)
-        if total is not None:
-            out /= total
-        return out
-    return term
-
-
-def _slab_softmin(slabs, lam, edge, add):
-    total = add(_exp_term(slabs, -lam, edge), slabs, edge.shape)
+def _slab_softmin(values, lam, edge, terms, add):
+    total = add(_exp_terms(values, -lam, edge, terms))
     result = edge - np.log(total) / lam
     if np.isnan(result.sum()):  # an infinite min
         result = np.where(np.isinf(edge), edge, result)
     return result, total
 
 
-def _slab_softmax(slabs, lam, edge, add):
-    weight = _exp_term(slabs, lam, edge)
-
-    def pair(dead):  # term j: the weight and the weighted operand, stacked
-        def term(j0, j1, out):
-            weight(j0, j1, out[:, 0])
-            values = slabs(j0, j1, out[:, 1])
-            dead_at = np.isneginf(values) if dead else None
-            np.multiply(values, out[:, 0], out=out[:, 1])
-            if dead:  # a -inf operand has weight exactly zero
-                out[:, 1][dead_at] = 0.0
-            return out
-        return term
-
-    total, terms = add(pair(False), slabs, (2,) + edge.shape)
-    result = terms / total
+def _slab_softmax(values, lam, edge, terms, add):
+    total = add(_exp_terms(values, lam, edge, terms))
+    weighted = values * terms
+    result = add(weighted) / total
     if np.isnan(result.sum()):  # a -inf operand or an infinite max
-        total, terms = add(pair(True), slabs, (2,) + edge.shape)
-        result = np.where(np.isinf(edge), edge, terms / total)
+        weighted[np.isneginf(values)] = 0.0  # a -inf operand has weight exactly zero
+        result = np.where(np.isinf(edge), edge, add(weighted) / total)
     return result, total
 
 
-def _slab_softmin_partials(slabs, lam, edge, total, result, add):
-    share = _exp_term(slabs, -lam, edge, total)  # a +inf operand of a finite min has w = 0
-    if not np.isnan(total.sum()):
-        return share
-    infinite = np.isinf(result)  # an infinite min
-
-    def partial(j0, j1, out):
-        share(j0, j1, out)[:, infinite] = 0.0
-        return out
-    return partial
+def _slab_softmin_partials(values, lam, terms, total, result, add):
+    terms /= total  # a +inf operand of a finite min has w = 0
+    if np.isnan(total.sum()):  # an infinite min
+        terms[:, np.isinf(result)] = 0.0
+    return terms
 
 
-def _slab_softmax_partials(slabs, lam, edge, total, result, add):
+def _slab_softmax_partials(values, lam, terms, total, result, add):
     """d softmax_avg / d value_i = q_i * (1 + lam * (value_i - result))."""
-    share = _exp_term(slabs, lam, edge, total)
-
-    def weighted(dead):
-        def term(j0, j1, out):
-            share(j0, j1, out)
-            values = slabs(j0, j1, np.empty_like(out))
-            out *= values
-            if dead:
-                out[np.isneginf(values)] = 0.0
-            return out
-        return term
-
-    mean = add(weighted(False), slabs, edge.shape)
+    terms /= total
+    step = values * terms
+    mean = add(step)
     dead = np.isnan(mean.sum())  # a -inf operand or an infinite max
     if dead:
-        mean = add(weighted(True), slabs, edge.shape)
-        infinite = np.isinf(result)
-
-    def partial(j0, j1, out):
-        values = slabs(j0, j1, np.empty_like(out))
-        dead_at = np.isneginf(values) if dead else None
-        step = np.subtract(values, mean)
-        step *= lam
-        step += 1.0
-        share(j0, j1, out)
-        out *= step
-        if dead:
-            out[dead_at] = 0.0
-            out[:, infinite] = 0.0
-        return out
-    return partial
+        dead_at = np.isneginf(values)
+        step[dead_at] = 0.0
+        mean = add(step)
+    np.subtract(values, mean, out=step)
+    step *= lam
+    step += 1.0
+    terms *= step
+    if dead:
+        terms[dead_at] = 0.0
+        terms[:, np.isinf(result)] = 0.0
+    return terms
 
 
 class _Reduction(NamedTuple):
@@ -291,62 +217,52 @@ _MAX = _Reduction(False, np.maximum, _softmax_avg, _softmax_partials,
                   _slab_softmax, _slab_softmax_partials)
 
 
-# Sums of the m terms of a slab reduction, streamed a block at a time by
-# ``term(j0, j1, out)``. numpy starts a sum from +0.0, which only turns a
-# -0.0 total into +0.0. It sums one contiguous row pairwise: rows of
-# fewer than 8 values in sequence, up to 128 values in 8 interleaved
-# lanes, longer rows split in two near the middle at a multiple of 8. It
-# sums the columns of an (n, m) matrix stored by columns one after
-# another.
+# Sums over the first axis of an (m, K, n) array of slab terms. numpy
+# starts a sum from +0.0, which only turns a -0.0 total into +0.0. It sums
+# one contiguous row pairwise: rows of fewer than 8 values in sequence, up
+# to 128 values in 8 interleaved lanes, longer rows split in two near the
+# middle at a multiple of 8. It sums the columns of an (n, m) matrix
+# stored by columns one after another, as it sums over an array's first
+# axis.
 _PAIRWISE_LANES = 8
 _PAIRWISE_BLOCK = 128
 
 
-def _pairwise_sum(term, slabs, shape):
+def _pairwise_sum(terms):
     """Bit for bit numpy's sum of one contiguous row of the terms."""
-    return _pairwise(term, 0, slabs.m, shape, min(slabs.block, _PAIRWISE_LANES)) + 0.0
+    return _pairwise(terms, 0, len(terms)) + 0.0
 
 
-def _pairwise(term, lo, hi, shape, block):
+def _pairwise(terms, lo, hi):
     m = hi - lo
     if m > _PAIRWISE_BLOCK:
         half = m // 2
         half -= half % _PAIRWISE_LANES
-        total = _pairwise(term, lo, lo + half, shape, block)
-        total += _pairwise(term, lo + half, hi, shape, block)
+        total = _pairwise(terms, lo, lo + half)
+        total += _pairwise(terms, lo + half, hi)
         return total
-    lanes = np.empty((min(m, _PAIRWISE_LANES),) + shape)
-    for j0, j1 in _spans(lo, lo + len(lanes), block):
-        term(j0, j1, lanes[j0 - lo:j1 - lo])
-    total = lanes[0]
+    stop = hi - m % _PAIRWISE_LANES
     if m < _PAIRWISE_LANES:
-        for row in lanes[1:]:
-            total += row
-        return total
-    scratch = np.empty((block,) + shape)
-    stop = lo + m - m % _PAIRWISE_LANES
-    for i in range(lo + _PAIRWISE_LANES, stop, _PAIRWISE_LANES):
-        for j0, j1 in _spans(i, i + _PAIRWISE_LANES, block):
-            lanes[j0 - i:j1 - i] += term(j0, j1, scratch[:j1 - j0])
-    # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), summed into r0
-    lanes[::2] += lanes[1::2]
-    lanes[::4] += lanes[2::4]
-    total += lanes[4]
-    for j0, j1 in _spans(stop, hi, block):
-        for row in term(j0, j1, scratch[:j1 - j0]):
-            total += row
+        total, stop = terms[lo].copy(), lo + 1
+    else:
+        # lane r sums terms r, r + 8, ... in sequence; a lane's zero sign
+        # shows only in a zero total, which the final +0.0 clears
+        lanes = np.add.reduce(terms[lo:stop].reshape((-1, _PAIRWISE_LANES) + terms.shape[1:]),
+                              axis=0)
+        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), summed into r0
+        lanes[::2] += lanes[1::2]
+        lanes[::4] += lanes[2::4]
+        total = lanes[0]
+        total += lanes[4]
+    for row in terms[stop:hi]:
+        total += row
     return total
 
 
-def _sequential_sum(term, slabs, shape):
+def _sequential_sum(terms):
     """Bit for bit numpy's sum over the columns of an (n, m) matrix stored
     by columns."""
-    total = np.zeros(shape)
-    scratch = np.empty((min(slabs.block, slabs.m),) + shape)
-    for j0, j1 in _spans(0, slabs.m, slabs.block):
-        for row in term(j0, j1, scratch[:j1 - j0]):
-            total += row
-    return total
+    return np.add.reduce(terms, axis=0, initial=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -380,15 +296,22 @@ class _Boxes:
     def forward(self, trace, keep=False):
         state = trace.vel if self.kind == stl.VELOCITY_BOX else trace.pos
         source = state[self.drones].transpose(0, 2, 1)
-        # face rows per atom: p_x - lo_x, hi_x - p_x, p_y - lo_y, ...
-        margins = np.empty((len(self.drones), 6, source.shape[2]))
-        np.subtract(source, self.lo, out=margins[:, 0::2])
-        np.subtract(self.hi, source, out=margins[:, 1::2])
-        if self.kind == stl.BOX_OUTSIDE:
-            np.negative(margins, out=margins)
-            value = margins.max(axis=1)
-        else:
-            value = margins.min(axis=1)
+        # faces p_x - lo_x, hi_x - p_x, p_y - lo_y, ... folded in that order,
+        # as a min (max of negated faces) over (K, 6, L) margins would
+        outside = self.kind == stl.BOX_OUTSIDE
+        fold = np.maximum if outside else np.minimum
+        value, face = np.empty((2, len(self.drones), source.shape[2]))
+        for f in range(6):
+            out = face if f else value
+            axis = f // 2
+            if f % 2:
+                np.subtract(self.hi[:, axis], source[:, axis], out=out)
+            else:
+                np.subtract(source[:, axis], self.lo[:, axis], out=out)
+            if outside:
+                np.negative(out, out=out)
+            if f:
+                fold(value, face, out=value)
         return self.scale * value, (trace if keep else None)
 
     def entries(self, trace, adjoint, n_drones):
@@ -520,6 +443,7 @@ class Program:
         self.batches = self._batch()
         self._kept = None           # (key, trace, values, tape) of the last smooth pass
         self._lender = None         # (program, [(op index, its op index)]) of atoms
+        self._taping = True         # False while no gradient can follow a pass
 
     # -- compilation
 
@@ -617,7 +541,8 @@ class Program:
 
     @np.errstate(invalid="ignore")  # see the smooth reductions
     def _forward(self, trace, lam, weighting):
-        """Every instruction's values; a smooth pass is kept with its tape."""
+        """Every instruction's values; a smooth pass is kept with its tape,
+        unless no gradient can follow it."""
         self._kept = None
         length = trace.n_samples
         root = self.ops[-1]
@@ -626,7 +551,7 @@ class Program:
                 f"trace of {length} samples cannot evaluate node "
                 f"{self.formula.node_id!r}, which needs {root.steps + 1}")
         values = [None] * len(self.ops)
-        tape = None if lam is None else {}
+        tape = {} if lam is not None and self._taping else None
         lender = self._lender
         lent = lender[0]._kept_over(trace) if lender and tape is None else None
         if lent:
@@ -769,12 +694,13 @@ class _Batch:
         elif self.arity == 1:  # a single operand passes through unweighted
             result, taped = operands[0].copy(), None
         else:
-            slabs = _Slabs(operands, weights, tilt, weighting)
-            result = edge = slabs.edge(self.red)
-            total = None
+            weighted = _weighted(operands, weights, tilt, weighting, factor=False)[0]
+            result = edge = self.red.hard.reduce(weighted, axis=0)
+            taped = None
             if lam is not None:
-                result, total = self.red.slab_soft(slabs, lam, edge, self.add)
-            taped = (operands, weights, tilt, edge, total, result)
+                terms = np.empty(weighted.shape)
+                result, total = self.red.slab_soft(weighted, lam, edge, terms, self.add)
+                taped = (operands, weights, tilt, terms, total, result)
         for index, row in zip(self.indices, result):
             values[index] = row
         if tape is not None:
@@ -790,15 +716,16 @@ class _Batch:
         if n < self.arity:
             rows = _partials(self.red, lam, tape.pop(self), None)
             rows *= adjoint[..., None]
-            blocks = [(rows.transpose(2, 0, 1), 0, self.arity)]
+            part = rows.transpose(2, 0, 1)
+        elif self.arity == 1:
+            part = adjoint[None]  # adjoint * 1.0
         else:
-            blocks = self._slab_contributions(tape.pop(self), adjoint, lam, weighting)
+            part = self._slab_contributions(tape.pop(self), adjoint, lam, weighting)
         if not self.window:
             # one zeroed buffer; an operand's adjoint views its first len(operand)
             width = max(len(values[arg]) for args in self.args for arg in args)
             full = np.zeros((self.arity, len(self.indices), width))
-            for part, j0, j1 in blocks:
-                full[j0:j1, :, :n] = part
+            full[:, :, :n] = part
             for node, args in enumerate(self.args):
                 for r, arg in enumerate(args):
                     adjoints[arg] = full[r, node, :len(values[arg])]
@@ -811,28 +738,37 @@ class _Batch:
             for t in range(n):
                 full[:, lo + t:lo + t + self.arity] += rows[:, t]
         else:
-            for part, j0, j1 in blocks:
-                for j in range(j1 - 1, j0 - 1, -1):
-                    full[:, lo + j:lo + j + n] += part[j - j0]
+            _scatter_slabs(part, full[:, lo:])
         for (arg,), row in zip(self.args, full):
             adjoints[arg] = row
 
     def _slab_contributions(self, taped, adjoint, lam, weighting):
-        """Yield (adjoint * partials of slabs j0..j1, j0, j1), from the last
-        slab down."""
-        if self.arity == 1:
-            yield adjoint[None], 0, 1  # adjoint * 1.0
-            return
-        operands, weights, tilt, edge, total, result = taped
-        slabs = _Slabs(operands, weights, tilt, weighting)
-        partial = self.red.slab_partials(slabs, lam, edge, total, result, self.add)
-        scratch = np.empty((min(slabs.block, self.arity),) + adjoint.shape)
-        for j0, j1 in reversed(_spans(0, self.arity, slabs.block)):
-            out = partial(j0, j1, scratch[:j1 - j0])
-            if weighting == _SHARE:
-                out *= slabs.factor(j0, j1)
-            out *= adjoint
-            yield out, j0, j1
+        """adjoint * partials, (m, K, n), in place of the taped terms."""
+        operands, weights, tilt, terms, total, result = taped
+        # a gradient's pass is unweighted or under the share transform
+        factor = None if weighting is None else _share_factor(operands, tilt)
+        if factor is not None and not self.red.is_min:  # softmax partials read operands
+            operands = factor * operands
+        partials = self.red.slab_partials(operands, lam, terms, total, result, self.add)
+        if factor is not None:
+            partials *= factor
+        partials *= adjoint
+        return partials
+
+
+def _scatter_slabs(part, out):
+    """out[k, j + t] = the sum of part[j, k, t] over slabs j, from +0.0 and
+    by descending j: one reduction over a view of the C-contiguous ``part``
+    that shifts slab j by j samples, with what it reads outside slab j's
+    samples masked out."""
+    m, k, n = part.shape
+    item = part.itemsize
+    shifted = np.ndarray((m, k, n + m - 1), part.dtype, part, 0,
+                         ((k * n - 1) * item, n * item, item))
+    sample = np.arange(n + m - 1)
+    slab = np.arange(m)[:, None]
+    inside = ((sample >= slab) & (sample < slab + n))[:, None]
+    np.add.reduce(shifted[::-1], axis=0, out=out, initial=0.0, where=inside[::-1])
 
 
 def _single_values(op, values, out_len, lam, weighting):
@@ -860,8 +796,25 @@ def _single_backprop(op, values, adjoint, adjoints, lam, weighting):
 
 
 def _share_factor(operands, tilt):
-    # sign(0) is +1, so the positive branch stays continuous from above
-    return tilt * np.where(operands >= 0.0, 1.0, -1.0) + 0.5
+    # sign(0) is +1, so the positive branch stays continuous from above;
+    # tilt times +-1.0 is +-tilt exactly
+    factor = np.where(operands >= 0.0, tilt, -tilt)
+    factor += 0.5
+    return factor
+
+
+def _weighted(operands, weights, tilt, weighting, factor=True):
+    """A pass's weighted operands and, under the share transform, the factor
+    that scaled them; with ``factor`` false, one array holds both in turn."""
+    if weighting == _SCALE:
+        return operands * weights, None
+    if weighting != _SHARE:
+        return operands, None
+    scale = _share_factor(operands, tilt)
+    if factor:
+        return scale * operands, scale
+    scale *= operands
+    return scale, None
 
 
 def _reduce(operands, red, weights, tilt, lam, weighting):
@@ -872,12 +825,7 @@ def _reduce(operands, red, weights, tilt, lam, weighting):
     """
     if operands.shape[-1] == 1:
         return operands[..., 0].copy(), None
-    factor = None
-    if weighting == _SCALE:
-        operands = operands * weights
-    elif weighting == _SHARE:
-        factor = _share_factor(operands, tilt)
-        operands = factor * operands
+    operands, factor = _weighted(operands, weights, tilt, weighting)
     if lam is None:
         return red.hard.reduce(operands, axis=-1), None
     result, w, total = red.soft(operands, lam)
@@ -1055,7 +1003,11 @@ def make_report(formula, trace, sharpness: float, weights=None,
     _check_sharpness(sharpness)
     program = _program(formula, trace, weights)
     exact_values = program._node_values(trace)
-    smooth_values = program._node_values(trace, sharpness)
+    program._taping = False  # no gradient follows a report
+    try:
+        smooth_values = program._node_values(trace, sharpness)
+    finally:
+        program._taping = True
     exact = program._value_at(exact_values, t_index)
     smooth = program._value_at(smooth_values, t_index)
     per_node = {}

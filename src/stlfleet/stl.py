@@ -8,9 +8,10 @@ are rejected, not shifted) with opt-in round-to-nearest.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
+import re
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +35,8 @@ TEMPORAL_KINDS = (ALWAYS, EVENTUALLY, NEXT, UNTIL)
 _ARITY = {TRUE: 0, ATOM: 0, NOT: 1, ALWAYS: 1, EVENTUALLY: 1, NEXT: 1,
           UNTIL: 2, IMPLIES: 2}
 
-_node_counter = itertools.count()
+# an unlabeled node's id: "n" and 16 hex digits of a digest of the node
+_AUTO_ID = re.compile(r"n[0-9a-f]{16}")
 
 _GRID_RTOL = 1e-6
 
@@ -181,8 +183,10 @@ class Predicate:
 class Formula:
     """Immutable formula tree node.
 
-    ``node_id`` is unique in the tree (enforced at composition) and is
-    the key for weight attachment and per-node robustness reports.
+    ``node_id`` is the key for weight attachment and per-node robustness
+    reports. A label is unique in the tree (enforced at composition); an
+    unlabeled node's id is a digest of the node, so equal unlabeled
+    subtrees share their ids.
     """
 
     kind: str
@@ -194,15 +198,27 @@ class Formula:
 
     def __post_init__(self):
         if self.node_id is None:
-            object.__setattr__(self, "node_id", f"n{next(_node_counter)}")
+            object.__setattr__(self, "node_id", self._digest_id())
         ids = {self.node_id}
         for child in self.children:
-            if ids & child.all_ids:
+            # equal unlabeled subtrees, such as two ``true`` leaves, share ids
+            shared = [i for i in ids & child.all_ids if not _AUTO_ID.fullmatch(i)]
+            if shared:
                 raise ArityError(
                     f"duplicate node_id under {self.node_id!r}: "
-                    f"{sorted(ids & child.all_ids)} (formulas are trees, not DAGs)")
+                    f"{sorted(shared)} (formulas are trees, not DAGs)")
             ids |= child.all_ids
         object.__setattr__(self, "all_ids", frozenset(ids))
+
+    def _digest_id(self) -> str:
+        """An unlabeled node's id, from its kind, interval, predicate and
+        children's ids alone, so a formula's ids do not depend on what else
+        the process built before it."""
+        span = None if self.interval is None else (float(self.interval.lo),
+                                                   float(self.interval.hi))
+        text = repr((self.kind, span, self.predicate,
+                     [child.node_id for child in self.children])).encode()
+        return f"n{zlib.crc32(text):08x}{zlib.adler32(text):08x}"
 
     def __iter__(self):
         yield self

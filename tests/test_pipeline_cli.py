@@ -107,11 +107,23 @@ def _set(path, value):
     (_set(("timing", "sample"), 0.05), "trace CSV",
      "t,drone,px,py,pz,vx,vy,vz,ax,ay,az\r\n0,0,1,2,3,4,5,6,0,0,0\r\n"
      "0.05,0,1,2,3,4,5,6,0,0,0\r\n0.12,0,1,2,3,4,5,6,,,\r\n"),
+    (_set(("fleet", "limits", 0, "v_max"), [math.nan, 1.0, 1.0]), "fleet.limits[0]: v_max",
+     None),
+    (_set(("fleet", "limits", 0, "a_max_relaxed"), math.inf), "fleet.limits[0]: a_max_relaxed",
+     None),
+    (_set(("obstacles",), 5), "obstacles", None),
+    (_set(("targets",), [5]), "targets[0]", None),
+    (_set(("fleet", "depots"), 5), "fleet.depots", None),
+    (_set(("fleet", "capability"), [{"targets": 5, "blades": "all"}]),
+     "fleet.capability[0].targets", None),
+    (_set(("weights",), [1.0]), "weights", None),
 ], ids=["zero-sample", "negative-sample", "nan-duration", "negative-v-max",
         "text-blade-id", "unknown-capability-target", "text-trace-cell",
         "text-duration", "text-workspace-bound", "text-yaw", "text-depot", "text-weight",
         "nan-sharpness", "negative-sharpness", "nan-margin", "negative-separation",
-        "zero-trigger-radius", "repeated-trace-row", "off-grid-trace-time"])
+        "zero-trigger-radius", "repeated-trace-row", "off-grid-trace-time", "nan-v-max",
+        "infinite-relaxed-a-max", "number-obstacles", "number-target", "number-depots",
+        "number-capability", "list-weights"])
 def test_cli_bad_input_exits_2_naming_the_field(tmp_path, capsys, edit, field, trace):
     data = json.loads(scenario_to_json(make_scenario(blade=True)))
     edit(data)
@@ -221,6 +233,18 @@ def test_bundled_scenarios_load():
     for name in ("windturbine_mock", "two_drone_swap"):
         scenario = load_scenario(bundled_scenario_path(name))
         assert scenario.n_drones >= 2
+
+
+def test_two_plans_in_one_process_write_the_same_bytes(tmp_path):
+    # report.json keys unlabeled nodes by their ids, which depend on the
+    # formula alone; and no kept pass or tape carries over between runs
+    scenario = load_scenario(bundled_scenario_path("windturbine_mock"))
+    written = []
+    for run in ("first", "second"):
+        paths = run_pipeline(scenario, "basic").export(tmp_path / run)
+        del paths["timings"]
+        written.append({name: path.read_bytes() for name, path in paths.items()})
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize("mode", ["basic", "attrition"])

@@ -8,8 +8,6 @@ same value for every node and the same gradient entry, bit for bit
 (``np.array_equal``, which counts +0.0 and -0.0 as equal).
 """
 
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +15,7 @@ from hypothesis import strategies as st
 
 from stlfleet import robustness, stl
 from stlfleet.robustness import (_SCALE, _SHARE, Program, _pairwise_sum, _sequential_sum,
-                                 _Slabs, make_report)
+                                 make_report)
 
 from conftest import random_formula, random_predicate, random_trace, weight_arity
 
@@ -298,19 +296,13 @@ def assert_values_equal(got, want):
 
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 24), lo=st.integers(0, 3),
-       siblings=st.integers(2, 4), extra=st.integers(0, 60), with_true=st.booleans(),
-       block_values=st.sampled_from([1, 100, robustness._BLOCK_VALUES]))
-@example(seed=1, width=21, lo=0, siblings=3, extra=0, with_true=False,     # n < width
-         block_values=robustness._BLOCK_VALUES)
-@example(seed=2, width=21, lo=0, siblings=3, extra=50, with_true=False,    # n >= width
-         block_values=robustness._BLOCK_VALUES)
-@example(seed=3, width=9, lo=1, siblings=4, extra=30, with_true=True, block_values=1)
-@example(seed=4, width=1, lo=2, siblings=2, extra=5, with_true=True, block_values=100)
-def test_batched_passes_match_node_by_node(seed, width, lo, siblings, extra, with_true,
-                                           block_values):
-    # slab kernels stream blocks of max(1, block_values // (K * n)) slabs
-    with mock.patch.object(robustness, "_BLOCK_VALUES", block_values):
-        check_batched_passes(seed, width, lo, siblings, extra, with_true)
+       siblings=st.integers(2, 4), extra=st.integers(0, 60), with_true=st.booleans())
+@example(seed=1, width=21, lo=0, siblings=3, extra=0, with_true=False)     # n < width
+@example(seed=2, width=21, lo=0, siblings=3, extra=50, with_true=False)    # n >= width
+@example(seed=3, width=9, lo=1, siblings=4, extra=30, with_true=True)
+@example(seed=4, width=1, lo=2, siblings=2, extra=5, with_true=True)
+def test_batched_passes_match_node_by_node(seed, width, lo, siblings, extra, with_true):
+    check_batched_passes(seed, width, lo, siblings, extra, with_true)
 
 
 def check_batched_passes(seed, width, lo, siblings, extra, with_true):
@@ -360,44 +352,109 @@ def test_siblings_batch_together(rng):
 # The summation orders the slab kernels reproduce
 
 
-def streamed(rows, block):
-    """The columns of ``rows`` as slabs, and the term function that reads
-    them ``block`` slabs at a time."""
-    slabs = _Slabs(np.ascontiguousarray(rows.T)[:, :, None], None, None, None)
-    slabs.block = block
-
-    def term(j0, j1, out):
-        out[...] = slabs(j0, j1, out)
-        return out
-    return term, slabs
+def as_slabs(rows):
+    """(K, n, m) rows as the C-contiguous (m, K, n) slab terms a kernel sums."""
+    return np.ascontiguousarray(rows.transpose(2, 0, 1))
 
 
-@pytest.mark.parametrize("block", [1, 3, 8])
-def test_pairwise_sum_matches_numpy_row_sum(block):
+@pytest.mark.parametrize("nodes", [1, 3, 8])
+def test_pairwise_sum_matches_numpy_row_sum(nodes):
     rng = np.random.default_rng(7)
     for width in range(1, 301):
-        rows = rng.standard_normal((6, width)) * np.exp(rng.uniform(-30, 30, (6, width)))
-        rows[1] = -0.0
-        rows[2, ::2] = 0.0
-        rows[3] = -rows[3]
-        term, slabs = streamed(rows, block)
-        got = _pairwise_sum(term, slabs, (len(rows), 1))[:, 0]
+        rows = rng.standard_normal((nodes, 6, width)) * np.exp(
+            rng.uniform(-30, 30, (nodes, 6, width)))
+        rows[:, 1] = -0.0
+        rows[:, 2, ::2] = 0.0
+        rows[:, 3] = -rows[:, 3]
+        got = _pairwise_sum(as_slabs(rows))
         want = rows.sum(axis=-1)
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), width
 
 
-@pytest.mark.parametrize("block", [1, 3, 64])
-def test_sequential_sum_matches_numpy_column_sum(block):
+@pytest.mark.parametrize("nodes", [1, 3, 64])
+def test_sequential_sum_matches_numpy_column_sum(nodes):
     rng = np.random.default_rng(8)
     for arity in range(2, 41):
         for n in (2, 3, 17, 241):
-            rows = rng.standard_normal((n, arity)) * np.exp(rng.uniform(-30, 30, (n, arity)))
-            rows[0] = -0.0
-            rows[1, 0] = -0.0
-            want = np.asfortranarray(rows).sum(axis=-1)  # one node's operand matrix
-            term, slabs = streamed(rows, block)
-            got = _sequential_sum(term, slabs, (n, 1))[:, 0]
+            rows = rng.standard_normal((nodes, n, arity)) * np.exp(
+                rng.uniform(-30, 30, (nodes, n, arity)))
+            rows[:, 0] = -0.0
+            rows[:, 1, 0] = -0.0
+            # each node's (n, m) operand matrix stored by columns
+            want = np.stack([np.asfortranarray(node).sum(axis=-1) for node in rows])
+            got = _sequential_sum(as_slabs(rows))
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), (arity, n)
+
+
+def same_bits(got, want):
+    """Equal bit for bit, +0.0 and -0.0 apart; any NaN equals any NaN."""
+    got, want = (np.where(np.isnan(a), np.nan, a) for a in (got, want))
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), nodes=st.integers(1, 4), width=st.integers(2, 24),
+       extra=st.integers(0, 40), lo=st.integers(0, 3), is_min=st.booleans(),
+       weighted=st.booleans(), special=st.sampled_from([0.0, 0.05, 0.3]))
+@example(seed=0, nodes=3, width=21, extra=220, lo=0, is_min=True, weighted=False, special=0.05)
+@example(seed=1, nodes=2, width=9, extra=0, lo=1, is_min=False, weighted=True, special=0.3)
+def test_slab_gradients_match_row_kernels(seed, nodes, width, extra, lo, is_min, weighted,
+                                          special):
+    # a window batch with n >= m runs as slabs: its forward pass tapes the
+    # exponential weights, its reverse sweep turns them into partials in
+    # place and scatters them in one reduction; the row kernels, node by
+    # node with a bincount scatter, must give the same bits. Operands are
+    # +-inf (as ``true`` gives) or +-0.0 with probability ``special``, and
+    # adjoints are +-0.0 as often
+    rng = np.random.default_rng(seed)
+    temporal = stl.always if is_min else stl.eventually
+    interval = stl.Interval(lo * TS, (lo + width - 1) * TS)
+    windows = [temporal(interval, stl.atom(random_predicate(rng, 1))) for _ in range(nodes)]
+    weights = (stl.WeightMap({w.node_id: rng.uniform(0.2, 3.0, width) for w in windows})
+               if weighted else None)
+    program = Program(stl.land(*windows), TS, weights)
+    batch = next(batch for batch in program.batches if batch.window)
+    n = width + extra
+    lam = float(rng.choice([0.7, 4.0, 25.0]))
+    weighting = _SHARE if weighted else None
+
+    def sprinkle(row, choices):
+        pick = rng.random(row.shape) < special
+        row[pick] = rng.choice(choices, size=int(pick.sum()))
+        return row
+
+    values = [None] * len(program.ops)
+    adjoints = [None] * len(program.ops)
+    for index, (arg,) in zip(batch.indices, batch.args):
+        values[arg] = sprinkle(rng.standard_normal(n + batch.hi) * 10.0 ** rng.integers(-3, 3),
+                               [np.inf, -np.inf, 0.0, -0.0])
+        adjoints[index] = sprinkle(rng.standard_normal(n), [0.0, -0.0])
+    tape = {}
+    with np.errstate(invalid="ignore"):
+        batch.forward(values, n + batch.steps, lam, weighting, tape)
+        assert isinstance(tape[batch][3], np.ndarray)  # the taped weights
+        batch.backward(values, adjoints, lam, weighting, tape)
+
+    soft, partials_of = ((robustness._softmin, robustness._softmin_partials) if is_min
+                         else (robustness._softmax_avg, robustness._softmax_partials))
+    for index, (arg,) in zip(batch.indices, batch.args):
+        rows = ref_windows(values[arg], lo, width, n)
+        factor = None
+        if weighted:
+            factor = robustness._share_factor(rows, program.ops[index].tilt)
+            rows = factor * rows
+        with np.errstate(invalid="ignore"):
+            result, w, total = soft(rows, lam)
+            partials = partials_of(rows, lam, w, total, result)
+        if factor is not None:
+            partials = partials * factor
+        # only the sign of a zero extreme may differ
+        assert np.array_equal(values[index], result, equal_nan=True)
+        contributions = partials * adjoints[index][:, None]
+        spots = np.arange(n)[:, None] + lo + np.arange(width)[None, :]
+        want = np.bincount(spots.ravel(), weights=contributions.ravel(),
+                           minlength=n + batch.hi)
+        assert same_bits(adjoints[arg], want)
 
 
 # ---------------------------------------------------------------------------

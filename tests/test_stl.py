@@ -62,6 +62,18 @@ def test_double_negation_is_identity_on_traces(rng):
             assert eval_exact(doubled, trace, t) == eval_exact(direct, trace, t)
 
 
+def test_unlabeled_ids_depend_only_on_the_formula():
+    def build():
+        window = stl.always(stl.Interval(0.0, 1.0), stl.atom(halfspace("p")))
+        return stl.land(window, stl.lor(stl.true(), stl.neg(stl.atom(halfspace("q")))),
+                        stl.lor(stl.true(), stl.true()))
+
+    first = [node.node_id for node in build()]
+    stl.eventually(stl.Interval(0.0, 2.0), stl.true())  # other nodes built in between
+    assert [node.node_id for node in build()] == first
+    assert len(set(first)) == len(first) - 2  # the three ``true`` leaves share one id
+
+
 def test_same_object_twice_is_rejected():
     p = stl.atom(halfspace("p"))
     with pytest.raises(ArityError):
