@@ -63,6 +63,8 @@ class BladeSide:
     def __post_init__(self):
         a = np.asarray(self.seg_start, float)
         b = np.asarray(self.seg_end, float)
+        if a.shape != (3,) or b.shape != (3,):
+            raise ValidationError(f"blade segment endpoints must be 3-vectors: {a}, {b}")
         if np.linalg.norm(b - a) == 0.0:
             raise ValidationError("blade segment endpoints coincide")
         object.__setattr__(self, "seg_start", tuple(a))
@@ -507,9 +509,18 @@ def _index(value, path) -> int:
     return value
 
 
+def _at(path, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, with a ValidationError it raises naming ``path``."""
+    try:
+        return build(*args, **kwargs)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+
+
 def _box(raw, schema_key, path) -> Box:
     _check_keys(raw, schema_key, path)
-    return Box(_point(raw["lower"], f"{path}.lower"), _point(raw["upper"], f"{path}.upper"))
+    return _at(path, Box, _point(raw["lower"], f"{path}.lower"),
+               _point(raw["upper"], f"{path}.upper"))
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -526,10 +537,11 @@ def scenario_from_dict(data: dict) -> Scenario:
         blades = []
         for path, raw in _entries(data.get("blades", []), "blades"):
             _check_keys(raw, "blades[]", path)
-            blades.append(BladeSide(_point(raw["leading_edge"], f"{path}.leading_edge"),
-                                    _point(raw["rotor_shaft"], f"{path}.rotor_shaft"),
-                                    _box(raw["box"], "blades[].box", f"{path}.box"),
-                                    blade_id=_index(raw.get("blade_id", 0), f"{path}.blade_id")))
+            blades.append(_at(path, BladeSide,
+                              _point(raw["leading_edge"], f"{path}.leading_edge"),
+                              _point(raw["rotor_shaft"], f"{path}.rotor_shaft"),
+                              _box(raw["box"], "blades[].box", f"{path}.box"),
+                              blade_id=_index(raw.get("blade_id", 0), f"{path}.blade_id")))
         fleet = data["fleet"]
         _check_keys(fleet, "fleet", "fleet")
         limits = []

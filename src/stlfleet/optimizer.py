@@ -18,7 +18,7 @@ import numpy as np
 
 from . import stl
 from .dynamics import Trace, rollout
-from .errors import NonFiniteObjective, SeedTooShort
+from .errors import NonFiniteObjective, SeedTooShort, ValidationError
 from .robustness import (Program, RobustnessReport, eval_exact, eval_smooth,
                          eval_weighted_smooth, gradient_smooth, make_report)
 
@@ -56,8 +56,17 @@ class OptimizerConfig:
     perturb_restarts: int = 1
 
     def __post_init__(self):
+        # each message names the planner flag that sets the field
+        if self.sharpness is not None and not (np.isfinite(self.sharpness)
+                                               and self.sharpness > 0):
+            raise ValidationError(f"--lambda (sharpness) must be finite and > 0, "
+                                  f"got {self.sharpness}")
+        if self.margin is not None and not np.isfinite(self.margin):
+            raise ValidationError(f"--zeta (margin) must be finite, got {self.margin}")
         if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+            raise ValidationError(f"--max-iters must be >= 1, got {self.max_iters}")
+        if self.rng_seed < 0:
+            raise ValidationError(f"--seed must be >= 0, got {self.rng_seed}")
 
 
 @dataclass

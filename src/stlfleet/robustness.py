@@ -20,31 +20,32 @@ One forward pass first evaluates the atoms, all atoms of one predicate
 kind as one batch, then every other node at every sample where it is
 defined, in batches: nodes of one kind, window, lookahead and arity at
 one depth above the atoms. A window or Boolean batch of K nodes with n
-outputs over m operands each is one pass. Where n >= m it is
-offset-major: slab j holds operand j of the K nodes at the n samples
-(for windows the strided view operand[:, lo + j : lo + j + n]), and the
-pass runs elementwise over all m slabs at once. Where n < m (windows over
-the whole trace) it reduces (K, n, m) rows. The same program serves the
-exact, smooth, weighted and weighted-smooth semantics, the reverse sweep
-that yields gradients, and the per-node report.
+outputs over m operands each is one reduction over axis 0 of an (m, K, n)
+array, whose slab j holds operand j of the K nodes at the n samples (for
+windows the strided view operand[:, lo + j : lo + j + n]). One kernel pair
+per smooth reduction serves every batch, Until and ``smooth_min`` /
+``smooth_max``; a batch differs only in the memory layout of the
+exponential terms the kernels write and sum, chosen per pass from n and m
+(``_Batch._layout``). The same program serves the exact, smooth, weighted
+and weighted-smooth semantics, the reverse sweep that yields gradients,
+and the per-node report.
 
 Between calls a program keeps its last smooth (or weighted-smooth)
 forward pass and nothing else: every instruction's values and the tape
-the reverse sweep reads. A row batch tapes its whole reduction; a slab
-batch tapes its (m, K, n) exponential weights, which the reverse sweep
-turns into adjoint contributions in place and scatters to the operand
-samples in one reduction over a shifted view of the same memory. So each
-exponential is taken once per accepted step. The pass is keyed by its
-semantics and by the shapes and bytes of the trace's positions and
-velocities, and is lent out only while the kept trace, from which box
-atoms find the face of each gradient again, still holds those bits. A
-gradient of the same key runs only the reverse sweep, which frees each
-tape entry once read, and drops the pass, so a line search's accepted
-trial is not evaluated twice. A report drops its pass, as no gradient
-follows it. Atom rows depend on nothing but the predicates and the
-trace, so the exact monitor of a formula that the objective conjoins
-takes them from the objective's kept pass over the same bits and
-evaluates no atom.
+the reverse sweep reads. A reduction tapes its operands and its
+exponential terms, which the reverse sweep turns into adjoint
+contributions in place (recomputing the share factor of a weighted pass)
+and scatters to the operand samples. So each exponential is taken once
+per accepted step. The pass is keyed by its semantics and by the shapes
+and bytes of the trace's positions and velocities, and is lent out only
+while the kept trace, from which box atoms find the face of each
+gradient again, still holds those bits. A gradient of the same key runs
+only the reverse sweep, which frees each tape entry once read, and drops
+the pass, so a line search's accepted trial is not evaluated twice. A
+report drops its pass, as no gradient follows it. Atom rows depend on
+nothing but the predicates and the trace, so the exact monitor of a
+formula that the objective conjoins takes them from the objective's kept
+pass over the same bits and evaluates no atom.
 
 Every result is bit for bit that of a node-by-node recursive
 evaluation: elementwise steps round as before, sums over a reduction's
@@ -73,82 +74,35 @@ _SHARE = "share"
 
 def smooth_min(values, sharpness: float) -> float:
     """Log-sum-exp under-approximation of min; exact for singleton input."""
-    return _smooth_one(values, sharpness, _softmin, "smooth_min")
+    return _smooth_one(values, sharpness, _MIN, "smooth_min")
 
 
 def smooth_max(values, sharpness: float) -> float:
     """Softmax-weighted average: a convex combination, so min <= result <= max."""
-    return _smooth_one(values, sharpness, _softmax_avg, "smooth_max")
+    return _smooth_one(values, sharpness, _MAX, "smooth_max")
 
 
 @np.errstate(invalid="ignore")  # see the smooth reductions below
-def _smooth_one(values, sharpness, kernel, name):
-    values = np.asarray(values, float)
+def _smooth_one(values, sharpness, red, name):
+    values = np.asarray(values, float).ravel()
     if values.size == 0:
         raise EmptyInput(f"{name} of an empty set")
     if sharpness <= 0:
         raise ValueError(f"sharpness must be positive, got {sharpness}")
-    return float(kernel(values, sharpness)[0])
+    return float(_reduce(values, red, None, None, sharpness, None)[0])
 
 
-# Smooth reductions come in two layouts. Row kernels reduce the last axis
-# of (..., m) rows and return the exponential weights and their sum, from
-# which the partials are built. Slab kernels reduce an (m, K, n) array of
-# m operand slabs, given the hard extreme ``edge``: they write the weights
-# into ``terms``, an (m, K, n) array the caller provides, and the reverse
-# sweep turns that tape into the partials in place, so each exponential is
-# taken once. ``add`` sums slabs in the row layout's order, so both
-# layouts give the same bits. Callers turn numpy's invalid-operation
-# warnings off: the NaNs of inf - inf or 0 * inf are rebuilt afterwards,
-# so finite input pays for one NaN check. An infinite result or operand
-# passes no gradient.
-
-
-def _softmin(values, lam):
-    shift = values.min(axis=-1, keepdims=True)
-    w = np.exp(-lam * (values - shift))
-    total = w.sum(axis=-1)
-    edge = np.squeeze(shift, axis=-1)
-    result = edge - np.log(total) / lam
-    if np.isnan(result.sum()):  # an infinite min
-        result = np.where(np.isinf(edge), edge, result)
-    return result, w, total
-
-
-def _softmax_avg(values, lam):
-    shift = values.max(axis=-1, keepdims=True)
-    w = np.exp(lam * (values - shift))
-    terms = values * w
-    total = w.sum(axis=-1)
-    result = terms.sum(axis=-1) / total
-    if np.isnan(result.sum()):  # a -inf operand or an infinite max
-        terms[np.isneginf(values)] = 0.0  # a -inf operand has weight exactly zero
-        edge = np.squeeze(shift, axis=-1)
-        result = np.where(np.isinf(edge), edge, terms.sum(axis=-1) / total)
-    return result, w, total
-
-
-def _softmin_partials(values, lam, w, total, result):
-    partials = w / total[..., None]  # a +inf operand of a finite min has w = 0
-    if np.isnan(total.sum()):  # an infinite min
-        partials[np.isinf(result)] = 0.0
-    return partials
-
-
-def _softmax_partials(values, lam, w, total, result):
-    """d softmax_avg / d value_i = q_i * (1 + lam * (value_i - result))."""
-    q = w / total[..., None]
-    terms = values * q
-    mean = terms.sum(axis=-1, keepdims=True)
-    if not np.isnan(mean.sum()):
-        return q * (1.0 + lam * (values - mean))
-    # a -inf operand or an infinite max
-    dead = np.isneginf(values)
-    terms[dead] = 0.0
-    partials = q * (1.0 + lam * (values - terms.sum(axis=-1, keepdims=True)))
-    partials[dead] = 0.0
-    partials[np.isinf(result)] = 0.0
-    return partials
+# One kernel pair per smooth reduction. A kernel reduces axis 0 of an
+# (m, ...) array of operands, given their hard extreme ``edge``: it writes
+# the exponential weights into ``terms``, a buffer the caller provides, and
+# sums them with the caller's ``add``; the reverse sweep turns that tape
+# into the partials in place, so each exponential is taken once. Every
+# product a kernel sums is written into a buffer laid out like ``terms``,
+# so the caller's layout of ``terms`` and its ``add`` fix the order of
+# every sum (see ``_Batch._layout``). Callers turn numpy's
+# invalid-operation warnings off: the NaNs of inf - inf or 0 * inf are
+# rebuilt afterwards, so finite input pays for one NaN check. An infinite
+# result or operand passes no gradient.
 
 
 def _exp_terms(values, lam, edge, terms):
@@ -157,7 +111,7 @@ def _exp_terms(values, lam, edge, terms):
     return np.exp(terms, out=terms)
 
 
-def _slab_softmin(values, lam, edge, terms, add):
+def _softmin(values, lam, edge, terms, add):
     total = add(_exp_terms(values, -lam, edge, terms))
     result = edge - np.log(total) / lam
     if np.isnan(result.sum()):  # an infinite min
@@ -165,9 +119,9 @@ def _slab_softmin(values, lam, edge, terms, add):
     return result, total
 
 
-def _slab_softmax(values, lam, edge, terms, add):
+def _softmax(values, lam, edge, terms, add):
     total = add(_exp_terms(values, lam, edge, terms))
-    weighted = values * terms
+    weighted = np.multiply(values, terms, out=np.empty_like(terms))
     result = add(weighted) / total
     if np.isnan(result.sum()):  # a -inf operand or an infinite max
         weighted[np.isneginf(values)] = 0.0  # a -inf operand has weight exactly zero
@@ -175,17 +129,17 @@ def _slab_softmax(values, lam, edge, terms, add):
     return result, total
 
 
-def _slab_softmin_partials(values, lam, terms, total, result, add):
+def _softmin_partials(values, lam, terms, total, result, add):
     terms /= total  # a +inf operand of a finite min has w = 0
     if np.isnan(total.sum()):  # an infinite min
-        terms[:, np.isinf(result)] = 0.0
+        np.copyto(terms, 0.0, where=np.isinf(result))
     return terms
 
 
-def _slab_softmax_partials(values, lam, terms, total, result, add):
-    """d softmax_avg / d value_i = q_i * (1 + lam * (value_i - result))."""
+def _softmax_partials(values, lam, terms, total, result, add):
+    """d softmax / d value_i = q_i * (1 + lam * (value_i - result))."""
     terms /= total
-    step = values * terms
+    step = np.multiply(values, terms, out=np.empty_like(terms))
     mean = add(step)
     dead = np.isnan(mean.sum())  # a -inf operand or an infinite max
     if dead:
@@ -198,7 +152,7 @@ def _slab_softmax_partials(values, lam, terms, total, result, add):
     terms *= step
     if dead:
         terms[dead_at] = 0.0
-        terms[:, np.isinf(result)] = 0.0
+        np.copyto(terms, 0.0, where=np.isinf(result))
     return terms
 
 
@@ -207,23 +161,19 @@ class _Reduction(NamedTuple):
     hard: np.ufunc
     soft: object
     partials: object
-    slab_soft: object
-    slab_partials: object
 
 
-_MIN = _Reduction(True, np.minimum, _softmin, _softmin_partials,
-                  _slab_softmin, _slab_softmin_partials)
-_MAX = _Reduction(False, np.maximum, _softmax_avg, _softmax_partials,
-                  _slab_softmax, _slab_softmax_partials)
+_MIN = _Reduction(True, np.minimum, _softmin, _softmin_partials)
+_MAX = _Reduction(False, np.maximum, _softmax, _softmax_partials)
 
 
-# Sums over the first axis of an (m, K, n) array of slab terms. numpy
-# starts a sum from +0.0, which only turns a -0.0 total into +0.0. It sums
-# one contiguous row pairwise: rows of fewer than 8 values in sequence, up
-# to 128 values in 8 interleaved lanes, longer rows split in two near the
-# middle at a multiple of 8. It sums the columns of an (n, m) matrix
-# stored by columns one after another, as it sums over an array's first
-# axis.
+# Sums over the first axis of C-contiguous (m, K, n) terms, in the order
+# numpy sums the same terms laid out by rows. numpy starts a sum from
+# +0.0, which only turns a -0.0 total into +0.0. It sums one contiguous
+# row pairwise: rows of fewer than 8 values in sequence, up to 128 values
+# in 8 interleaved lanes, longer rows split in two near the middle at a
+# multiple of 8. It sums the columns of an (n, m) matrix stored by columns
+# one after another, as it sums over an array's first axis.
 _PAIRWISE_LANES = 8
 _PAIRWISE_BLOCK = 128
 
@@ -631,7 +581,7 @@ def _pass_key(trace, lam, weighting):
 
 class _Batch:
     """Instructions of one kind, window, lookahead and arity, run as one pass:
-    a window or Boolean batch as slabs where n >= m, else as rows; Until,
+    a window or Boolean batch as one reduction of (m, K, n) operands; Until,
     Next, Not and True node by node."""
 
     def __init__(self, ops, indices):
@@ -643,43 +593,45 @@ class _Batch:
         self.window = op.kind in (stl.ALWAYS, stl.EVENTUALLY)
         self.reduces = self.window or op.kind in (stl.AND, stl.OR)
         self.arity = op.width if self.window else len(op.args)
-        # a window's operands are one contiguous row per output sample; a
-        # Boolean node's are the columns of an (n, m) matrix stored by columns
-        self.add = _pairwise_sum if self.window else _sequential_sum
         self.args = [o.args for o in self.ops]
         self.weights = self.tilt = None
         if op.weights is not None and self.reduces:  # (K, m)
             self.weights = np.stack([o.weights for o in self.ops])
             self.tilt = np.stack([o.tilt for o in self.ops])
 
-    def _operands(self, values, n, slab):
-        """The K nodes' operands as an (m, K, n) slab array or (K, n, m) rows,
-        with the weights and tilts broadcasting against them."""
+    def _operands(self, values, n):
+        """The K nodes' operands as an (m, K, n) array, slab j holding operand
+        j, with the weights and tilts broadcasting against it."""
         k, m = len(self.indices), self.arity
         if self.window:
             stack = np.empty((k, n + self.hi))
             for row, (arg,) in zip(stack, self.args):
                 row[:] = values[arg]
             row, step = stack.strides
-            if slab:
-                operands = np.ndarray((m, k, n), stack.dtype, stack, self.lo * step,
-                                      (step, row, step))
-            else:
-                operands = np.ndarray((k, n, m), stack.dtype, stack, self.lo * step,
-                                      (row, step, step))
+            operands = np.ndarray((m, k, n), stack.dtype, stack, self.lo * step,
+                                  (step, row, step))
         else:
-            # rows keep each node's operands by columns, like the (n, m)
-            # matrix of one node stored by columns
-            stack = np.empty((m, k, n) if slab else (k, m, n))
+            operands = np.empty((m, k, n))
             for node, args in enumerate(self.args):
                 for r, arg in enumerate(args):
-                    stack[(r, node) if slab else (node, r)] = values[arg][:n]
-            operands = stack if slab else stack.transpose(0, 2, 1)
+                    operands[r, node] = values[arg][:n]
         if self.weights is None:
             return operands, None, None
-        if slab:
-            return operands, self.weights.T[:, :, None], self.tilt.T[:, :, None]
-        return operands, self.weights[:, None, :], self.tilt[:, None, :]
+        return operands, self.weights.T[:, :, None], self.tilt.T[:, :, None]
+
+    def _layout(self, n):
+        """The (m, K, n) terms buffer of a smooth pass and the sum over it.
+        Where n >= m the terms are C-contiguous slabs, summed in the order
+        numpy sums one node's operands: a window's as one contiguous row per
+        output sample, a Boolean node's as the columns of an (n, m) matrix
+        stored by columns. Else they are laid out as those rows, and numpy
+        sums them in that order itself."""
+        k, m = len(self.indices), self.arity
+        if n >= m:
+            return np.empty((m, k, n)), (_pairwise_sum if self.window else _sequential_sum)
+        if self.window:
+            return np.empty((k, n, m)).transpose(2, 0, 1), np.add.reduce
+        return np.empty((k, m, n)).transpose(1, 0, 2), np.add.reduce
 
     def forward(self, values, length, lam, weighting, tape):
         n = length - self.steps
@@ -687,20 +639,9 @@ class _Batch:
             for index, op in zip(self.indices, self.ops):
                 values[index] = _single_values(op, values, n, lam, weighting)
             return
-        slab = n >= self.arity
-        operands, weights, tilt = self._operands(values, n, slab)
-        if not slab:  # rows, taped with their reduction
-            result, taped = _reduce(operands, self.red, weights, tilt, lam, weighting)
-        elif self.arity == 1:  # a single operand passes through unweighted
-            result, taped = operands[0].copy(), None
-        else:
-            weighted = _weighted(operands, weights, tilt, weighting, factor=False)[0]
-            result = edge = self.red.hard.reduce(weighted, axis=0)
-            taped = None
-            if lam is not None:
-                terms = np.empty(weighted.shape)
-                result, total = self.red.slab_soft(weighted, lam, edge, terms, self.add)
-                taped = (operands, weights, tilt, terms, total, result)
+        operands, weights, tilt = self._operands(values, n)
+        layout = () if lam is None else self._layout(n)
+        result, taped = _reduce(operands, self.red, weights, tilt, lam, weighting, *layout)
         for index, row in zip(self.indices, result):
             values[index] = row
         if tape is not None:
@@ -713,14 +654,12 @@ class _Batch:
             return
         adjoint = np.stack([adjoints[index] for index in self.indices])
         n = adjoint.shape[1]
-        if n < self.arity:
-            rows = _partials(self.red, lam, tape.pop(self), None)
-            rows *= adjoint[..., None]
-            part = rows.transpose(2, 0, 1)
-        elif self.arity == 1:
+        taped = tape.pop(self)
+        if taped is None:  # a single operand passes through
             part = adjoint[None]  # adjoint * 1.0
         else:
-            part = self._slab_contributions(tape.pop(self), adjoint, lam, weighting)
+            part = _partials(self.red, lam, weighting, taped)
+            part *= adjoint
         if not self.window:
             # one zeroed buffer; an operand's adjoint views its first len(operand)
             width = max(len(values[arg]) for args in self.args for arg in args)
@@ -733,27 +672,14 @@ class _Batch:
         # each operand sample adds its contributions by ascending output
         # sample, as a sequential scatter-add in (sample, offset) order would
         full = np.zeros((len(self.indices), n + self.hi))
-        lo = self.lo
-        if n < self.arity:
-            for t in range(n):
-                full[:, lo + t:lo + t + self.arity] += rows[:, t]
-        else:
+        lo, m = self.lo, self.arity
+        if n >= m:
             _scatter_slabs(part, full[:, lo:])
+        else:
+            for t in range(n):
+                full[:, lo + t:lo + t + m] += part[:, :, t].T
         for (arg,), row in zip(self.args, full):
             adjoints[arg] = row
-
-    def _slab_contributions(self, taped, adjoint, lam, weighting):
-        """adjoint * partials, (m, K, n), in place of the taped terms."""
-        operands, weights, tilt, terms, total, result = taped
-        # a gradient's pass is unweighted or under the share transform
-        factor = None if weighting is None else _share_factor(operands, tilt)
-        if factor is not None and not self.red.is_min:  # softmax partials read operands
-            operands = factor * operands
-        partials = self.red.slab_partials(operands, lam, terms, total, result, self.add)
-        if factor is not None:
-            partials *= factor
-        partials *= adjoint
-        return partials
 
 
 def _scatter_slabs(part, out):
@@ -803,41 +729,43 @@ def _share_factor(operands, tilt):
     return factor
 
 
-def _weighted(operands, weights, tilt, weighting, factor=True):
-    """A pass's weighted operands and, under the share transform, the factor
-    that scaled them; with ``factor`` false, one array holds both in turn."""
+def _weighted(operands, weights, tilt, weighting):
+    """A pass's operands times the raw weights (exact) or the share factor
+    (smooth), which keeps signs and, under uniform weights, arg-extrema."""
     if weighting == _SCALE:
-        return operands * weights, None
+        return operands * weights
     if weighting != _SHARE:
-        return operands, None
+        return operands
     scale = _share_factor(operands, tilt)
-    if factor:
-        return scale * operands, scale
     scale *= operands
-    return scale, None
+    return scale
 
 
-def _reduce(operands, red, weights, tilt, lam, weighting):
-    """Reduce the last axis of ``operands``: the result and, for a smooth
-    reduction of m >= 2 operands, its tape. A weighted pass scales operands
-    by the raw weights (exact) or by a factor of their sign and weight share
-    (smooth), which keeps signs and, under uniform weights, arg-extrema.
-    """
-    if operands.shape[-1] == 1:
-        return operands[..., 0].copy(), None
-    operands, factor = _weighted(operands, weights, tilt, weighting)
+def _reduce(operands, red, weights, tilt, lam, weighting, terms=None, add=np.add.reduce):
+    """Reduce axis 0 of ``operands``: the result and, for a smooth reduction
+    of m >= 2 operands, its tape. The smooth kernel writes its weights into
+    ``terms``, laid out like the weighted operands unless given, and sums
+    them with ``add``."""
+    if len(operands) == 1:
+        return operands[0].copy(), None
+    weighted = _weighted(operands, weights, tilt, weighting)
+    result = edge = red.hard.reduce(weighted, axis=0)
     if lam is None:
-        return red.hard.reduce(operands, axis=-1), None
-    result, w, total = red.soft(operands, lam)
-    return result, (operands, factor, w, total, result)
+        return result, None
+    terms = np.empty_like(weighted) if terms is None else terms
+    result, total = red.soft(weighted, lam, edge, terms, add)
+    return result, (operands, tilt, add, terms, total, result)
 
 
-def _partials(red, lam, taped, operands):
-    """Partials of a smooth reduction with respect to each of its ``operands``."""
-    if taped is None:
-        return np.ones_like(operands)
-    weighted, factor, w, total, result = taped
-    partials = red.partials(weighted, lam, w, total, result)
+def _partials(red, lam, weighting, taped):
+    """Partials of a smooth reduction with respect to each operand, in place
+    of its taped weights."""
+    operands, tilt, add, terms, total, result = taped
+    # a gradient's pass is unweighted or under the share transform
+    factor = None if weighting is None else _share_factor(operands, tilt)
+    if factor is not None and not red.is_min:  # softmax partials read operands
+        operands = factor * operands
+    partials = red.partials(operands, lam, terms, total, result, add)
     if factor is not None:
         partials *= factor
     return partials
@@ -856,9 +784,9 @@ def _until_values(op, values, out_len, lam, weighting):
     out = np.empty(out_len)
     for t in range(out_len):
         prefix = _prefix_min(hold[t:t + hi + 1], lam)[lo:]
-        pair = np.stack([goal[t + lo:t + hi + 1], prefix], axis=1)
+        pair = np.stack([goal[t + lo:t + hi + 1], prefix], axis=1).T  # laid out by rows of two
         candidates = _reduce(pair, op.pair, None, None, lam, None)[0]
-        out[t] = _reduce(candidates[None, :], op.red, op.weights, op.tilt, lam, weighting)[0][0]
+        out[t] = _reduce(candidates, op.red, op.weights, op.tilt, lam, weighting)[0]
     return out
 
 
@@ -872,17 +800,16 @@ def _until_backprop(op, values, adjoint, adjoints, lam, weighting):
         seg = hold[t:t + hi + 1]
         log_cum = np.logaddexp.accumulate(-lam * seg)
         prefix = (-log_cum / lam)[lo:]
-        pair = np.stack([goal[t + lo:t + hi + 1], prefix], axis=1)
+        pair = np.stack([goal[t + lo:t + hi + 1], prefix], axis=1).T
         candidates, taped = _reduce(pair, op.pair, None, None, lam, None)
-        pair_partials = _partials(op.pair, lam, taped, pair)
-        row = candidates[None, :]
-        taped = _reduce(row, op.red, op.weights, op.tilt, lam, weighting)[1]
-        contrib = adjoint[t] * _partials(op.red, lam, taped, row)[0]
-        goal_adj[t + lo:t + hi + 1] += contrib * pair_partials[:, 0]
+        pair_partials = _partials(op.pair, lam, None, taped)
+        taped = _reduce(candidates, op.red, op.weights, op.tilt, lam, weighting)[1]
+        contrib = adjoint[t] * (1.0 if taped is None else _partials(op.red, lam, weighting, taped))
+        goal_adj[t + lo:t + hi + 1] += contrib * pair_partials[0]
         # prefix smooth-min partial wrt hold[u]: exp(-lam*hold[u] - log_cum_i),
         # and hold[u] feeds every prefix i with u <= lo + i; an infinite
         # hold value or prefix passes no gradient
-        spread = contrib * pair_partials[:, 1]
+        spread = contrib * pair_partials[1]
         live = mask & np.isfinite(seg)[None, :] & np.isfinite(log_cum[lo:])[:, None]
         exponent = (-lam * seg)[None, :] - log_cum[lo:, None]
         hold_adj[t:t + hi + 1] += spread @ np.exp(np.where(live, exponent, -np.inf))

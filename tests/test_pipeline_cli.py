@@ -117,13 +117,28 @@ def _set(path, value):
     (_set(("fleet", "capability"), [{"targets": 5, "blades": "all"}]),
      "fleet.capability[0].targets", None),
     (_set(("weights",), [1.0]), "weights", None),
+    (_set(("workspace",), {"lower": [9.0, 9.0, 9.0], "upper": [8.0, 8.0, 8.0]}),
+     "workspace: degenerate box", None),
+    (_set(("obstacles",), [{"lower": [1.0, 1.0, 1.0], "upper": [math.nan, 2.0, 2.0]}]),
+     "obstacles[0]: degenerate box", None),
+    (_set(("targets",), [{"lower": [0.0, 0.0, 1.0], "upper": [1.0, 1.0, 2.0]}] * 2
+          + [{"lower": [1.0, 1.0, 2.0], "upper": [0.0, 0.0, 1.0]}]),
+     "targets[2]: degenerate box", None),
+    (_set(("fleet", "home_boxes"), [{"lower": [-3.3, -3.3, 0.7], "upper": [-2.7, -2.7, 1.3]},
+                                    {"lower": [0.0, 0.0], "upper": [1.0, 1.0]}]),
+     "fleet.home_boxes[1]: box bounds must be 3-vectors", None),
+    (_set(("blades", 0, "rotor_shaft"), [3.0, 2.0, 0.8]),
+     "blades[0]: blade segment endpoints coincide", None),
+    (_set(("blades", 0, "leading_edge"), [3.0, 2.0]),
+     "blades[0]: blade segment endpoints must be 3-vectors", None),
 ], ids=["zero-sample", "negative-sample", "nan-duration", "negative-v-max",
         "text-blade-id", "unknown-capability-target", "text-trace-cell",
         "text-duration", "text-workspace-bound", "text-yaw", "text-depot", "text-weight",
         "nan-sharpness", "negative-sharpness", "nan-margin", "negative-separation",
         "zero-trigger-radius", "repeated-trace-row", "off-grid-trace-time", "nan-v-max",
         "infinite-relaxed-a-max", "number-obstacles", "number-target", "number-depots",
-        "number-capability", "list-weights"])
+        "number-capability", "list-weights", "reversed-workspace", "nan-obstacle-bound",
+        "reversed-target", "two-vector-home-box", "degenerate-blade", "two-vector-blade"])
 def test_cli_bad_input_exits_2_naming_the_field(tmp_path, capsys, edit, field, trace):
     data = json.loads(scenario_to_json(make_scenario(blade=True)))
     edit(data)
@@ -148,6 +163,20 @@ def test_cli_plan_rejects_nan_sharpness_before_planning(tmp_path, capsys):
     assert main(["plan", "--scenario", str(scenario_path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: thresholds.sharpness"), err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--max-iters", "0"), ("--zeta", "nan"),
+                                         ("--lambda", "nan"), ("--lambda", "inf"),
+                                         ("--lambda", "-1"), ("--seed", "-1")])
+def test_cli_plan_rejects_bad_planner_flags_before_planning(tmp_path, capsys, flag, value):
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(scenario_to_json(make_scenario()))
+    argv = ["plan", "--scenario", str(scenario_path), "--out", str(tmp_path / "out"),
+            f"{flag}={value}"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}"), err
     assert not (tmp_path / "out").exists()
 
 

@@ -435,8 +435,8 @@ def test_slab_gradients_match_row_kernels(seed, nodes, width, extra, lo, is_min,
         assert isinstance(tape[batch][3], np.ndarray)  # the taped weights
         batch.backward(values, adjoints, lam, weighting, tape)
 
-    soft, partials_of = ((robustness._softmin, robustness._softmin_partials) if is_min
-                         else (robustness._softmax_avg, robustness._softmax_partials))
+    soft, partials_of = ((ref_softmin, ref_softmin_partials) if is_min
+                         else (ref_softmax, ref_softmax_partials))
     for index, (arg,) in zip(batch.indices, batch.args):
         rows = ref_windows(values[arg], lo, width, n)
         factor = None
@@ -512,5 +512,33 @@ def test_row_batches_under_weighted_smooth_pass(seed):
     program._forward(trace, lam, _SHARE)
     reducing = [batch for batch in program.batches if batch.reduces]
     assert reducing and all(3 < batch.arity for batch in reducing)
-    assert all(program._kept[3][batch][1] is not None for batch in reducing)  # share factors
+    # taped terms laid out by rows: (K, n, m) for windows, (K, m, n) for Booleans
+    assert all(program._kept[3][batch][3].transpose((1, 2, 0) if batch.window else (1, 0, 2))
+               .flags.c_contiguous for batch in reducing)
     assert_gradients_match(program, trace, lam, t_index=int(rng.integers(0, 3)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_boolean_batch_at_one_sample(seed):
+    # 3 Boolean nodes of 11 operands each over windows that reach the last
+    # sample, so n = 1: numpy sums each node's single row of 11 terms
+    # pairwise, not one operand after another as it does where n >= 2
+    rng = np.random.default_rng(200 + seed)
+    kind, combine = (stl.AND, stl.land) if seed % 2 else (stl.OR, stl.lor)
+    width = int(rng.integers(3, 10))
+    interval = stl.Interval(0.0, width * TS)
+
+    def window():
+        temporal = stl.always if rng.random() < 0.5 else stl.eventually
+        return temporal(interval, stl.atom(random_predicate(rng, 2)))
+
+    formula = stl.land(*[combine(*[window() for _ in range(11)]) for _ in range(3)])
+    program = Program(formula, TS, random_weights(rng, formula))
+    trace = random_trace(rng, n_drones=2, length=width + 1)
+    assert any(batch.kind == kind and (len(batch.indices), batch.arity) == (3, 11)
+               and trace.n_samples - batch.steps == 1 for batch in program.batches)
+    lam = float(rng.choice([0.7, 4.0, 25.0]))
+    for lam_pass, weighting in ((None, None), (lam, None), (None, _SCALE), (lam, _SHARE)):
+        assert_values_equal(program._forward(trace, lam_pass, weighting),
+                            ref_forward(program, trace, lam_pass, weighting))
+    assert_gradients_match(program, trace, lam)
