@@ -10,11 +10,12 @@ errors.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 from pathlib import Path
 
-from .errors import StlFleetError
+from .errors import StlFleetError, ValidationError
 from .mission import headings_to_csv, assign_headings
 from .optimizer import OptimizerConfig
 from .pipeline import (load_disturbance_file, load_scenario, monitor_trace,
@@ -76,7 +77,47 @@ def main(argv=None) -> int:
         return 2
 
 
+# mallopt(3) parameters of glibc
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_heap():
+    """Keep the memory of one planning pass for the next. A pass allocates
+    and frees 2-3 MB; under glibc's dynamic thresholds the heap is trimmed
+    once about 2 MB lie free at its top, and every page given back is
+    faulted in again by the next pass. Blocks up to 4 MB come from the heap
+    and up to 8 MB may stay free at its top. Without glibc, nothing changes."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 4 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 8 << 20)
+
+
+def _check_out(args):
+    """Reject an ``--out`` that the command could not write, before any work:
+    monitor writes one report file into an existing directory; the other
+    commands create an artifact directory and its missing parents."""
+    if args.out is None:
+        return
+    out = Path(args.out)
+    if args.command == "monitor":
+        if out.is_dir():
+            raise ValidationError(f"--out {out} is a directory, not a report file")
+        if not out.parent.is_dir():
+            raise ValidationError(f"--out {out}: {out.parent} is not a directory")
+        return
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        raise ValidationError(f"--out {out}: {existing} is a file, not a directory")
+
+
 def _dispatch(args) -> int:
+    _check_out(args)
+    if args.command in ("plan", "replay"):
+        _keep_heap()
     scenario = load_scenario(args.scenario)
     if args.command == "plan":
         output = run_pipeline(scenario, args.mode, _config(args))

@@ -21,6 +21,10 @@ class EmptyInput(StlFleetError):
     """Reduction over an empty value set."""
 
 
+class BadSharpness(StlFleetError, ValueError):
+    """Smooth min/max sharpness that is not a finite positive number."""
+
+
 class NonPositiveWeight(StlFleetError):
     """Weight map contains a weight <= 0."""
 

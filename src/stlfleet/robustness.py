@@ -9,43 +9,29 @@ only source of infinite values is ``true``; where the exact min/max of a
 reduction is infinite, the smooth one returns that same infinity, and an
 infinite operand or result passes no gradient.
 
-A formula is compiled once per sampling period into a ``Program``: a
-flat post-order list of instructions (the computation-graph view of STL
-robustness, as in STLCG). Compilation resolves, once, each node's
-access steps, window offsets and widths, the successor stride of Next,
-and the weight and weight-share arrays of every node. Implication is
-lowered to Or(Not(lhs), rhs), so one semantics covers it.
+A formula is compiled once per sampling period into a ``Program``: a flat
+post-order list of instructions (STLCG's computation-graph view of
+robustness) with each node's access steps, window offsets and weights
+resolved. Implication is lowered to Or(Not(lhs), rhs).
 
-One forward pass first evaluates the atoms, all atoms of one predicate
-kind as one batch, then every other node at every sample where it is
-defined, in batches: nodes of one kind, window, lookahead and arity at
-one depth above the atoms. A window or Boolean batch of K nodes with n
-outputs over m operands each is one reduction over axis 0 of an (m, K, n)
-array, whose slab j holds operand j of the K nodes at the n samples (for
-windows the strided view operand[:, lo + j : lo + j + n]). One kernel pair
-per smooth reduction serves every batch, Until and ``smooth_min`` /
-``smooth_max``; a batch differs only in the memory layout of the
-exponential terms the kernels write and sum, chosen per pass from n and m
-(``_Batch._layout``). The same program serves the exact, smooth, weighted
-and weighted-smooth semantics, the reverse sweep that yields gradients,
-and the per-node report.
+A pass writes one fresh (instructions, L) value array and a reverse sweep
+one zeroed adjoint array; instruction i owns row ``row[i]`` up to its
+L - steps samples. Each atom group and each batch owns consecutive rows.
+A batch gathers its operands with one indexing, a view where their rows
+are consecutive: for a window or Boolean batch of K nodes with m
+operands each, an (m, K, n) array whose slab j holds operand j (for
+windows the strided view operand[:, lo + j : lo + j + n]), reduced over
+axis 0 by one kernel pair per smooth reduction. The sweep reads a
+batch's adjoints as its rows and writes its operands' rows with one
+assignment, or one scatter for windows; one bincount adds the atom
+groups' entries of the state gradient in leaf order.
 
-Between calls a program keeps its last smooth (or weighted-smooth)
-forward pass and nothing else: every instruction's values and the tape
-the reverse sweep reads. A reduction tapes its operands and its
-exponential terms, which the reverse sweep turns into adjoint
-contributions in place (recomputing the share factor of a weighted pass)
-and scatters to the operand samples. So each exponential is taken once
-per accepted step. The pass is keyed by its semantics and by the shapes
-and bytes of the trace's positions and velocities, and is lent out only
-while the kept trace, from which box atoms find the face of each
-gradient again, still holds those bits. A gradient of the same key runs
-only the reverse sweep, which frees each tape entry once read, and drops
-the pass, so a line search's accepted trial is not evaluated twice. A
-report drops its pass, as no gradient follows it. Atom rows depend on
-nothing but the predicates and the trace, so the exact monitor of a
-formula that the objective conjoins takes them from the objective's kept
-pass over the same bits and evaluates no atom.
+A program keeps its last smooth pass: its values and each reduction's
+tape (operands and exponential terms, turned into partials in place). It
+is keyed by the semantics and the trace's bytes, and lent while the kept
+trace, from which box atoms find their faces, still holds them: a
+gradient of that key runs only the sweep, and the exact monitor of a
+formula the objective conjoins copies its atom rows. Reports keep none.
 
 Every result is bit for bit that of a node-by-node recursive
 evaluation: elementwise steps round as before, sums over a reduction's
@@ -64,7 +50,7 @@ import numpy as np
 
 from . import stl
 from .dynamics import Trace
-from .errors import EmptyInput, NonPositiveWeight, TraceTooShort
+from .errors import BadSharpness, EmptyInput, NonPositiveWeight, TraceTooShort
 
 # weighting of one pass: operands times raw weights (exact weighted
 # semantics) or the normalized-weight transform (weighted smooth)
@@ -87,22 +73,17 @@ def _smooth_one(values, sharpness, red, name):
     values = np.asarray(values, float).ravel()
     if values.size == 0:
         raise EmptyInput(f"{name} of an empty set")
-    if sharpness <= 0:
-        raise ValueError(f"sharpness must be positive, got {sharpness}")
+    _check_sharpness(sharpness)
     return float(_reduce(values, red, None, None, sharpness, None)[0])
 
 
-# One kernel pair per smooth reduction. A kernel reduces axis 0 of an
-# (m, ...) array of operands, given their hard extreme ``edge``: it writes
-# the exponential weights into ``terms``, a buffer the caller provides, and
-# sums them with the caller's ``add``; the reverse sweep turns that tape
-# into the partials in place, so each exponential is taken once. Every
-# product a kernel sums is written into a buffer laid out like ``terms``,
-# so the caller's layout of ``terms`` and its ``add`` fix the order of
-# every sum (see ``_Batch._layout``). Callers turn numpy's
+# One kernel pair per smooth reduction. A kernel reduces axis 0 of (m, ...)
+# operands given their hard extreme ``edge``: it writes the exponential
+# weights into the caller's ``terms``, which the sweep turns into partials
+# in place, and sums every product laid out like ``terms`` with the
+# caller's ``add``, so the caller fixes the order of every sum. Callers turn
 # invalid-operation warnings off: the NaNs of inf - inf or 0 * inf are
-# rebuilt afterwards, so finite input pays for one NaN check. An infinite
-# result or operand passes no gradient.
+# rebuilt afterwards. An infinite result or operand passes no gradient.
 
 
 def _exp_terms(values, lam, edge, terms):
@@ -219,9 +200,9 @@ def _sequential_sum(terms):
 # Atom margins and their gradients
 #
 # Atoms of one predicate kind are evaluated together, one row per atom.
-# Their gradients come back as (flat index, value) entries into the
-# stacked state gradient [d/d positions; d/d velocities] of shape
-# (2 * drones, L, 3), one row of entries per atom.
+# Their gradients are (flat index, value) entries, one row per atom, into
+# the stacked state gradient [d/d positions; d/d velocities] of shape
+# (2 * drones, L, 3); a program builds the flat-index ``bases`` once.
 
 
 def _blocks(rows, length):
@@ -243,46 +224,43 @@ class _Boxes:
         if self.kind == stl.BOX_OUTSIDE:
             self.face_sign = -self.face_sign
 
+    def _faces(self, trace):
+        """(K, L) face margins p_x - lo_x, hi_x - p_x, p_y - lo_y, ..."""
+        coords = (trace.vel if self.kind == stl.VELOCITY_BOX else trace.pos)[self.drones]
+        for face in range(6):
+            coord = coords[:, :, face // 2]
+            yield coord - self.lo[:, face // 2] if face % 2 == 0 else self.hi[:, face // 2] - coord
+
     def forward(self, trace, keep=False):
-        state = trace.vel if self.kind == stl.VELOCITY_BOX else trace.pos
-        source = state[self.drones].transpose(0, 2, 1)
-        # faces p_x - lo_x, hi_x - p_x, p_y - lo_y, ... folded in that order,
-        # as a min (max of negated faces) over (K, 6, L) margins would
+        # faces folded in order, as a min (max of negated faces) would
         outside = self.kind == stl.BOX_OUTSIDE
-        fold = np.maximum if outside else np.minimum
-        value, face = np.empty((2, len(self.drones), source.shape[2]))
-        for f in range(6):
-            out = face if f else value
-            axis = f // 2
-            if f % 2:
-                np.subtract(self.hi[:, axis], source[:, axis], out=out)
-            else:
-                np.subtract(source[:, axis], self.lo[:, axis], out=out)
-            if outside:
-                np.negative(out, out=out)
-            if f:
-                fold(value, face, out=value)
+        faces = (np.negative(m, out=m) if outside else m for m in self._faces(trace))
+        value = next(faces)
+        for margin in faces:
+            (np.maximum if outside else np.minimum)(value, margin, out=value)
         return self.scale * value, (trace if keep else None)
 
-    def entries(self, trace, adjoint, n_drones):
-        # the face that carries the gradient, found one face at a time with
-        # no (K, 6, L) margins: the first face of least margin, NaN first, as
-        # argmin (argmax over negated outside margins) picks it
-        state = trace.vel if self.kind == stl.VELOCITY_BOX else trace.pos
-        for face in range(6):
-            axis = face // 2
-            coord = state[self.drones, :, axis]
-            margin = coord - self.lo[:, axis] if face % 2 == 0 else self.hi[:, axis] - coord
-            if face == 0:
-                least, active = margin, np.zeros(margin.shape, dtype=np.intp)
-                continue
-            wins = (margin < least) | (np.isnan(margin) & ~np.isnan(least))
-            active[wins] = face
-            np.minimum(least, margin, out=least)
-        length = active.shape[1]
+    def bases(self, n_drones, length):
         rows = self.drones + (n_drones if self.kind == stl.VELOCITY_BOX else 0)
-        index = (rows[:, None] * length + np.arange(length)) * 3 + active // 2
-        return index, self.face_sign[active] * (self.scale * adjoint)
+        return (rows[:, None] * length + np.arange(length)) * 3
+
+    def entries(self, trace, adjoint, n_drones, base=None):
+        # the first face of least margin, as argmin picks it; NaN margins
+        # take a second run where the first NaN face wins
+        for nan in (False, True):
+            margins = self._faces(trace)
+            least = next(margins)
+            active = np.zeros(least.shape, dtype=np.intp)
+            for face, margin in enumerate(margins, 1):
+                wins = margin < least
+                if nan:
+                    wins |= np.isnan(margin) & ~np.isnan(least)
+                np.copyto(active, face, where=wins)
+                np.minimum(least, margin, out=least)
+            if nan or not np.isnan(least.sum()):
+                break
+        base = self.bases(n_drones, least.shape[1]) if base is None else base
+        return base + (active >> 1), self.face_sign[active] * (self.scale * adjoint)
 
 
 class _Separations:
@@ -299,14 +277,16 @@ class _Separations:
         dist = np.linalg.norm(diff, axis=2)
         return self.scale * (dist - self.threshold), (diff, dist)
 
-    def entries(self, aux, adjoint, n_drones):
+    def bases(self, n_drones, length):
+        return np.concatenate([_blocks(self.a, length), _blocks(self.b, length)], axis=1)
+
+    def entries(self, aux, adjoint, n_drones, base=None):
         diff, dist = aux
         unit = np.divide(diff, dist[..., None], out=np.zeros_like(diff),
                          where=dist[..., None] > 0)
         push = ((self.scale * adjoint)[..., None] * unit).reshape(len(self.a), -1)
-        length = diff.shape[1]
-        index = np.concatenate([_blocks(self.a, length), _blocks(self.b, length)], axis=1)
-        return index, np.concatenate([push, -push], axis=1)
+        base = self.bases(n_drones, diff.shape[1]) if base is None else base
+        return base, np.concatenate([push, -push], axis=1)
 
 
 class _Segments:
@@ -326,14 +306,18 @@ class _Segments:
         value = np.minimum(dist - self.inner, self.outer - dist)
         return self.scale * value, (offset, dist)
 
-    def entries(self, aux, adjoint, n_drones):
+    def bases(self, n_drones, length):
+        return _blocks(self.drones, length)
+
+    def entries(self, aux, adjoint, n_drones, base=None):
         offset, dist = aux
         unit = np.divide(offset, dist[..., None], out=np.zeros_like(offset),
                          where=dist[..., None] > 0)
         # branch 0: dist - inner (d/d dist = +1); branch 1: outer - dist (-1)
         sign = np.where(dist - self.inner <= self.outer - dist, 1.0, -1.0)
         push = ((self.scale * adjoint) * sign)[..., None] * unit
-        return _blocks(self.drones, offset.shape[1]), push.reshape(len(self.drones), -1)
+        base = self.bases(n_drones, offset.shape[1]) if base is None else base
+        return base, push.reshape(len(self.drones), -1)
 
 
 _ATOM_GROUPS = {stl.BOX_INSIDE: _Boxes, stl.VELOCITY_BOX: _Boxes, stl.BOX_OUTSIDE: _Boxes,
@@ -370,9 +354,8 @@ class Program:
 
     ``ops`` is the post-order instruction list; the last one is the root.
     ``batches`` partitions the other instructions into passes, each after
-    those computing its operands. Evaluate it with the module-level
-    functions, which accept a program wherever they accept a formula; they
-    are its only public interface.
+    those computing its operands. The module-level functions, which accept
+    a program wherever they accept a formula, are its only public interface.
     """
 
     def __init__(self, formula: stl.Formula, ts: float, weights: stl.WeightMap = None):
@@ -383,16 +366,25 @@ class Program:
         self.weights = weights
         self.ops = []
         self.labels = []            # (node_id, op index) in pre-order, for reports
-        self._atoms = {}            # predicate kind -> [(op index, predicate)]
+        self._preds = {}            # op index -> predicate, of each atom
         self._emit(formula)
-        # atoms of one kind run as one group: (group, op indices)
-        self.groups = [(_ATOM_GROUPS[kind]([pred for _, pred in members]),
-                        [index for index, _ in members])
-                       for kind, members in self._atoms.items()]
-        self.leaves = [index for index, op in enumerate(self.ops) if op.kind == stl.ATOM]
-        self.batches = self._batch()
+        kinds = {}
+        for index, pred in self._preds.items():
+            kinds.setdefault(pred.kind, []).append(index)
+        self.leaves = list(self._preds)
+        # rows: atom groups, then batches, each consecutive
+        layers = list(kinds.values()) + self._batch()
+        self._order(layers)
+        self.row = [0] * len(self.ops)
+        for row, index in enumerate(i for indices in layers for i in indices):
+            self.row[index] = row
+        self.groups = [(_ATOM_GROUPS[kind]([self._preds[i] for i in indices]), indices)
+                       for kind, indices in zip(kinds, layers)]
+        self._group_rows = [slice(self.row[i[0]], self.row[i[0]] + len(i)) for _, i in self.groups]
+        self.batches = [_Batch(self.ops, indices, self.row) for indices in layers[len(kinds):]]
+        self._entry_layout = (None,)  # ((drones, L), bases, leaf order)
         self._kept = None           # (key, trace, values, tape) of the last smooth pass
-        self._lender = None         # (program, [(op index, its op index)]) of atoms
+        self._lender = None         # (program, its rows of ours)
         self._taping = True         # False while no gradient can follow a pass
 
     # -- compilation
@@ -409,8 +401,7 @@ class Program:
         op = _Op(kind, args, node_id=node.node_id)
         steps = max((self.ops[a].steps for a in args), default=0)
         if kind == stl.ATOM:
-            self._atoms.setdefault(node.predicate.kind, []).append(
-                (len(self.ops), node.predicate))
+            self._preds[len(self.ops)] = node.predicate
         elif kind in (stl.AND, stl.OR):
             op.red = _MIN if kind == stl.AND else _MAX
             self._attach_weights(op, node.node_id, len(args))
@@ -442,9 +433,8 @@ class Program:
         op.tilt = (0.5 - share) if op.red.is_min else (share - 0.5)
 
     def _batch(self):
-        """Group instructions of one kind, window, lookahead and arity at one
-        depth above the atoms, so each group's operands are all computed by
-        shallower groups; groups run in order of depth."""
+        """Op indices of each kind, window, lookahead and arity at one depth,
+        by depth, so each group's operands come from shallower groups."""
         depth = []
         members = {}
         for index, op in enumerate(self.ops):
@@ -452,15 +442,22 @@ class Program:
             if op.kind != stl.ATOM:
                 key = (depth[index], op.kind, op.lo, op.width, op.steps, len(op.args))
                 members.setdefault(key, []).append(index)
-        return [_Batch(self.ops, indices)
-                for _, indices in sorted(members.items(), key=lambda item: item[0][0])]
+        return [indices for _, indices in sorted(members.items(), key=lambda item: item[0][0])]
+
+    def _order(self, layers):
+        """Sort each layer as deeper layers read it, operand j of every node
+        before operand j + 1, so operands sit on consecutive rows."""
+        reads = {}
+        for layer in reversed(layers):
+            layer.sort(key=lambda index: reads.get(index, 0))
+            for j in range(len(self.ops[layer[0]].args)):
+                for index in layer:
+                    reads[self.ops[index].args[j]] = len(reads)
 
     # -- evaluation
 
     def _semantics(self, sharpness, weighted, soft_combine):
         """(lam, weighting) of a pass; lam None means hard min/max."""
-        if sharpness is not None and sharpness <= 0:
-            raise ValueError("smooth evaluation needs a positive sharpness")
         if not weighted:
             return sharpness, None
         if self.weights is None:
@@ -500,22 +497,20 @@ class Program:
             raise TraceTooShort(
                 f"trace of {length} samples cannot evaluate node "
                 f"{self.formula.node_id!r}, which needs {root.steps + 1}")
-        values = [None] * len(self.ops)
+        values = np.empty((len(self.ops), length))
         tape = {} if lam is not None and self._taping else None
         lender = self._lender
         lent = lender[0]._kept_over(trace) if lender and tape is None else None
         if lent:
-            for index, theirs in lender[1]:
-                values[index] = lent[2][theirs]
+            values[:len(lender[1])] = lent[2].array[lender[1]]
         else:
-            for group, indices in self.groups:
-                rows, data = group.forward(trace, keep=tape is not None)
-                for index, row in zip(indices, rows):
-                    values[index] = row
+            for (group, _), rows in zip(self.groups, self._group_rows):
+                values[rows], data = group.forward(trace, keep=tape is not None)
                 if tape is not None:
                     tape[group] = data
         for batch in self.batches:
-            batch.forward(values, length, lam, weighting, tape)
+            batch.forward(values, lam, weighting, tape)
+        values = _Values(values, self)
         if tape is not None:
             self._kept = (_pass_key(trace, lam, weighting), trace, values, tape)
         return values
@@ -532,12 +527,10 @@ class Program:
     def _borrow_atoms(self, lender):
         """Take the atom rows of exact passes from ``lender``'s kept pass over
         the same bits, if each atom here is one of ``lender``'s predicates."""
-        theirs = {id(pred): index for members in lender._atoms.values()
-                  for index, pred in members}
-        pairs = [(index, theirs.get(id(pred))) for members in self._atoms.values()
-                 for index, pred in members]
-        if all(j is not None for _, j in pairs):
-            self._lender = (lender, pairs)
+        theirs = {id(pred): lender.row[index] for index, pred in lender._preds.items()}
+        rows = [theirs.get(id(self._preds[i])) for _, indices in self.groups for i in indices]
+        if None not in rows:
+            self._lender = (lender, np.array(rows, dtype=np.intp))
 
     @np.errstate(invalid="ignore")
     def _gradient(self, trace, sharpness, weighted=False, t_index=0):
@@ -550,27 +543,51 @@ class Program:
         _, _, values, tape = self._kept
         self._kept = None
         value = self._value_at(values, t_index)
-        adjoints = [None] * len(self.ops)
-        adjoints[-1] = np.zeros(len(values[-1]))
-        adjoints[-1][t_index] = 1.0
+        values = values.array
+        adjoints = np.zeros(values.shape)
+        adjoints[-1, t_index] = 1.0  # the root's row is the last
         # every instruction has one consumer, which sits in a deeper batch
         for batch in reversed(self.batches):
             batch.backward(values, adjoints, lam, weighting, tape)
-        entries = {}
-        for group, indices in self.groups:
-            adjoint = np.stack([adjoints[index] for index in indices])
-            flat, amounts = group.entries(tape.pop(group), adjoint, trace.n_drones)
-            entries.update(zip(indices, zip(flat, amounts)))
-        # one bincount adds every atom's entries in left-to-right leaf order,
-        # the order of a recursive sweep, so the sums round the same way
         n_drones, length, _ = trace.pos.shape
         grad = np.zeros(2 * n_drones * length * 3)
         if self.leaves:
-            grad = np.bincount(np.concatenate([entries[i][0] for i in self.leaves]),
-                               weights=np.concatenate([entries[i][1] for i in self.leaves]),
-                               minlength=grad.size)
+            bases, leaf_order = self._entry_layout_at(n_drones, length)
+            flat, amounts = zip(*(group.entries(tape.pop(group), adjoints[rows], n_drones, base)
+                                  for (group, _), rows, base
+                                  in zip(self.groups, self._group_rows, bases)))
+            # one bincount adds the entries in left-to-right leaf order, as a
+            # recursive sweep would, so the sums round the same way
+            grad = np.bincount(np.concatenate(flat, axis=None).take(leaf_order),
+                               np.concatenate(amounts, axis=None).take(leaf_order), grad.size)
         grad = grad.reshape(2 * n_drones, length, 3)
         return value, grad[:n_drones], grad[n_drones:]
+
+    def _entry_layout_at(self, n_drones, length):
+        """Atom groups' flat-index bases; where leaf order finds each entry."""
+        if self._entry_layout[0] != (n_drones, length):
+            bases = [group.bases(n_drones, length) for group, _ in self.groups]
+            spans, offset = {}, 0
+            for (_, indices), base in zip(self.groups, bases):
+                spans.update(zip(indices, np.arange(offset, offset + base.size, dtype=np.int32)
+                                 .reshape(base.shape)))
+                offset += base.size
+            leaf_order = np.concatenate([spans[i] for i in self.leaves])
+            self._entry_layout = ((n_drones, length), bases, leaf_order)
+        return self._entry_layout[1:]
+
+
+class _Values:
+    """One pass's values: instruction i's are ``array[row[i]]``, cut to its length."""
+
+    def __init__(self, array, program):
+        self.array, self.program = array, program
+
+    def __len__(self):
+        return len(self.program.ops)
+
+    def __getitem__(self, i):
+        return self.array[self.program.row[i], :len(self.array[0]) - self.program.ops[i].steps]
 
 
 def _pass_key(trace, lam, weighting):
@@ -580,11 +597,11 @@ def _pass_key(trace, lam, weighting):
 
 
 class _Batch:
-    """Instructions of one kind, window, lookahead and arity, run as one pass:
-    a window or Boolean batch as one reduction of (m, K, n) operands; Until,
-    Next, Not and True node by node."""
+    """Instructions of one kind, window, lookahead and arity on consecutive
+    rows: a window or Boolean batch is one reduction of (m, K, n) operands,
+    Next, Not and True one copy; Until runs node by node."""
 
-    def __init__(self, ops, indices):
+    def __init__(self, ops, indices, row):
         self.ops = [ops[index] for index in indices]
         self.indices = indices
         op = self.ops[0]
@@ -594,6 +611,12 @@ class _Batch:
         self.reduces = self.window or op.kind in (stl.AND, stl.OR)
         self.arity = op.width if self.window else len(op.args)
         self.args = [o.args for o in self.ops]
+        self.rows = slice(row[indices[0]], row[indices[0]] + len(indices))
+        # the row of operand j of node k at [j][k]; flat, a slice if consecutive
+        self.arg_rows = [[row[a[j]] for a in self.args] for j in range(len(op.args))]
+        rows = sum(self.arg_rows, [])
+        span = range(rows[0], rows[0] + len(rows)) if rows else range(0)
+        self.operand_rows = slice(span.start, span.stop) if rows == list(span) else np.array(rows)
         self.weights = self.tilt = None
         if op.weights is not None and self.reduces:  # (K, m)
             self.weights = np.stack([o.weights for o in self.ops])
@@ -602,30 +625,25 @@ class _Batch:
     def _operands(self, values, n):
         """The K nodes' operands as an (m, K, n) array, slab j holding operand
         j, with the weights and tilts broadcasting against it."""
-        k, m = len(self.indices), self.arity
+        k, m, rows = len(self.indices), self.arity, self.operand_rows
         if self.window:
-            stack = np.empty((k, n + self.hi))
-            for row, (arg,) in zip(stack, self.args):
-                row[:] = values[arg]
+            stack, first = ((values, rows.start) if isinstance(rows, slice)
+                            else (values[rows, :n + self.hi], 0))
             row, step = stack.strides
-            operands = np.ndarray((m, k, n), stack.dtype, stack, self.lo * step,
+            operands = np.ndarray((m, k, n), stack.dtype, stack, first * row + self.lo * step,
                                   (step, row, step))
         else:
-            operands = np.empty((m, k, n))
-            for node, args in enumerate(self.args):
-                for r, arg in enumerate(args):
-                    operands[r, node] = values[arg][:n]
+            operands = values[rows, :n].reshape(m, k, n)
         if self.weights is None:
             return operands, None, None
         return operands, self.weights.T[:, :, None], self.tilt.T[:, :, None]
 
     def _layout(self, n):
-        """The (m, K, n) terms buffer of a smooth pass and the sum over it.
-        Where n >= m the terms are C-contiguous slabs, summed in the order
-        numpy sums one node's operands: a window's as one contiguous row per
-        output sample, a Boolean node's as the columns of an (n, m) matrix
-        stored by columns. Else they are laid out as those rows, and numpy
-        sums them in that order itself."""
+        """The (m, K, n) terms buffer of a smooth pass and the sum over it:
+        where n >= m, C-contiguous slabs summed as numpy sums one node's
+        operands (a window's as one row per output sample, a Boolean node's
+        as the columns of an (n, m) matrix stored by columns); else laid out
+        as those rows, which numpy sums itself."""
         k, m = len(self.indices), self.arity
         if n >= m:
             return np.empty((m, k, n)), (_pairwise_sum if self.window else _sequential_sum)
@@ -633,53 +651,56 @@ class _Batch:
             return np.empty((k, n, m)).transpose(2, 0, 1), np.add.reduce
         return np.empty((k, m, n)).transpose(1, 0, 2), np.add.reduce
 
-    def forward(self, values, length, lam, weighting, tape):
-        n = length - self.steps
-        if not self.reduces:
-            for index, op in zip(self.indices, self.ops):
-                values[index] = _single_values(op, values, n, lam, weighting)
-            return
-        operands, weights, tilt = self._operands(values, n)
-        layout = () if lam is None else self._layout(n)
-        result, taped = _reduce(operands, self.red, weights, tilt, lam, weighting, *layout)
-        for index, row in zip(self.indices, result):
-            values[index] = row
-        if tape is not None:
-            tape[self] = taped
+    def forward(self, values, lam, weighting, tape):
+        n = values.shape[1] - self.steps
+        own, args = values[self.rows, :n], self.operand_rows
+        if self.kind == stl.TRUE:
+            own[:] = np.inf
+        elif self.kind == stl.NOT:
+            own[:] = -values[args, :n]
+        elif self.kind == stl.NEXT:
+            own[:] = values[args, self.lo + 1:self.lo + 1 + n]
+        elif self.kind == stl.UNTIL:
+            for out, op, (hold, goal) in zip(own, self.ops, zip(*self.arg_rows)):
+                _until_values(op, values[hold], values[goal], out, lam, weighting)
+        else:
+            operands, weights, tilt = self._operands(values, n)
+            layout = () if lam is None else self._layout(n)
+            own[:], taped = _reduce(operands, self.red, weights, tilt, lam, weighting, *layout)
+            if tape is not None:  # taping the result as ``values`` holds it
+                tape[self] = taped and taped[:-1] + (own,)
 
     def backward(self, values, adjoints, lam, weighting, tape):
-        if not self.reduces:
-            for index, op in zip(self.indices, self.ops):
-                _single_backprop(op, values, adjoints[index], adjoints, lam, weighting)
-            return
-        adjoint = np.stack([adjoints[index] for index in self.indices])
-        n = adjoint.shape[1]
-        taped = tape.pop(self)
-        if taped is None:  # a single operand passes through
-            part = adjoint[None]  # adjoint * 1.0
-        else:
-            part = _partials(self.red, lam, weighting, taped)
-            part *= adjoint
-        if not self.window:
-            # one zeroed buffer; an operand's adjoint views its first len(operand)
-            width = max(len(values[arg]) for args in self.args for arg in args)
-            full = np.zeros((self.arity, len(self.indices), width))
-            full[:, :, :n] = part
-            for node, args in enumerate(self.args):
-                for r, arg in enumerate(args):
-                    adjoints[arg] = full[r, node, :len(values[arg])]
-            return
-        # each operand sample adds its contributions by ascending output
-        # sample, as a sequential scatter-add in (sample, offset) order would
-        full = np.zeros((len(self.indices), n + self.hi))
-        lo, m = self.lo, self.arity
-        if n >= m:
-            _scatter_slabs(part, full[:, lo:])
-        else:
-            for t in range(n):
-                full[:, lo + t:lo + t + m] += part[:, :, t].T
-        for (arg,), row in zip(self.args, full):
-            adjoints[arg] = row
+        n = values.shape[1] - self.steps
+        adjoint, args = adjoints[self.rows, :n], self.operand_rows
+        if self.kind == stl.NOT:
+            adjoints[args, :n] = -adjoint
+        elif self.kind == stl.NEXT:
+            adjoints[args, self.lo + 1:self.lo + 1 + n] = adjoint
+        elif self.kind == stl.UNTIL:
+            for row, op, (hold, goal) in zip(adjoint, self.ops, zip(*self.arg_rows)):
+                _until_backprop(op, values[hold], values[goal], row, adjoints[hold],
+                                adjoints[goal], lam, weighting)
+        elif self.reduces:
+            taped = tape.pop(self)
+            if taped is None:  # a single operand passes through
+                part = adjoint[None].copy()  # adjoint * 1.0, C-contiguous
+            else:
+                part = _partials(self.red, lam, weighting, taped)
+                part *= adjoint
+            if not self.window:
+                adjoints[args, :n] = part.reshape(-1, n)
+                return
+            # each operand sample adds its contributions by ascending output
+            # sample, as a sequential scatter-add in (sample, offset) order would
+            m = self.arity
+            full = np.zeros((len(self.indices), n + m - 1))
+            if n >= m:
+                _scatter_slabs(part, full)
+            else:
+                for t in range(n):
+                    full[:, t:t + m] += part[:, :, t].T
+            adjoints[args, self.lo:n + self.hi] = full
 
 
 def _scatter_slabs(part, out):
@@ -695,30 +716,6 @@ def _scatter_slabs(part, out):
     slab = np.arange(m)[:, None]
     inside = ((sample >= slab) & (sample < slab + n))[:, None]
     np.add.reduce(shifted[::-1], axis=0, out=out, initial=0.0, where=inside[::-1])
-
-
-def _single_values(op, values, out_len, lam, weighting):
-    """Values of one Until, Next, Not or True instruction."""
-    if op.kind == stl.TRUE:
-        return np.full(out_len, np.inf)
-    if op.kind == stl.NOT:
-        return -values[op.args[0]]
-    if op.kind == stl.NEXT:
-        succ = op.lo + 1
-        return values[op.args[0]][succ:succ + out_len].copy()
-    return _until_values(op, values, out_len, lam, weighting)
-
-
-def _single_backprop(op, values, adjoint, adjoints, lam, weighting):
-    if op.kind == stl.NOT:
-        adjoints[op.args[0]] = -adjoint
-    elif op.kind == stl.NEXT:
-        succ = op.lo + 1
-        full = np.zeros(len(values[op.args[0]]))
-        full[succ:succ + len(adjoint)] = adjoint
-        adjoints[op.args[0]] = full
-    elif op.kind == stl.UNTIL:
-        _until_backprop(op, values, adjoint, adjoints, lam, weighting)
 
 
 def _share_factor(operands, tilt):
@@ -747,7 +744,7 @@ def _reduce(operands, red, weights, tilt, lam, weighting, terms=None, add=np.add
     ``terms``, laid out like the weighted operands unless given, and sums
     them with ``add``."""
     if len(operands) == 1:
-        return operands[0].copy(), None
+        return operands[0], None
     weighted = _weighted(operands, weights, tilt, weighting)
     result = edge = red.hard.reduce(weighted, axis=0)
     if lam is None:
@@ -778,23 +775,17 @@ def _prefix_min(values, lam):
     return -np.logaddexp.accumulate(-lam * values) / lam
 
 
-def _until_values(op, values, out_len, lam, weighting):
-    hold, goal = (values[a] for a in op.args)
+def _until_values(op, hold, goal, out, lam, weighting):
     lo, hi = op.lo, op.hi
-    out = np.empty(out_len)
-    for t in range(out_len):
+    for t in range(len(out)):
         prefix = _prefix_min(hold[t:t + hi + 1], lam)[lo:]
         pair = np.stack([goal[t + lo:t + hi + 1], prefix], axis=1).T  # laid out by rows of two
         candidates = _reduce(pair, op.pair, None, None, lam, None)[0]
         out[t] = _reduce(candidates, op.red, op.weights, op.tilt, lam, weighting)[0]
-    return out
 
 
-def _until_backprop(op, values, adjoint, adjoints, lam, weighting):
-    hold, goal = (values[a] for a in op.args)
+def _until_backprop(op, hold, goal, adjoint, hold_adj, goal_adj, lam, weighting):
     lo, hi = op.lo, op.hi
-    hold_adj = np.zeros(len(hold))
-    goal_adj = np.zeros(len(goal))
     mask = np.arange(hi + 1)[None, :] <= (lo + np.arange(hi - lo + 1))[:, None]
     for t in np.nonzero(adjoint)[0]:
         seg = hold[t:t + hi + 1]
@@ -813,8 +804,6 @@ def _until_backprop(op, values, adjoint, adjoints, lam, weighting):
         live = mask & np.isfinite(seg)[None, :] & np.isfinite(log_cum[lo:])[:, None]
         exponent = (-lam * seg)[None, :] - log_cum[lo:, None]
         hold_adj[t:t + hi + 1] += spread @ np.exp(np.where(live, exponent, -np.inf))
-    adjoints[op.args[0]] = hold_adj
-    adjoints[op.args[1]] = goal_adj
 
 
 def _program(formula, trace, weights=None) -> Program:
@@ -831,8 +820,8 @@ def _program(formula, trace, weights=None) -> Program:
 
 
 def _check_sharpness(sharpness):
-    if sharpness is None or sharpness <= 0:
-        raise ValueError("smooth evaluation needs a positive sharpness")
+    if sharpness is None or not 0.0 < sharpness < np.inf:  # NaN compares False
+        raise BadSharpness(f"sharpness must be finite and positive, got {sharpness}")
 
 
 def eval_exact(formula, trace, t_index: int = 0) -> float:

@@ -304,3 +304,71 @@ def test_cli_replay_event_status_follows_exact(tmp_path):
     for event in events:
         satisfied = event["status"] in (SATISFIED_WITH_MARGIN, SATISFIED_NO_MARGIN)
         assert satisfied == (event["exact"] > 0), event
+
+
+def _no_work(monkeypatch):
+    """Make every stage of the CLI fail loudly if it runs."""
+    def fail(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+    for name in ("load_scenario", "run_pipeline", "run_replay", "run_routes_only",
+                 "monitor_trace", "load_disturbance_file"):
+        monkeypatch.setattr(f"stlfleet.cli.{name}", fail)
+
+
+@pytest.mark.parametrize("command", ["plan", "replay", "routes"])
+@pytest.mark.parametrize("below", [False, True])
+def test_cli_out_naming_a_file_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command,
+                                                       below):
+    # an existing file, or a path below one, cannot hold the artifact directory
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    out = taken / "sub" if below else taken
+    _no_work(monkeypatch)
+    argv = [command, "--scenario", str(bundled_scenario_path("windturbine_mock")),
+            "--out", str(out)]
+    if command == "replay":
+        argv += ["--disturbances", str(tmp_path / "pushes.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out"), err
+    assert taken.read_text() == "keep"
+
+
+class _Reached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("command", ["plan", "replay", "routes"])
+@pytest.mark.parametrize("out", [".", "", "/", "fresh/sub"])
+def test_cli_out_naming_a_directory_or_a_new_path_starts_work(tmp_path, monkeypatch, command,
+                                                              out):
+    # the current directory, the root and a path below a missing directory
+    # all take the artifacts, so the command goes on to load its scenario
+    monkeypatch.chdir(tmp_path)
+    def reached(*args, **kwargs):
+        raise _Reached
+    monkeypatch.setattr("stlfleet.cli.load_scenario", reached)
+    argv = [command, "--scenario", str(bundled_scenario_path("windturbine_mock")), "--out", out]
+    if command == "replay":
+        argv += ["--disturbances", str(tmp_path / "pushes.json")]
+    with pytest.raises(_Reached):
+        main(argv)
+
+
+def test_cli_routes_writes_into_the_current_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["routes", "--scenario", str(bundled_scenario_path("windturbine_mock")),
+                 "--out", "."]) == 0
+    assert (tmp_path / "route_plan.json").is_file()
+
+
+@pytest.mark.parametrize("where", ["directory", "missing_parent"])
+def test_cli_monitor_out_naming_a_directory_exits_2_before_any_work(tmp_path, capsys,
+                                                                    monkeypatch, where):
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "report.json"
+    _no_work(monkeypatch)
+    argv = ["monitor", "--scenario", str(bundled_scenario_path("windturbine_mock")),
+            "--trace", str(tmp_path / "trace.csv"), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out"), err

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stlfleet import robustness, stl
+from stlfleet.dynamics import Trace
 from stlfleet.robustness import (_SCALE, _SHARE, Program, _pairwise_sum, _sequential_sum,
                                  make_report)
 
@@ -423,17 +424,20 @@ def test_slab_gradients_match_row_kernels(seed, nodes, width, extra, lo, is_min,
         row[pick] = rng.choice(choices, size=int(pick.sum()))
         return row
 
-    values = [None] * len(program.ops)
-    adjoints = [None] * len(program.ops)
+    # the pass's value and adjoint arrays; values[i] and adjoints[i] view
+    # instruction i's row up to its own length
+    value_array, adjoint_array = np.zeros((2, len(program.ops), n + batch.steps))
+    values = robustness._Values(value_array, program)
+    adjoints = robustness._Values(adjoint_array, program)
     for index, (arg,) in zip(batch.indices, batch.args):
-        values[arg] = sprinkle(rng.standard_normal(n + batch.hi) * 10.0 ** rng.integers(-3, 3),
-                               [np.inf, -np.inf, 0.0, -0.0])
-        adjoints[index] = sprinkle(rng.standard_normal(n), [0.0, -0.0])
+        values[arg][:] = sprinkle(rng.standard_normal(n + batch.hi) * 10.0 ** rng.integers(-3, 3),
+                                  [np.inf, -np.inf, 0.0, -0.0])
+        adjoints[index][:] = sprinkle(rng.standard_normal(n), [0.0, -0.0])
     tape = {}
     with np.errstate(invalid="ignore"):
-        batch.forward(values, n + batch.steps, lam, weighting, tape)
+        batch.forward(value_array, lam, weighting, tape)
         assert isinstance(tape[batch][3], np.ndarray)  # the taped weights
-        batch.backward(values, adjoints, lam, weighting, tape)
+        batch.backward(value_array, adjoint_array, lam, weighting, tape)
 
     soft, partials_of = ((ref_softmin, ref_softmin_partials) if is_min
                          else (ref_softmax, ref_softmax_partials))
@@ -542,3 +546,99 @@ def test_boolean_batch_at_one_sample(seed):
         assert_values_equal(program._forward(trace, lam_pass, weighting),
                             ref_forward(program, trace, lam_pass, weighting))
     assert_gradients_match(program, trace, lam)
+
+
+# ---------------------------------------------------------------------------
+# One value array per pass
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pass_values_survive_later_passes(seed):
+    # each pass writes a fresh array, so the values one pass returned stay
+    # as they were after later exact, smooth, weighted and gradient passes
+    rng = np.random.default_rng(300 + seed)
+    formula = sibling_formula(rng, 2, 9, 1, 3, seed % 2 == 1)
+    weights = random_weights(rng, formula)
+    program = Program(formula, TS, weights)
+    length = program.ops[-1].steps + 20
+    trace, other = (random_trace(rng, n_drones=2, length=length) for _ in range(2))
+    lam = 4.0
+    passes = [program._node_values(trace), program._node_values(trace, lam),
+              program._node_values(trace, lam, weighted=True)]
+    for values in passes:
+        # each instruction's array has its own length
+        assert [len(v) for v in values] == [length - op.steps for op in program.ops]
+    kept = [[v.copy() for v in values] for values in passes]
+    program._gradient(trace, lam)
+    program._node_values(other)
+    program._node_values(other, lam)
+    program._gradient(other, lam, weighted=True)
+    make_report(program, other, lam, weights=weights)
+    for values, copies in zip(passes, kept):
+        assert all(v.tobytes() == c.tobytes() for v, c in zip(values, copies))
+    # a report's exact values survive its own smooth pass
+    t_index = int(rng.integers(0, length - program.ops[-1].steps))
+    report = make_report(program, trace, lam, t_index=t_index)
+    for node_id, index in program.labels:
+        if t_index < len(kept[0][index]):
+            assert report.per_node[node_id] == (float(kept[0][index][t_index]),
+                                                float(kept[1][index][t_index]))
+
+
+BOX_KINDS = {stl.BOX_INSIDE: stl.Predicate.box_inside, stl.BOX_OUTSIDE: stl.Predicate.box_outside,
+             stl.VELOCITY_BOX: stl.Predicate.velocity_box}
+
+
+def ref_box_entries(group, trace, adjoint, n_drones):
+    """Box gradient entries with the face of each sample picked by argmin over
+    the (K, 6, L) face margins: the first face of least margin, NaN first."""
+    state = trace.vel if group.kind == stl.VELOCITY_BOX else trace.pos
+    coords = state[group.drones].transpose(0, 2, 1)
+    margins = np.stack([coords[:, f // 2] - group.lo[:, f // 2] if f % 2 == 0
+                        else group.hi[:, f // 2] - coords[:, f // 2] for f in range(6)], axis=1)
+    active = np.argmin(margins, axis=1)
+    rows = group.drones + (n_drones if group.kind == stl.VELOCITY_BOX else 0)
+    length = active.shape[1]
+    index = (rows[:, None] * length + np.arange(length)) * 3 + active // 2
+    return index, group.face_sign[active] * (group.scale * adjoint)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(sorted(BOX_KINDS)),
+       nan=st.booleans(), length=st.integers(2, 30))
+@example(seed=0, kind=stl.BOX_INSIDE, nan=False, length=12)
+@example(seed=1, kind=stl.BOX_OUTSIDE, nan=True, length=12)
+def test_box_faces_with_ties_zeros_and_nan(seed, kind, nan, length):
+    # box faces are picked by compares and selects, and by a second, NaN-aware
+    # run where a margin is NaN; coordinates on a small dyadic grid tie faces
+    # and hit the bounds exactly, as +0.0 or -0.0 margins
+    rng = np.random.default_rng(seed)
+    n_drones = 2
+    preds = []
+    for i in range(int(rng.integers(1, 5))):
+        lo = rng.choice([-2.0, -1.0, -0.0, 0.0], 3)
+        preds.append(BOX_KINDS[kind](f"b{i}", int(rng.integers(n_drones)), lo,
+                                     lo + rng.choice([1.0, 2.0, 3.0], 3)))
+    grid = [-2.0, -1.5, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0]
+    pos, vel = (rng.choice(grid, (n_drones, length, 3)) for _ in range(2))
+    if nan:
+        state = vel if kind == stl.VELOCITY_BOX else pos
+        state[preds[0].subject[0], int(rng.integers(length)), int(rng.integers(3))] = np.nan
+    trace = Trace(TS, pos, vel, np.zeros((n_drones, length - 1, 3)))
+    width = int(rng.integers(0, length))
+    formula = stl.land(*[(stl.always if rng.random() < 0.5 else stl.eventually)(
+        stl.Interval(0.0, width * TS), stl.atom(pred)) for pred in preds])
+    program = Program(formula, TS)
+    (group, indices), = program.groups
+    adjoint = rng.choice([-1.5, -0.0, 0.0, 0.25, 2.0], (len(indices), length))
+    got, want = group.entries(trace, adjoint, n_drones), ref_box_entries(group, trace, adjoint,
+                                                                         n_drones)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1].view(np.int64), want[1].view(np.int64))
+    lam = float(rng.choice([0.7, 4.0, 25.0]))
+    with np.errstate(invalid="ignore"):
+        value, dpos, dvel = program._gradient(trace, lam)
+        ref_value, ref_dpos, ref_dvel = ref_gradient(program, trace, lam, None)
+    assert value == ref_value or (np.isnan(value) and np.isnan(ref_value))
+    assert np.array_equal(dpos, ref_dpos, equal_nan=True)
+    assert np.array_equal(dvel, ref_dvel, equal_nan=True)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from stlfleet import stl
-from stlfleet.errors import EmptyInput, TraceTooShort
+from stlfleet.errors import BadSharpness, EmptyInput, StlFleetError, TraceTooShort
 from stlfleet.fixtures import fixture_windturbine
 from stlfleet.mission import compile_mission
 from stlfleet.robustness import (Program, eval_exact, eval_smooth, eval_weighted,
@@ -66,6 +66,29 @@ def test_smooth_empty_and_bad_sharpness():
         smooth_max([], 10.0)
     with pytest.raises(ValueError):
         smooth_min([1.0], 0.0)
+
+
+@pytest.mark.parametrize("sharpness", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_every_entry_point_rejects_bad_sharpness(sharpness, rng):
+    # a NaN or infinite sharpness would give NaN robustness; each entry point
+    # raises one error that is both a package error and a ValueError
+    assert issubclass(BadSharpness, StlFleetError) and issubclass(BadSharpness, ValueError)
+    formula = stl.always(stl.Interval(0.0, 0.1), stl.atom(halfspace("p", offset=0.5)))
+    weights = stl.WeightMap({formula.node_id: np.ones(3)})
+    trace = random_trace(rng, n_drones=1, length=10)
+    calls = [lambda: smooth_min([1.0, 2.0], sharpness),
+             lambda: smooth_max([1.0, 2.0], sharpness),
+             lambda: eval_smooth(formula, trace, 0, sharpness),
+             lambda: eval_weighted_smooth(formula, weights, trace, 0, sharpness),
+             lambda: eval_weighted_smooth(formula, weights, trace, 0, sharpness,
+                                          soft_combine=True),
+             lambda: gradient_smooth(formula, trace, sharpness),
+             lambda: gradient_smooth(formula, trace, sharpness, weights=weights),
+             lambda: make_report(formula, trace, sharpness),
+             lambda: make_report(formula, trace, sharpness, weights=weights)]
+    for call in calls:
+        with pytest.raises(BadSharpness, match="sharpness"):
+            call()
 
 
 # ---------------------------------------------------------------------------
