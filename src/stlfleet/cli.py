@@ -137,7 +137,7 @@ def _dispatch(args) -> int:
         return 0 if report["satisfied"] else 1
 
     if args.command == "replay":
-        disturbances = load_disturbance_file(args.disturbances)
+        disturbances = load_disturbance_file(args.disturbances, scenario)
         output, state = run_replay(scenario, disturbances, args.mode, _config(args))
         paths = output.export(args.out)
         out = Path(args.out)

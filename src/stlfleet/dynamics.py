@@ -69,6 +69,15 @@ def _bound3(value) -> tuple:
     return tuple(arr)
 
 
+def _check_finite(cells, first, rows):
+    """Reject a non-finite cell of ``cells``: CSV columns from ``first`` by data rows ``rows``."""
+    bad = np.argwhere(~np.isfinite(cells.T))
+    if len(bad):
+        row, column = bad[0]
+        raise LengthMismatch(f"trace CSV data row {rows[row] + 1}, column "
+                             f"{_CSV_COLUMNS[first + column]}: {cells[column, row]} is not finite")
+
+
 @dataclass
 class Trace:
     """Sampled fleet trajectory on a uniform grid.
@@ -171,9 +180,9 @@ class Trace:
     @staticmethod
     def _read_csv(handle) -> "Trace":
         # rows may come in any order; a missing (sample, drone) row reads as
-        # zeros, and a row with an empty ax cell has no acceleration. Sample
-        # times must lie on a uniform grid from 0, drone ids must run from 0
-        # and no (sample, drone) pair may repeat.
+        # zeros, and a row with an empty ax cell has no acceleration. Every
+        # number must be finite, sample times must lie on a uniform grid from
+        # 0, drone ids must run from 0 and no (sample, drone) pair may repeat.
         reader = csv.reader(handle)
         header = next(reader)
         if header != _CSV_COLUMNS:
@@ -185,6 +194,7 @@ class Trace:
         # float() on every cell, one column after another
         columns = list(zip(*rows)) or [()] * width
         sample_times = list(map(float, columns[0]))
+        _check_finite(np.array([sample_times]), 0, range(len(rows)))
         drone_ids = list(map(int, columns[1]))
         times = sorted(set(sample_times))
         n, d = len(times), len(set(drone_ids))
@@ -209,6 +219,7 @@ class Trace:
             raise LengthMismatch("trace CSV repeats a (sample, drone) row")
         state = np.fromiter(map(float, itertools.chain(*columns[2:8])), float,
                             6 * len(rows)).reshape(6, -1)
+        _check_finite(state, 2, range(len(rows)))
         pos[dr, k] = state[:3].T
         vel[dr, k] = state[3:].T
         moving = [i for i, cell in enumerate(columns[8]) if cell != ""]
@@ -216,8 +227,10 @@ class Trace:
             pick = operator.itemgetter(*moving)
             cells = [pick(column) if len(moving) > 1 else (pick(column),)
                      for column in columns[8:]]
-            acc[dr[moving], k[moving]] = np.fromiter(map(float, itertools.chain(*cells)),
-                                                     float, 3 * len(moving)).reshape(3, -1).T
+            cells = np.fromiter(map(float, itertools.chain(*cells)), float,
+                                3 * len(moving)).reshape(3, -1)
+            _check_finite(cells, 8, moving)
+            acc[dr[moving], k[moving]] = cells.T
         return Trace(round(ts, 12), pos, vel, acc)
 
     def to_csv_string(self) -> str:

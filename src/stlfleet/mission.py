@@ -19,7 +19,7 @@ from . import stl
 from .dynamics import DroneLimits, Trace
 from .errors import (DegenerateSegment, InfeasibleWindow, NoCapableDrone, ParseError,
                      ValidationError)
-from .robustness import atom_values
+from .robustness import MIN_SHARPNESS, atom_values
 
 
 @dataclass(frozen=True)
@@ -131,10 +131,13 @@ class Scenario:
             raise ValidationError("timing.inspect exceeds timing.mission")
         if self.blade_duration > self.mission_duration:
             raise ValidationError("timing.blade exceeds timing.mission")
-        for key in ("min_separation", "sharpness", "trigger_radius"):
+        for key in ("min_separation", "trigger_radius"):
             value = getattr(self, key)
             if not (np.isfinite(value) and value > 0):
                 raise ValidationError(f"thresholds.{key} must be positive and finite, got {value}")
+        if not MIN_SHARPNESS <= self.sharpness < np.inf:
+            raise ValidationError(f"thresholds.sharpness must be finite and >= "
+                                  f"{MIN_SHARPNESS:g}, got {self.sharpness}")
         for key in ("margin", "blade_standoff", "standoff_tolerance"):
             if not np.isfinite(getattr(self, key)):
                 raise ValidationError(f"thresholds.{key} must be finite, got {getattr(self, key)}")

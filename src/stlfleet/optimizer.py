@@ -19,7 +19,7 @@ import numpy as np
 from . import stl
 from .dynamics import Trace, rollout
 from .errors import NonFiniteObjective, SeedTooShort, ValidationError
-from .robustness import (Program, RobustnessReport, eval_exact, eval_smooth,
+from .robustness import (MIN_SHARPNESS, Program, RobustnessReport, eval_exact, eval_smooth,
                          eval_weighted_smooth, gradient_smooth, make_report)
 
 SATISFIED_WITH_MARGIN = "satisfied_with_margin"
@@ -57,10 +57,9 @@ class OptimizerConfig:
 
     def __post_init__(self):
         # each message names the planner flag that sets the field
-        if self.sharpness is not None and not (np.isfinite(self.sharpness)
-                                               and self.sharpness > 0):
-            raise ValidationError(f"--lambda (sharpness) must be finite and > 0, "
-                                  f"got {self.sharpness}")
+        if self.sharpness is not None and not MIN_SHARPNESS <= self.sharpness < np.inf:
+            raise ValidationError(f"--lambda (sharpness) must be finite and >= "
+                                  f"{MIN_SHARPNESS:g}, got {self.sharpness}")
         if self.margin is not None and not np.isfinite(self.margin):
             raise ValidationError(f"--zeta (margin) must be finite, got {self.margin}")
         if self.max_iters < 1:

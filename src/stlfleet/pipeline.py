@@ -180,5 +180,5 @@ def monitor_trace(scenario: Scenario, trace_path) -> dict:
     return data
 
 
-def load_disturbance_file(path):
-    return load_disturbances(_input_file(path, "disturbance").read_text())
+def load_disturbance_file(path, scenario: Scenario):
+    return load_disturbances(_input_file(path, "disturbance").read_text(), scenario)

@@ -20,9 +20,9 @@ import numpy as np
 
 from . import stl
 from .dynamics import DroneLimits, Trace, rollout, steer_to_state
-from .errors import NoRemainingTasks
+from .errors import NoRemainingTasks, ParseError, ValidationError
 from .optimizer import OptimizerConfig, optimize
-from .mission import Scenario
+from .mission import Scenario, _entries, _index, _mapping, _number
 
 _REJOIN_TOL = 0.05  # meters / m/s box demanded of the optimizer around the rejoin state
 
@@ -270,11 +270,34 @@ def simulate_with_disturbance(committed: Trace, schedules, disturbances,
     return state
 
 
-def load_disturbances(text: str):
-    """Disturbance schedule JSON: [{"time": s, "drone": id, "offset": [m,m,m]}]."""
-    raw = json.loads(text)
-    return [(float(e["time"]), int(e["drone"]), tuple(map(float, e["offset"])))
-            for e in raw]
+def load_disturbances(text: str, scenario: Scenario = None):
+    """Disturbance schedule JSON: [{"time": s, "drone": id, "offset": [m,m,m]}].
+    A bad entry raises an error naming its JSON path; given the scenario, a
+    drone must be in its fleet and a time in its mission."""
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid disturbance JSON: {exc}") from exc
+    last, end = (scenario.n_drones - 1, scenario.mission_duration) if scenario else (np.inf,) * 2
+    schedule = []
+    for path, entry in _entries(raw, "disturbances"):
+        missing = {"time", "drone", "offset"} - set(_mapping(entry, path))
+        if missing:
+            raise ParseError(f"{path}: missing required key {min(missing)!r}")
+        drone = _index(entry["drone"], f"{path}.drone")
+        _within(drone, f"{path}.drone", 0, last)
+        offset = tuple(_within(x, at) for at, x in _entries(entry["offset"], f"{path}.offset"))
+        if len(offset) != 3:
+            raise ValidationError(f"{path}.offset must hold 3 numbers, got {len(offset)}")
+        schedule.append((_within(entry["time"], f"{path}.time", 0, end), drone, offset))
+    return schedule
+
+
+def _within(value, path, low=-np.inf, high=np.inf) -> float:
+    number = _number(value, path)
+    if not low <= number <= high or np.isinf(number):
+        raise ValidationError(f"{path} must be finite and in [{low}, {high}], got {value}")
+    return number
 
 
 def disturbances_to_json(disturbances, indent=2) -> str:

@@ -4,10 +4,10 @@ The exact semantics follows the classic min/max recursion. The smooth
 variant replaces min with a log-sum-exp lower bound and max with a
 softmax convex combination, both controlled by a sharpness parameter:
 larger sharpness means a tighter approximation. All exponential sums are
-max-shifted so no overflow occurs for |sharpness * value| <= 700. The
-only source of infinite values is ``true``; where the exact min/max of a
-reduction is infinite, the smooth one returns that same infinity, and an
-infinite operand or result passes no gradient.
+max-shifted so no overflow occurs for |sharpness * value| <= 700. Infinite
+values come from ``true``, non-finite coordinates or overflow; where the
+exact min/max of a reduction is infinite, the smooth one returns that same
+infinity, and an infinite operand or result passes no gradient.
 
 A formula is compiled once per sampling period into a ``Program``: a flat
 post-order list of instructions (STLCG's computation-graph view of
@@ -26,12 +26,28 @@ batch's adjoints as its rows and writes its operands' rows with one
 assignment, or one scatter for windows; one bincount adds the atom
 groups' entries of the state gradient in leaf order.
 
-A program keeps its last smooth pass: its values and each reduction's
-tape (operands and exponential terms, turned into partials in place). It
-is keyed by the semantics and the trace's bytes, and lent while the kept
-trace, from which box atoms find their faces, still holds them: a
-gradient of that key runs only the sweep, and the exact monitor of a
-formula the objective conjoins copies its atom rows. Reports keep none.
+A program keeps its last smooth pass: its values, each reduction's tape
+(operands and exponential terms, turned into partials in place) and each
+box atom's first face of least margin, picked while the forward pass
+folds the faces. It is keyed by the semantics and the trace's bytes, and
+lent while the kept trace, from which box atoms find their faces where a
+margin is NaN, still holds them: a gradient of that key runs only the
+sweep, and the exact monitor of a formula the objective conjoins copies
+its atom rows. Reports keep none.
+
+A smooth pass decides once, after its atom rows, whether it is known
+finite: no ``true`` or Until, and 4m (M + D (ln m + 1) / lam) < 1e308
+for M the largest |atom value| (NaN fails), m the largest arity and D
+the number of reducing batches. Then no value, extreme, weight sum or
+softmax mean is infinite or NaN: share factors lie in [0, 1], a softmin
+lies at most (ln m + 1) / lam below its extreme, a softmax within its
+operands' range, and rounding grows these bounds less than twofold while
+D m < 1e15. A known-finite pass, and the sweep over its tape, skip the
+probes, which change no bit of it: softmin (its partials) rewrites only
+samples of infinite extreme (result); softmax (its partials) zeroes only
+the products (and partials) of -inf operands, rewrites only samples of
+infinite extreme (result), and else sums the same products in the same
+order. Every other pass takes each probe.
 
 Every result is bit for bit that of a node-by-node recursive
 evaluation: elementwise steps round as before, sums over a reduction's
@@ -83,7 +99,8 @@ def _smooth_one(values, sharpness, red, name):
 # in place, and sums every product laid out like ``terms`` with the
 # caller's ``add``, so the caller fixes the order of every sum. Callers turn
 # invalid-operation warnings off: the NaNs of inf - inf or 0 * inf are
-# rebuilt afterwards. An infinite result or operand passes no gradient.
+# rebuilt afterwards, unless the pass is known ``finite``. An infinite
+# result or operand passes no gradient.
 
 
 def _exp_terms(values, lam, edge, terms):
@@ -92,37 +109,37 @@ def _exp_terms(values, lam, edge, terms):
     return np.exp(terms, out=terms)
 
 
-def _softmin(values, lam, edge, terms, add):
+def _softmin(values, lam, edge, terms, add, finite):
     total = add(_exp_terms(values, -lam, edge, terms))
     result = edge - np.log(total) / lam
-    if np.isnan(result.sum()):  # an infinite min
+    if not finite and np.isnan(result.sum()):  # an infinite min
         result = np.where(np.isinf(edge), edge, result)
     return result, total
 
 
-def _softmax(values, lam, edge, terms, add):
+def _softmax(values, lam, edge, terms, add, finite):
     total = add(_exp_terms(values, lam, edge, terms))
     weighted = np.multiply(values, terms, out=np.empty_like(terms))
     result = add(weighted) / total
-    if np.isnan(result.sum()):  # a -inf operand or an infinite max
+    if not finite and np.isnan(result.sum()):  # a -inf operand or an infinite max
         weighted[np.isneginf(values)] = 0.0  # a -inf operand has weight exactly zero
         result = np.where(np.isinf(edge), edge, add(weighted) / total)
     return result, total
 
 
-def _softmin_partials(values, lam, terms, total, result, add):
+def _softmin_partials(values, lam, terms, total, result, add, finite):
     terms /= total  # a +inf operand of a finite min has w = 0
-    if np.isnan(total.sum()):  # an infinite min
+    if not finite and np.isnan(total.sum()):  # an infinite min
         np.copyto(terms, 0.0, where=np.isinf(result))
     return terms
 
 
-def _softmax_partials(values, lam, terms, total, result, add):
+def _softmax_partials(values, lam, terms, total, result, add, finite):
     """d softmax / d value_i = q_i * (1 + lam * (value_i - result))."""
     terms /= total
     step = np.multiply(values, terms, out=np.empty_like(terms))
     mean = add(step)
-    dead = np.isnan(mean.sum())  # a -inf operand or an infinite max
+    dead = not finite and np.isnan(mean.sum())  # a -inf operand or an infinite max
     if dead:
         dead_at = np.isneginf(values)
         step[dead_at] = 0.0
@@ -225,41 +242,53 @@ class _Boxes:
             self.face_sign = -self.face_sign
 
     def _faces(self, trace):
-        """(K, L) face margins p_x - lo_x, hi_x - p_x, p_y - lo_y, ..."""
+        """(3, K, L) face margins p - lo and hi - p, one axis per slab."""
         coords = (trace.vel if self.kind == stl.VELOCITY_BOX else trace.pos)[self.drones]
-        for face in range(6):
-            coord = coords[:, :, face // 2]
-            yield coord - self.lo[:, face // 2] if face % 2 == 0 else self.hi[:, face // 2] - coord
+        coords = coords.transpose(2, 0, 1)
+        return (np.subtract(coords, self.lo.transpose(1, 0, 2), order="C"),
+                np.subtract(self.hi.transpose(1, 0, 2), coords, order="C"))
 
     def forward(self, trace, keep=False):
-        # faces folded in order, as a min (max of negated faces) would
-        outside = self.kind == stl.BOX_OUTSIDE
-        faces = (np.negative(m, out=m) if outside else m for m in self._faces(trace))
-        value = next(faces)
-        for margin in faces:
-            (np.maximum if outside else np.minimum)(value, margin, out=value)
-        return self.scale * value, (trace if keep else None)
+        # a min of the faces (max of negated ones) folded per axis, then over
+        # axes (np.minimum and np.maximum are associative to the bit); a
+        # taping pass picks each sample's first face of least margin by one
+        # compare and one select per fold step, unless a margin is NaN
+        low, high = self._faces(trace)
+        fold, wins = np.minimum, np.less
+        if self.kind == stl.BOX_OUTSIDE:
+            fold, wins = np.maximum, np.greater
+            np.negative(low, out=low)
+            np.negative(high, out=high)
+        if keep:  # the face of each axis's pair
+            active = wins(high, low).view(np.int8)
+            active[1] += 2
+            active[2] += 4
+        value = fold(low, high, out=low)
+        for axis in (1, 2):
+            if keep:
+                np.copyto(active[0], active[axis], where=wins(value[axis], value[0]))
+            fold(value[0], value[axis], out=value[0])
+        aux = None
+        if keep:
+            aux = (trace, None if np.isnan(value[0].min()) else active[0])
+        return self.scale * value[0], aux
 
     def bases(self, n_drones, length):
         rows = self.drones + (n_drones if self.kind == stl.VELOCITY_BOX else 0)
         return (rows[:, None] * length + np.arange(length)) * 3
 
-    def entries(self, trace, adjoint, n_drones, base=None):
-        # the first face of least margin, as argmin picks it; NaN margins
-        # take a second run where the first NaN face wins
-        for nan in (False, True):
-            margins = self._faces(trace)
+    def entries(self, aux, adjoint, n_drones, base=None):
+        trace, active = aux
+        if active is None:  # as argmin picks: the first NaN face, else the first least
+            low, high = self._faces(trace)
+            margins = (faces[axis] for axis in range(3) for faces in (low, high))
             least = next(margins)
-            active = np.zeros(least.shape, dtype=np.intp)
+            active = np.zeros(least.shape, np.int8)
             for face, margin in enumerate(margins, 1):
-                wins = margin < least
-                if nan:
-                    wins |= np.isnan(margin) & ~np.isnan(least)
+                wins = (margin < least) | (np.isnan(margin) & ~np.isnan(least))
                 np.copyto(active, face, where=wins)
                 np.minimum(least, margin, out=least)
-            if nan or not np.isnan(least.sum()):
-                break
-        base = self.bases(n_drones, least.shape[1]) if base is None else base
+        base = self.bases(n_drones, active.shape[1]) if base is None else base
         return base + (active >> 1), self.face_sign[active] * (self.scale * adjoint)
 
 
@@ -382,8 +411,12 @@ class Program:
                        for kind, indices in zip(kinds, layers)]
         self._group_rows = [slice(self.row[i[0]], self.row[i[0]] + len(i)) for _, i in self.groups]
         self.batches = [_Batch(self.ops, indices, self.row) for indices in layers[len(kinds):]]
+        m = max([b.arity for b in self.batches if b.reduces] + [1])
+        # (4m, D (ln m + 1)) of the finiteness rule; None with true or Until
+        self._finite_rule = None if {stl.TRUE, stl.UNTIL} & {op.kind for op in self.ops} else (
+            4 * m, sum(b.reduces for b in self.batches) * (float(np.log(m)) + 1))
         self._entry_layout = (None,)  # ((drones, L), bases, leaf order)
-        self._kept = None           # (key, trace, values, tape) of the last smooth pass
+        self._kept = None           # (key, trace, values, tape, finite) of the last smooth pass
         self._lender = None         # (program, its rows of ours)
         self._taping = True         # False while no gradient can follow a pass
 
@@ -508,11 +541,15 @@ class Program:
                 values[rows], data = group.forward(trace, keep=tape is not None)
                 if tape is not None:
                     tape[group] = data
+        finite = False
+        if lam is not None and self._finite_rule:
+            atoms, (scale, reach) = values[:len(self.leaves)], self._finite_rule
+            finite = scale * (float(max(atoms.max(), -atoms.min())) + reach / lam) < 1e308
         for batch in self.batches:
-            batch.forward(values, lam, weighting, tape)
+            batch.forward(values, lam, weighting, tape, finite)
         values = _Values(values, self)
         if tape is not None:
-            self._kept = (_pass_key(trace, lam, weighting), trace, values, tape)
+            self._kept = (_pass_key(trace, lam, weighting), trace, values, tape, finite)
         return values
 
     def _kept_over(self, trace, semantics=None):
@@ -540,7 +577,7 @@ class Program:
             raise ValueError("gradients are defined for the smooth evaluation paths")
         if not self._kept_over(trace, (lam, weighting)):
             self._forward(trace, lam, weighting)
-        _, _, values, tape = self._kept
+        _, _, values, tape, finite = self._kept
         self._kept = None
         value = self._value_at(values, t_index)
         values = values.array
@@ -548,7 +585,7 @@ class Program:
         adjoints[-1, t_index] = 1.0  # the root's row is the last
         # every instruction has one consumer, which sits in a deeper batch
         for batch in reversed(self.batches):
-            batch.backward(values, adjoints, lam, weighting, tape)
+            batch.backward(values, adjoints, lam, weighting, tape, finite)
         n_drones, length, _ = trace.pos.shape
         grad = np.zeros(2 * n_drones * length * 3)
         if self.leaves:
@@ -651,7 +688,7 @@ class _Batch:
             return np.empty((k, n, m)).transpose(2, 0, 1), np.add.reduce
         return np.empty((k, m, n)).transpose(1, 0, 2), np.add.reduce
 
-    def forward(self, values, lam, weighting, tape):
+    def forward(self, values, lam, weighting, tape, finite=False):
         n = values.shape[1] - self.steps
         own, args = values[self.rows, :n], self.operand_rows
         if self.kind == stl.TRUE:
@@ -666,11 +703,12 @@ class _Batch:
         else:
             operands, weights, tilt = self._operands(values, n)
             layout = () if lam is None else self._layout(n)
-            own[:], taped = _reduce(operands, self.red, weights, tilt, lam, weighting, *layout)
+            own[:], taped = _reduce(operands, self.red, weights, tilt, lam, weighting, *layout,
+                                    finite=finite)
             if tape is not None:  # taping the result as ``values`` holds it
                 tape[self] = taped and taped[:-1] + (own,)
 
-    def backward(self, values, adjoints, lam, weighting, tape):
+    def backward(self, values, adjoints, lam, weighting, tape, finite=False):
         n = values.shape[1] - self.steps
         adjoint, args = adjoints[self.rows, :n], self.operand_rows
         if self.kind == stl.NOT:
@@ -686,7 +724,7 @@ class _Batch:
             if taped is None:  # a single operand passes through
                 part = adjoint[None].copy()  # adjoint * 1.0, C-contiguous
             else:
-                part = _partials(self.red, lam, weighting, taped)
+                part = _partials(self.red, lam, weighting, taped, finite)
                 part *= adjoint
             if not self.window:
                 adjoints[args, :n] = part.reshape(-1, n)
@@ -738,7 +776,8 @@ def _weighted(operands, weights, tilt, weighting):
     return scale
 
 
-def _reduce(operands, red, weights, tilt, lam, weighting, terms=None, add=np.add.reduce):
+def _reduce(operands, red, weights, tilt, lam, weighting, terms=None, add=np.add.reduce,
+            finite=False):
     """Reduce axis 0 of ``operands``: the result and, for a smooth reduction
     of m >= 2 operands, its tape. The smooth kernel writes its weights into
     ``terms``, laid out like the weighted operands unless given, and sums
@@ -750,11 +789,11 @@ def _reduce(operands, red, weights, tilt, lam, weighting, terms=None, add=np.add
     if lam is None:
         return result, None
     terms = np.empty_like(weighted) if terms is None else terms
-    result, total = red.soft(weighted, lam, edge, terms, add)
+    result, total = red.soft(weighted, lam, edge, terms, add, finite)
     return result, (operands, tilt, add, terms, total, result)
 
 
-def _partials(red, lam, weighting, taped):
+def _partials(red, lam, weighting, taped, finite=False):
     """Partials of a smooth reduction with respect to each operand, in place
     of its taped weights."""
     operands, tilt, add, terms, total, result = taped
@@ -762,7 +801,7 @@ def _partials(red, lam, weighting, taped):
     factor = None if weighting is None else _share_factor(operands, tilt)
     if factor is not None and not red.is_min:  # softmax partials read operands
         operands = factor * operands
-    partials = red.partials(operands, lam, terms, total, result, add)
+    partials = red.partials(operands, lam, terms, total, result, add, finite)
     if factor is not None:
         partials *= factor
     return partials
@@ -819,9 +858,14 @@ def _program(formula, trace, weights=None) -> Program:
 # Public entry points. Each accepts a Formula or a compiled Program.
 
 
+MIN_SHARPNESS = 1e-300
+
+
 def _check_sharpness(sharpness):
-    if sharpness is None or not 0.0 < sharpness < np.inf:  # NaN compares False
-        raise BadSharpness(f"sharpness must be finite and positive, got {sharpness}")
+    """A sharpness must be finite and at least MIN_SHARPNESS, so a kernel's
+    shift ln(m) / lam stays below 1e302 for any window (m < 2**63)."""
+    if sharpness is None or not MIN_SHARPNESS <= sharpness < np.inf:  # NaN compares False
+        raise BadSharpness(f"sharpness must be finite and >= {MIN_SHARPNESS:g}, got {sharpness}")
 
 
 def eval_exact(formula, trace, t_index: int = 0) -> float:

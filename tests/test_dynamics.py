@@ -342,8 +342,6 @@ def test_csv_reader_matches_row_loop(rng, drones, samples, layout):
     trace = rollout(rng.normal(scale=40.0, size=(drones, 3)), rng.normal(size=(drones, 3)),
                     acc, 0.05)
     if samples > 1:
-        trace.pos[0, 1, 0] = np.nan
-        trace.vel[0, 0, 1] = -np.inf
         trace.acc[0, 0, 2] = -0.0
         trace.acc[-1, -1, 0] = 1e-300
     header, *rows = trace.to_csv_string().splitlines(keepends=True)
@@ -413,6 +411,15 @@ def test_csv_reader_rejects_repeated_and_off_grid_rows(edit, message):
     assert Trace.from_csv(io.StringIO(header + "".join(rows))).n_samples == 261
     with pytest.raises(LengthMismatch, match=message):
         Trace.from_csv(io.StringIO(header + "".join(edit(rows))))
+
+
+@pytest.mark.parametrize("column, cell", [(0, "nan"), (2, "nan"), (2, "inf"), (6, "-inf"),
+                                          (8, "nan"), (9, "inf")])
+def test_csv_reader_rejects_non_finite_cells(column, cell):
+    header, *rows = _mission_trace_rows()
+    edited = _set_cells(rows, column, cell, lambda i, cells: i == 7)
+    with pytest.raises(LengthMismatch, match=f"data row 8, column {_CSV_COLUMNS[column]}: "):
+        Trace.from_csv(io.StringIO(header + "".join(edited)))
 
 
 def test_csv_reader_rejects_ragged_rows():

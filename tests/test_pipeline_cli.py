@@ -1,11 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from stlfleet import bundled_scenario_path
 from stlfleet.cli import main
-from stlfleet.dynamics import Trace
+from stlfleet.dynamics import Trace, rollout
 from stlfleet.errors import ParseError, PipelineError
 from stlfleet.mission import scenario_to_json
 from stlfleet.optimizer import (ITERATION_CAP, SATISFIED_NO_MARGIN, SATISFIED_WITH_MARGIN,
@@ -98,6 +99,7 @@ def _set(path, value):
     (_set(("weights", "workspace"), "abc"), "weights.workspace", None),
     (_set(("thresholds", "sharpness"), math.nan), "thresholds.sharpness", None),
     (_set(("thresholds", "sharpness"), -1.0), "thresholds.sharpness", None),
+    (_set(("thresholds", "sharpness"), 1e-308), "thresholds.sharpness", None),
     (_set(("thresholds", "margin"), math.nan), "thresholds.margin", None),
     (_set(("thresholds", "min_separation"), -1.0), "thresholds.min_separation", None),
     (_set(("thresholds", "trigger_radius"), 0.0), "thresholds.trigger_radius", None),
@@ -134,7 +136,7 @@ def _set(path, value):
 ], ids=["zero-sample", "negative-sample", "nan-duration", "negative-v-max",
         "text-blade-id", "unknown-capability-target", "text-trace-cell",
         "text-duration", "text-workspace-bound", "text-yaw", "text-depot", "text-weight",
-        "nan-sharpness", "negative-sharpness", "nan-margin", "negative-separation",
+        "nan-sharpness", "negative-sharpness", "tiny-sharpness", "nan-margin", "negative-separation",
         "zero-trigger-radius", "repeated-trace-row", "off-grid-trace-time", "nan-v-max",
         "infinite-relaxed-a-max", "number-obstacles", "number-target", "number-depots",
         "number-capability", "list-weights", "reversed-workspace", "nan-obstacle-bound",
@@ -168,7 +170,8 @@ def test_cli_plan_rejects_nan_sharpness_before_planning(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, value", [("--max-iters", "0"), ("--zeta", "nan"),
                                          ("--lambda", "nan"), ("--lambda", "inf"),
-                                         ("--lambda", "-1"), ("--seed", "-1")])
+                                         ("--lambda", "-1"), ("--lambda", "1e-308"),
+                                         ("--seed", "-1")])
 def test_cli_plan_rejects_bad_planner_flags_before_planning(tmp_path, capsys, flag, value):
     scenario_path = tmp_path / "scenario.json"
     scenario_path.write_text(scenario_to_json(make_scenario()))
@@ -372,3 +375,51 @@ def test_cli_monitor_out_naming_a_directory_exits_2_before_any_work(tmp_path, ca
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --out"), err
+
+
+@pytest.mark.parametrize("text, field", [
+    ("not json", "invalid disturbance JSON"),
+    ('{"time": 5.0, "drone": 0, "offset": [1.2, 0.0, 0.0]}', "disturbances must be a list"),
+    ('[5]', "disturbances[0] must be an object"),
+    ('[{"time": 5.0, "drone": 0}]', "disturbances[0]: missing required key 'offset'"),
+    ('[{"time": "5", "drone": 0, "offset": [1.2, 0.0, 0.0]}]', "disturbances[0].time"),
+    ('[{"time": NaN, "drone": 0, "offset": [1.2, 0.0, 0.0]}]', "disturbances[0].time"),
+    ('[{"time": 1e308, "drone": 0, "offset": [1.2, 0.0, 0.0]}]', "disturbances[0].time"),
+    ('[{"time": 5.0, "drone": 7, "offset": [1.2, 0.0, 0.0]}]', "disturbances[0].drone"),
+    ('[{"time": 5.0, "drone": -1, "offset": [1.2, 0.0, 0.0]}]', "disturbances[0].drone"),
+    ('[{"time": 5.0, "drone": "0", "offset": [1.2, 0.0, 0.0]}]', "disturbances[0].drone"),
+    ('[{"time": 5.0, "drone": 0, "offset": [NaN, 0.0, 0.0]}]', "disturbances[0].offset[0]"),
+    ('[{"time": 5.0, "drone": 0, "offset": [1.2, 0.0, Infinity]}]', "disturbances[0].offset[2]"),
+    ('[{"time": 5.0, "drone": 0, "offset": [1.2, 0.0]}]', "disturbances[0].offset"),
+    ('[{"time": 5.0, "drone": 0, "offset": [1.2, 0.0, 0.0]}, '
+     '{"time": 6.0, "drone": 1, "offset": 1.2}]', "disturbances[1].offset"),
+], ids=["invalid-json", "object", "number-entry", "missing-offset", "text-time", "nan-time",
+        "time-past-mission", "drone-outside-fleet", "negative-drone", "text-drone",
+        "nan-offset", "infinite-offset", "two-vector-offset", "number-offset"])
+def test_cli_replay_bad_disturbances_exit_2_naming_the_path(tmp_path, capsys, text, field):
+    pushes = tmp_path / "pushes.json"
+    pushes.write_text(text)
+    argv = ["replay", "--scenario", str(bundled_scenario_path("windturbine_mock")),
+            "--disturbances", str(pushes), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err, err
+    assert not (tmp_path / "out").exists()  # nothing was planned
+
+
+@pytest.mark.parametrize("column, cell", [(2, "nan"), (2, "inf"), (5, "-inf"), (8, "nan")])
+def test_cli_monitor_rejects_non_finite_trace_cells(tmp_path, capsys, column, cell):
+    # a hovering turbine trace is a valid (violated) input; one bad cell makes it invalid
+    trace = rollout(np.zeros((3, 3)), np.zeros((3, 3)), np.zeros((3, 260, 3)), 0.05)
+    header, *rows = trace.to_csv_string().splitlines(keepends=True)
+    cells = rows[4].split(",")
+    cells[column] = cell
+    rows[4] = ",".join(cells)
+    scenario = str(bundled_scenario_path("windturbine_mock"))
+    for name, text in (("good.csv", trace.to_csv_string()), ("bad.csv", header + "".join(rows))):
+        (tmp_path / name).write_text(text, newline="")
+    assert main(["monitor", "--scenario", scenario, "--trace", str(tmp_path / "good.csv")]) == 1
+    capsys.readouterr()
+    assert main(["monitor", "--scenario", scenario, "--trace", str(tmp_path / "bad.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: trace CSV data row 5, column {header.split(',')[column]}: "), err

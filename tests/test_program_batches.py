@@ -631,8 +631,8 @@ def test_box_faces_with_ties_zeros_and_nan(seed, kind, nan, length):
     program = Program(formula, TS)
     (group, indices), = program.groups
     adjoint = rng.choice([-1.5, -0.0, 0.0, 0.25, 2.0], (len(indices), length))
-    got, want = group.entries(trace, adjoint, n_drones), ref_box_entries(group, trace, adjoint,
-                                                                         n_drones)
+    got, want = (group.entries(group.forward(trace, keep=True)[1], adjoint, n_drones),
+                 ref_box_entries(group, trace, adjoint, n_drones))
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1].view(np.int64), want[1].view(np.int64))
     lam = float(rng.choice([0.7, 4.0, 25.0]))
@@ -642,3 +642,108 @@ def test_box_faces_with_ties_zeros_and_nan(seed, kind, nan, length):
     assert value == ref_value or (np.isnan(value) and np.isnan(ref_value))
     assert np.array_equal(dpos, ref_dpos, equal_nan=True)
     assert np.array_equal(dvel, ref_dvel, equal_nan=True)
+
+
+# ---------------------------------------------------------------------------
+# One finiteness decision per pass
+
+
+def check_pass_against_references(program, trace, lam, weighting, finite):
+    """A taped pass decides ``finite`` once, and its values and gradient are
+    bit for bit the node-by-node references on either path."""
+    assert_values_equal(program._forward(trace, lam, weighting),
+                        ref_forward(program, trace, lam, weighting))
+    assert program._kept[4] is finite
+    value, dpos, dvel = program._gradient(trace, lam, weighted=weighting is not None)
+    ref_value, ref_dpos, ref_dvel = ref_gradient(program, trace, lam, weighting)
+    assert value == ref_value or (np.isnan(value) and np.isnan(ref_value))
+    assert np.array_equal(dpos, ref_dpos, equal_nan=True)
+    assert np.array_equal(dvel, ref_dvel, equal_nan=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), weighted=st.booleans())
+@example(seed=5, weighted=False)
+def test_finite_passes_skip_probes_and_match_references(seed, weighted):
+    # random formulas never hold true; finite traces and a moderate sharpness
+    # make every pass known finite unless the program has an Until
+    rng = np.random.default_rng(seed)
+    n_drones = int(rng.integers(1, 4))
+    formula = random_formula(rng, 12, n_drones)
+    weights = random_weights(rng, formula) if weighted else None
+    program = Program(formula, TS, weights)
+    trace = random_trace(rng, n_drones=n_drones, length=program.ops[-1].steps + 1 + 8)
+    lam = float(rng.choice([0.7, 4.0, 25.0, 1e3]))
+    finite = all(op.kind != stl.UNTIL for op in program.ops)
+    check_pass_against_references(program, trace, lam, _SHARE if weighted else None, finite)
+
+
+def _window_program(length, leaf=None):
+    """eventually over a window of ``length`` samples of always over a
+    conjunction, so a pass has reductions of every arity class."""
+    box = stl.Predicate.box_inside("b", 0, [-5.0, -5.0, -5.0], [5.0, 5.0, 5.0])
+    far = stl.Predicate.box_outside("o", 1, [4.0, 4.0, 4.0], [5.0, 5.0, 5.0])
+    near = stl.Predicate.min_separation("s", 0, 1, 0.5)
+    body = stl.land(stl.atom(box), stl.lor(stl.atom(far), leaf or stl.atom(near)))
+    return Program(stl.eventually(stl.Interval(0.0, (length - 1) * TS),
+                                  stl.always(stl.Interval(0.0, 2 * TS), body)), TS)
+
+
+@pytest.mark.parametrize("case", ["true", "inf", "nan", "tiny-lambda"])
+def test_passes_not_known_finite_take_the_checked_path(case, rng):
+    length = 210
+    program = _window_program(length, stl.true() if case == "true" else None)
+    trace = random_trace(rng, n_drones=2, length=length + 2)
+    if case in ("inf", "nan"):
+        trace.pos[0, 17, 1] = np.inf if case == "inf" else np.nan
+    lam = 1e-308 if case == "tiny-lambda" else 4.0
+    # 1e-308 is below robustness.MIN_SHARPNESS, so only a program's own
+    # passes take it: ln(m) / lam overflows to inf in the kernels
+    with np.errstate(over="ignore", divide="ignore"):
+        check_pass_against_references(program, trace, lam, None, False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(sorted(BOX_KINDS)),
+       nan=st.booleans(), length=st.integers(2, 30))
+@example(seed=2, kind=stl.BOX_OUTSIDE, nan=False, length=12)
+def test_box_fold_matches_sequential_fold(seed, kind, nan, length):
+    # the faces fold per axis, then over axes; on coordinates that tie faces
+    # and hit bounds as +-0.0, with NaNs of either sign, every margin keeps
+    # the bits of the fold p_x - lo_x, hi_x - p_x, p_y - lo_y, ... in order,
+    # and a taping pass picks the face argmin picks unless a margin is NaN
+    rng = np.random.default_rng(seed)
+    preds = []
+    for i in range(int(rng.integers(1, 5))):
+        lo = rng.choice([-2.0, -1.0, -0.0, 0.0], 3)
+        preds.append(BOX_KINDS[kind](f"b{i}", int(rng.integers(2)), lo,
+                                     lo + rng.choice([1.0, 2.0, 3.0], 3)))
+    grid = [-2.0, -1.5, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0]
+    pos, vel = (rng.choice(grid, (2, length, 3)) for _ in range(2))
+    if nan:
+        for sign in (1.0, -1.0):
+            state = vel if kind == stl.VELOCITY_BOX else pos
+            state[preds[0].subject[0], int(rng.integers(length)),
+                  int(rng.integers(3))] = np.copysign(np.nan, sign)
+    trace = Trace(TS, pos, vel, np.zeros((2, length - 1, 3)))
+    (group, _), = Program(stl.land(*[stl.atom(p) for p in preds]), TS).groups
+    coords = (vel if kind == stl.VELOCITY_BOX else pos)[group.drones]
+    value = None
+    for face in range(6):
+        axis = face // 2
+        margin = (coords[:, :, axis] - group.lo[:, axis] if face % 2 == 0
+                  else group.hi[:, axis] - coords[:, :, axis])
+        if kind == stl.BOX_OUTSIDE:
+            margin = -margin
+        value = margin if value is None else (
+            np.maximum if kind == stl.BOX_OUTSIDE else np.minimum)(value, margin)
+    got, (kept, active) = group.forward(trace, keep=True)
+    assert np.array_equal((group.scale * value).view(np.int64), got.view(np.int64))
+    assert kept is trace
+    if np.isnan(value).any():
+        assert active is None
+    else:
+        ones = np.ones(got.shape)
+        for g, w in zip(group.entries((trace, active), ones, 2),
+                        ref_box_entries(group, trace, ones, 2)):
+            assert np.array_equal(g, w)

@@ -68,7 +68,7 @@ def test_smooth_empty_and_bad_sharpness():
         smooth_min([1.0], 0.0)
 
 
-@pytest.mark.parametrize("sharpness", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("sharpness", [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-301])
 def test_every_entry_point_rejects_bad_sharpness(sharpness, rng):
     # a NaN or infinite sharpness would give NaN robustness; each entry point
     # raises one error that is both a package error and a ValueError
