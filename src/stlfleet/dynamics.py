@@ -8,7 +8,6 @@ invariant can be checked at machine precision.
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import operator
 from dataclasses import dataclass
@@ -54,9 +53,7 @@ class DroneLimits:
                 raise ValueError(f"{relaxed} below {nominal}: {getattr(self, relaxed)} < "
                                  f"{getattr(self, nominal)}")
 
-    def bounds(self, relaxed: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        if relaxed:
-            return np.asarray(self.v_max_relaxed), np.asarray(self.a_max_relaxed)
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         return np.asarray(self.v_max), np.asarray(self.a_max)
 
 
@@ -83,7 +80,8 @@ class Trace:
     """Sampled fleet trajectory on a uniform grid.
 
     pos, vel: (drones, N+1, 3); acc: (drones, N, 3). Positions and
-    velocities at k+1 must equal step(state_k, acc_k, ts).
+    velocities at k+1 must equal the exact step from sample k:
+    p + v ts + a ts^2 / 2 and v + a ts.
     """
 
     ts: float
@@ -120,7 +118,8 @@ class Trace:
 
     def consistency_error(self) -> float:
         """Worst absolute mismatch between stored states and re-integration."""
-        p, v = step(self.pos[:, :-1], self.vel[:, :-1], self.acc, self.ts)
+        pos, vel, acc, ts = self.pos[:, :-1], self.vel[:, :-1], self.acc, self.ts
+        p, v = pos + vel * ts + 0.5 * acc * ts * ts, vel + acc * ts
         return max(np.abs(p - self.pos[:, 1:]).max(initial=0.0),
                    np.abs(v - self.vel[:, 1:]).max(initial=0.0))
 
@@ -233,38 +232,19 @@ class Trace:
             acc[dr[moving], k[moving]] = cells.T
         return Trace(round(ts, 12), pos, vel, acc)
 
-    def to_csv_string(self) -> str:
-        buffer = io.StringIO()
-        self._write_csv(buffer)
-        return buffer.getvalue()
-
-
-def step(pos, vel, acc, ts):
-    """One exact integration step per axis: p' = p + v*ts + a*ts^2/2, v' = v + a*ts."""
-    pos = np.asarray(pos, float)
-    vel = np.asarray(vel, float)
-    acc = np.asarray(acc, float)
-    return pos + vel * ts + 0.5 * acc * ts * ts, vel + acc * ts
-
 
 def rollout(pos0, vel0, accelerations, ts) -> Trace:
     """Integrate per-drone acceleration sequences from initial states.
 
-    pos0, vel0: (drones, 3); accelerations: (drones, N, 3) or a list of
-    per-drone (N, 3) arrays that must all share N.
+    pos0, vel0: (drones, 3); accelerations: (drones, N, 3).
     """
-    if isinstance(accelerations, (list, tuple)):
-        lengths = {np.asarray(a).shape[0] for a in accelerations}
-        if len(lengths) > 1:
-            raise LengthMismatch(f"per-drone acceleration lengths differ: {sorted(lengths)}")
-        accelerations = np.stack([np.asarray(a, float) for a in accelerations])
     acc = np.asarray(accelerations, float)
     pos0 = np.atleast_2d(np.asarray(pos0, float))
     vel0 = np.atleast_2d(np.asarray(vel0, float))
     if acc.ndim != 3 or pos0.shape != vel0.shape or pos0.shape[0] != acc.shape[0]:
         raise LengthMismatch(
             f"shape mismatch: pos0 {pos0.shape}, vel0 {vel0.shape}, acc {acc.shape}")
-    # Sequential cumulative sums perform step()'s additions in step()'s
+    # Sequential cumulative sums perform one step's additions in its
     # order, so the result is bit for bit the step-by-step recursion:
     # v_{k+1} = v_k + a_k ts and p_{k+1} = (p_k + v_k ts) + a_k ts^2 / 2.
     d, n, _ = acc.shape
@@ -278,21 +258,6 @@ def rollout(pos0, vel0, accelerations, ts) -> Trace:
     terms[:, 2::2] = 0.5 * acc * ts * ts
     pos = np.ascontiguousarray(np.cumsum(terms, axis=1)[:, ::2])
     return Trace(ts, pos, vel, acc)
-
-
-def project_controls(accelerations, limits, relaxed: bool = False) -> np.ndarray:
-    """Clamp accelerations into their per-axis boxes; idempotent.
-
-    ``limits`` is a DroneLimits (applied to every drone) or a sequence of
-    DroneLimits, one per leading row of ``accelerations``.
-    """
-    acc = np.array(accelerations, float)
-    if isinstance(limits, DroneLimits):
-        limits = [limits] * acc.shape[0]
-    for d, lim in enumerate(limits):
-        _, a_max = lim.bounds(relaxed)
-        np.clip(acc[d], -a_max, a_max, out=acc[d])
-    return acc
 
 
 def times_of_flight(start, goal, v_max, a_max) -> np.ndarray:
@@ -309,9 +274,9 @@ def times_of_flight(start, goal, v_max, a_max) -> np.ndarray:
     return np.max(np.where(delta == 0.0, 0.0, times), axis=-1)
 
 
-def time_of_flight(start, goal, limits: DroneLimits, relaxed: bool = False) -> float:
+def time_of_flight(start, goal, limits: DroneLimits) -> float:
     """Rest-to-rest minimum travel time between two points; see times_of_flight."""
-    return float(times_of_flight(start, goal, *limits.bounds(relaxed)))
+    return float(times_of_flight(start, goal, *limits.bounds()))
 
 
 def steer_rest_to_rest(delta, n_steps, ts, v_max, a_max):

@@ -415,38 +415,6 @@ def headings_to_csv(yaw: np.ndarray, ts: float) -> str:
 # Scenario JSON schema (strict: unknown keys are rejected with their path)
 
 
-def scenario_to_dict(s: Scenario) -> dict:
-    return {
-        "workspace": {"lower": list(s.workspace.lower), "upper": list(s.workspace.upper)},
-        "obstacles": [{"lower": list(b.lower), "upper": list(b.upper)} for b in s.obstacles],
-        "targets": [{"lower": list(t.box.lower), "upper": list(t.box.upper), "yaw": t.yaw}
-                    for t in s.targets],
-        "blades": [{"leading_edge": list(b.seg_start), "rotor_shaft": list(b.seg_end),
-                    "box": {"lower": list(b.box.lower), "upper": list(b.box.upper)},
-                    "blade_id": b.blade_id} for b in s.blades],
-        "fleet": {
-            "depots": [list(p) for p in s.depots],
-            "limits": [{"v_max": list(l.v_max), "a_max": list(l.a_max),
-                        "v_max_relaxed": list(l.v_max_relaxed),
-                        "a_max_relaxed": list(l.a_max_relaxed)} for l in s.limits],
-            "home_boxes": [{"lower": list(b.lower), "upper": list(b.upper)}
-                           for b in s.home_boxes],
-            "capability": [
-                {"targets": sorted(c["targets"]) if c.get("targets") is not None else "all",
-                 "blades": sorted(c["blades"]) if c.get("blades") is not None else "all"}
-                for c in s.capability],
-        },
-        "timing": {"mission": s.mission_duration, "inspect": s.inspect_duration,
-                   "blade": s.blade_duration, "sample": s.ts},
-        "thresholds": {"min_separation": s.min_separation,
-                       "blade_standoff": s.blade_standoff,
-                       "standoff_tolerance": s.standoff_tolerance,
-                       "margin": s.margin, "sharpness": s.sharpness,
-                       "trigger_radius": s.trigger_radius},
-        "weights": dict(s.weights),
-    }
-
-
 _SCHEMA = {
     "": {"workspace", "obstacles", "targets", "blades", "fleet", "timing",
          "thresholds", "weights"},
@@ -586,10 +554,6 @@ def scenario_from_dict(data: dict) -> Scenario:
             capability=capability)
     except KeyError as exc:
         raise ParseError(f"missing required key {exc}") from exc
-
-
-def scenario_to_json(s: Scenario, indent=2) -> str:
-    return json.dumps(scenario_to_dict(s), indent=indent)
 
 
 def scenario_from_json(text: str) -> Scenario:

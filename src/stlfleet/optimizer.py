@@ -11,7 +11,6 @@ the demanded margin then covers them too.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,9 +90,6 @@ class PlanResult:
             "restarts_used": self.restarts_used,
             "report": self.report.to_dict(),
         }
-
-    def to_json(self, indent=2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 def pullback_gradient(dpos, dvel, ts: float) -> np.ndarray:

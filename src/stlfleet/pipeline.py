@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import Trace
-from .errors import ParseError, PipelineError
+from .errors import LengthMismatch, ParseError, PipelineError
 from .mission import (Scenario, assign_headings, compile_mission,
                       headings_to_csv, safety_class_robustness,
                       scenario_from_json)
@@ -172,6 +172,9 @@ def monitor_trace(scenario: Scenario, trace_path) -> dict:
         trace = Trace.from_csv(path)
     except ValueError as exc:
         raise ParseError(f"trace file {path}: {exc}") from exc
+    if trace.n_drones != scenario.n_drones:
+        raise LengthMismatch(f"trace file {path} holds {trace.n_drones} drones, "
+                             f"the scenario {scenario.n_drones}")
     formula, weights = compile_mission(scenario)
     report = make_report(formula, trace, scenario.sharpness, weights=weights)
     classes = safety_class_robustness(scenario, trace)

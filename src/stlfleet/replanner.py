@@ -54,8 +54,10 @@ class ExecutionState:
     events: list = field(default_factory=list)
 
     def log(self, event: ReplanEvent) -> None:
-        if self.events and event.time <= self.events[-1].time:
-            raise ValueError("event log times must be strictly increasing")
+        # drones pushed at the same sample are replanned in ascending order
+        if self.events and (event.time, event.drone) <= (self.events[-1].time,
+                                                          self.events[-1].drone):
+            raise ValueError("event log (time, drone) pairs must be strictly increasing")
         self.events.append(event)
 
     def events_json(self, indent=2) -> str:
@@ -299,7 +301,3 @@ def _within(value, path, low=-np.inf, high=np.inf) -> float:
         raise ValidationError(f"{path} must be finite and in [{low}, {high}], got {value}")
     return number
 
-
-def disturbances_to_json(disturbances, indent=2) -> str:
-    return json.dumps([{"time": t, "drone": d, "offset": list(o)}
-                       for t, d, o in disturbances], indent=indent)

@@ -58,7 +58,6 @@ left-to-right sweep. Only the sign of a zero extreme may differ.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -879,16 +878,6 @@ def eval_smooth(formula, trace, t_index: int = 0, sharpness: float = 10.0) -> fl
     return _program(formula, trace)._evaluate(trace, t_index, sharpness)
 
 
-def eval_weighted(formula, weights, trace, t_index: int = 0) -> float:
-    """Weighted robustness: min/max over weight * operand value.
-
-    With all weights equal to one this is bitwise identical to
-    eval_exact on the same evaluation order.
-    """
-    _check_weights(weights)
-    return _program(formula, trace, weights)._evaluate(trace, t_index, weighted=True)
-
-
 def eval_weighted_smooth(formula, weights, trace, t_index: int = 0,
                          sharpness: float = 10.0, soft_combine: bool = False) -> float:
     """Weighted smooth robustness via the normalized-weight transform.
@@ -952,9 +941,6 @@ class RobustnessReport:
             d["weighted_exact"] = self.weighted_exact
             d["weighted_smooth"] = self.weighted_smooth
         return d
-
-    def to_json(self, indent=2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 def make_report(formula, trace, sharpness: float, weights=None,

@@ -8,7 +8,6 @@ are rejected, not shifted) with opt-in round-to-nearest.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import zlib
@@ -340,58 +339,6 @@ class WeightMap:
                 f"weights for {node_id!r} have size {arr.size}, node arity is {arity}")
         return arr
 
-    def items(self):
-        return self._map.items()
-
     def __len__(self):
         return len(self._map)
 
-
-# JSON round trip -----------------------------------------------------------
-
-def _predicate_to_dict(p: Predicate) -> dict:
-    d = {"name": p.name, "kind": p.kind, "subject": list(p.subject)}
-    for key in ("lower", "upper", "seg_start", "seg_end"):
-        value = getattr(p, key)
-        if value is not None:
-            d[key] = list(value)
-    for key in ("threshold", "standoff", "tolerance"):
-        value = getattr(p, key)
-        if value is not None:
-            d[key] = value
-    if p.scale != 1.0:
-        d["scale"] = p.scale
-    return d
-
-
-def _predicate_from_dict(d: dict) -> Predicate:
-    kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in d.items()
-              if k not in ("name", "kind", "subject")}
-    return Predicate(d["name"], d["kind"], tuple(d["subject"]), **kwargs)
-
-
-def formula_to_dict(f: Formula) -> dict:
-    d = {"kind": f.kind, "node_id": f.node_id}
-    if f.interval is not None:
-        d["interval"] = [f.interval.lo, f.interval.hi]
-    if f.predicate is not None:
-        d["predicate"] = _predicate_to_dict(f.predicate)
-    if f.children:
-        d["children"] = [formula_to_dict(c) for c in f.children]
-    return d
-
-
-def formula_from_dict(d: dict) -> Formula:
-    children = [formula_from_dict(c) for c in d.get("children", [])]
-    interval = Interval(*d["interval"]) if "interval" in d else None
-    predicate = _predicate_from_dict(d["predicate"]) if "predicate" in d else None
-    return compose(d["kind"], children, interval=interval, predicate=predicate,
-                   label=d["node_id"])
-
-
-def formula_to_json(f: Formula, indent=None) -> str:
-    return json.dumps(formula_to_dict(f), indent=indent)
-
-
-def formula_from_json(text: str) -> Formula:
-    return formula_from_dict(json.loads(text))

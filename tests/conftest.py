@@ -7,6 +7,7 @@ evaluator, so agreement between the two is meaningful evidence.
 
 from __future__ import annotations
 
+import io
 import math
 
 import numpy as np
@@ -34,6 +35,13 @@ def scalar_trace(xs, ts=0.05, n_drones=1):
     vel = np.zeros_like(pos)
     acc = np.zeros((n_drones, len(xs) - 1, 3))
     return Trace(ts, pos, vel, acc)
+
+
+def csv_text(trace):
+    """The trace CSV that Trace.to_csv writes, as a string."""
+    buffer = io.StringIO()
+    trace.to_csv(buffer)
+    return buffer.getvalue()
 
 
 def random_trace(rng, n_drones=2, length=40, ts=0.05, span=4.0):

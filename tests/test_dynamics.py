@@ -7,10 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stlfleet.dynamics import (_CSV_COLUMNS, _CSV_FMT, DroneLimits, Trace,
-                               min_steps_rest_to_rest, project_controls, rollout,
-                               steer_rest_to_rest, steer_to_state, step, time_of_flight,
-                               times_of_flight)
+                               min_steps_rest_to_rest, rollout, steer_rest_to_rest,
+                               steer_to_state, time_of_flight, times_of_flight)
 from stlfleet.errors import LengthMismatch
+from stlfleet.replanner import relaxed_limits
+
+from conftest import csv_text
 
 
 def bang_bang_sim_time(delta, v_max, a_max, dt=2e-5):
@@ -32,6 +34,15 @@ def bang_bang_sim_time(delta, v_max, a_max, dt=2e-5):
         if t > 100:
             raise AssertionError("oracle did not converge")
     return t
+
+
+def step(pos, vel, acc, ts):
+    """Reference: one exact integration step per axis,
+    p' = p + v*ts + a*ts^2/2, v' = v + a*ts."""
+    pos = np.asarray(pos, float)
+    vel = np.asarray(vel, float)
+    acc = np.asarray(acc, float)
+    return pos + vel * ts + 0.5 * acc * ts * ts, vel + acc * ts
 
 
 def test_step_examples():
@@ -61,8 +72,7 @@ def test_rollout_zero_acc_constant_position():
 
 def test_rollout_length_mismatch():
     with pytest.raises(LengthMismatch):
-        rollout(np.zeros((2, 3)), np.zeros((2, 3)),
-                [np.zeros((5, 3)), np.zeros((6, 3))], 0.05)
+        rollout(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((3, 5, 3)), 0.05)
 
 
 def test_rollout_extract_identity(rng):
@@ -71,16 +81,6 @@ def test_rollout_extract_identity(rng):
     again = rollout(trace.pos[:, 0], trace.vel[:, 0], trace.acc, trace.ts)
     assert np.array_equal(again.pos, trace.pos)
     assert np.array_equal(again.vel, trace.vel)
-
-
-def test_project_controls():
-    limits = DroneLimits(v_max=1.0, a_max=1.0, v_max_relaxed=2.0, a_max_relaxed=5.0)
-    acc = np.array([[[1.5, -0.2, 0.9]]])
-    clipped = project_controls(acc, limits)
-    assert np.allclose(clipped, [[[1.0, -0.2, 0.9]]])
-    assert np.array_equal(project_controls(clipped, limits), clipped)  # idempotent
-    relaxed = project_controls(np.array([[[-5.0, 0.0, 0.0]]]), limits, relaxed=True)
-    assert relaxed[0, 0, 0] == -5.0
 
 
 def test_limits_validation():
@@ -121,10 +121,10 @@ def _bits(values):
     return np.asarray(values, float).view(np.int64)
 
 
-def _time_of_flight_reference(start, goal, limits, relaxed=False):
+def _time_of_flight_reference(start, goal, limits):
     """The scalar formula before times_of_flight, on one pair of points."""
     delta = np.abs(np.asarray(goal, float) - np.asarray(start, float))
-    v_max, a_max = limits.bounds(relaxed)
+    v_max, a_max = limits.bounds()
     times = np.where(delta <= v_max * v_max / a_max,
                      2.0 * np.sqrt(delta / a_max),
                      delta / v_max + v_max / a_max)
@@ -143,7 +143,9 @@ def test_times_of_flight_bitwise_equals_scalar(rows, relaxed, seed):
     for _ in range(rows):
         v, a = rng.uniform(0.3, 2.0, 3), rng.uniform(0.3, 2.0, 3)
         limits.append(DroneLimits(v, a, v * rng.uniform(1.0, 3.0), a * rng.uniform(1.0, 5.0)))
-    v_max, a_max = (np.array([lim.bounds(relaxed)[k] for lim in limits]) for k in (0, 1))
+    if relaxed:
+        limits = [relaxed_limits(lim) for lim in limits]
+    v_max, a_max = (np.array([lim.bounds()[k] for lim in limits]) for k in (0, 1))
     kind = rng.integers(4, size=rows)
     start = np.where((kind == 2)[:, None], 0.0, rng.uniform(-10.0, 10.0, (rows, 3)))
     delta = rng.uniform(-10.0, 10.0, (rows, 3))
@@ -154,11 +156,11 @@ def test_times_of_flight_bitwise_equals_scalar(rows, relaxed, seed):
     goal = start + delta
     got = _bits(times_of_flight(start, goal, v_max, a_max))
     for scalar in (time_of_flight, _time_of_flight_reference):
-        want = [scalar(s, g, lim, relaxed) for s, g, lim in zip(start, goal, limits)]
+        want = [scalar(s, g, lim) for s, g, lim in zip(start, goal, limits)]
         assert np.array_equal(got, _bits(want))
     # build_graph's layout: one (1, 3) bound row per drone against every edge
     grid = times_of_flight(start, goal, v_max[:3, None], a_max[:3, None])
-    want = [[_time_of_flight_reference(s, g, lim, relaxed) for s, g in zip(start, goal)]
+    want = [[_time_of_flight_reference(s, g, lim) for s, g in zip(start, goal)]
             for lim in limits[:3]]
     assert np.array_equal(_bits(grid), _bits(want))
 
@@ -202,7 +204,7 @@ def test_trace_consistency_check(rng):
 def test_csv_round_trip(rng):
     acc = rng.normal(size=(2, 15, 3))
     trace = rollout(rng.normal(size=(2, 3)), rng.normal(size=(2, 3)), acc, 0.05)
-    buffer = io.StringIO(trace.to_csv_string())
+    buffer = io.StringIO(csv_text(trace))
     back = Trace.from_csv(buffer)
     assert back.ts == pytest.approx(trace.ts)
     assert np.allclose(back.pos, trace.pos, atol=1e-9)
@@ -240,7 +242,7 @@ def test_csv_writer_matches_csv_module(rng, drones, samples):
         trace.vel[0, 0, 1] = -np.inf
         trace.acc[0, 0, 2] = -0.0
         trace.acc[-1, -1, 0] = 1e-300
-    assert trace.to_csv_string() == _csv_writer_reference(trace)
+    assert csv_text(trace) == _csv_writer_reference(trace)
 
 
 def _held(drones, samples, seed=0):
@@ -291,7 +293,7 @@ def _one_moving():
          "no drones", "two samples"])
 def test_csv_writer_matches_csv_module_on_hovering_traces(build):
     trace = build()
-    assert trace.to_csv_string() == _csv_writer_reference(trace)
+    assert csv_text(trace) == _csv_writer_reference(trace)
 
 
 @settings(max_examples=60, deadline=None)
@@ -304,7 +306,7 @@ def test_csv_writer_matches_csv_module_on_repeating_rows(drones, samples, seed):
                      [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-300, 1.0, -1.0, 2.5]])
     rows = pool[rng.integers(len(pool), size=(drones, samples))]
     trace = Trace(0.05, rows[..., :3], rows[..., 3:6], rows[:, :-1, 6:])
-    assert trace.to_csv_string() == _csv_writer_reference(trace)
+    assert csv_text(trace) == _csv_writer_reference(trace)
 
 
 def _csv_reader_reference(handle):
@@ -344,7 +346,7 @@ def test_csv_reader_matches_row_loop(rng, drones, samples, layout):
     if samples > 1:
         trace.acc[0, 0, 2] = -0.0
         trace.acc[-1, -1, 0] = 1e-300
-    header, *rows = trace.to_csv_string().splitlines(keepends=True)
+    header, *rows = csv_text(trace).splitlines(keepends=True)
     if layout == "shuffled":
         rows = [rows[i] for i in rng.permutation(len(rows))]
     elif layout == "rows missing" and samples > 2:
@@ -378,7 +380,7 @@ def test_csv_reader_rejects_like_row_loop(text, error):
 def _mission_trace_rows():
     """A written 261-sample, two-drone trace (13 s at 0.05 s) as header and rows."""
     trace = rollout(np.zeros((2, 3)), np.ones((2, 3)), np.zeros((2, 260, 3)), 0.05)
-    return trace.to_csv_string().splitlines(keepends=True)
+    return csv_text(trace).splitlines(keepends=True)
 
 
 def _set_cells(rows, column, value, where):

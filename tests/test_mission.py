@@ -1,45 +1,71 @@
+import copy
+import functools
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stlfleet import stl
+from stlfleet import bundled_scenario_path, stl
 from stlfleet.dynamics import DroneLimits, Trace, rollout
 from stlfleet.errors import (InfeasibleWindow, NoCapableDrone, ParseError,
                              ValidationError)
 from stlfleet.mission import (BladeSide, Box, Scenario, Target, assign_headings,
                               band_robustness, compile_mission, dist_to_blade,
-                              safety_class_robustness, scenario_from_json,
-                              scenario_to_json)
+                              safety_class_robustness, scenario_from_dict,
+                              scenario_from_json)
 from stlfleet.robustness import _Segments, eval_exact
+from stlfleet.warmstart import build_graph, seed_with_schedule, solve_assignment
 
 from conftest import scalar_trace
 
 
-def make_scenario(n_drones=1, targets=((0.0, 0.0, 1.0),), blade=False,
+def scenario_dict(n_drones=1, targets=((0.0, 0.0, 1.0),), blade=False,
                   obstacles=(), mission=8.0, v=1.0, capability=None,
                   min_separation=1.0, ws_half=8.0, home_offset=(0.0, 0.0, 0.0),
-                  home_half=0.35):
-    depots = [(-3.0 + 1.5 * d, -3.0, 1.0) for d in range(n_drones)]
-    half = 0.6
-    home_centers = [np.add(p, home_offset) for p in depots]
-    return Scenario(
-        workspace=Box((-ws_half, -ws_half, 0), (ws_half, ws_half, 8)),
-        obstacles=[Box(lo, hi) for lo, hi in obstacles],
-        targets=[Target(Box(tuple(np.subtract(c, half)), tuple(np.add(c, half))), yaw=0.3)
-                 for c in targets],
-        blades=[BladeSide((3.0, 2.0, 0.8), (3.0, 2.0, 4.2),
-                          Box((0.2, 0.8, 0.6), (2.8, 3.2, 4.0)))] if blade else [],
-        depots=np.array(depots),
-        limits=[DroneLimits(v, v, 2.0 * v, 5.0 * v) for _ in range(n_drones)],
-        home_boxes=[Box(tuple(np.subtract(c, home_half)), tuple(np.add(c, home_half)))
-                    for c in home_centers],
-        mission_duration=mission, inspect_duration=1.0, blade_duration=1.0, ts=0.05,
-        min_separation=min_separation, blade_standoff=1.5, standoff_tolerance=0.75,
-        weights={"workspace": 2.0, "obstacle": 4.0, "separation": 3.0},
-        capability=capability)
+                  home_half=0.35) -> dict:
+    """A small scenario as the JSON dict that a scenario file holds."""
+    def box(center, half):
+        return {"lower": np.subtract(center, half).tolist(),
+                "upper": np.add(center, half).tolist()}
+
+    depots = [[-3.0 + 1.5 * d, -3.0, 1.0] for d in range(n_drones)]
+    data = {
+        "workspace": {"lower": [-ws_half, -ws_half, 0.0], "upper": [ws_half, ws_half, 8.0]},
+        "obstacles": [{"lower": list(lo), "upper": list(hi)} for lo, hi in obstacles],
+        "targets": [{**box(c, 0.6), "yaw": 0.3} for c in targets],
+        "blades": [{"leading_edge": [3.0, 2.0, 0.8], "rotor_shaft": [3.0, 2.0, 4.2],
+                    "box": {"lower": [0.2, 0.8, 0.6], "upper": [2.8, 3.2, 4.0]}}]
+                  if blade else [],
+        "fleet": {"depots": depots,
+                  "limits": [{"v_max": [v] * 3, "a_max": [v] * 3,
+                              "v_max_relaxed": [2.0 * v] * 3, "a_max_relaxed": [5.0 * v] * 3}
+                             for _ in range(n_drones)],
+                  "home_boxes": [box(np.add(p, home_offset), home_half) for p in depots]},
+        "timing": {"mission": mission, "inspect": 1.0, "blade": 1.0, "sample": 0.05},
+        "thresholds": {"min_separation": min_separation, "blade_standoff": 1.5,
+                       "standoff_tolerance": 0.75},
+        "weights": {"workspace": 2.0, "obstacle": 4.0, "separation": 3.0},
+    }
+    if capability is not None:
+        data["fleet"]["capability"] = [
+            {kind: sorted(c[kind]) if c[kind] is not None else "all"
+             for kind in ("targets", "blades")} for c in capability]
+    return data
+
+
+def make_scenario(**kwargs):
+    """The Scenario of ``scenario_dict(**kwargs)``."""
+    return scenario_from_dict(scenario_dict(**kwargs))
+
+
+def same_scenario(a, b) -> bool:
+    """Field-by-field equality of two scenarios, depots compared as arrays."""
+    def fields(s):
+        return {k: v for k, v in vars(s).items() if k != "depots"}
+    return np.array_equal(a.depots, b.depots) and fields(a) == fields(b)
 
 
 def test_full_scale_mission_has_twenty_conjuncts():
@@ -319,13 +345,9 @@ def test_assign_headings_matches_sample_loop(rng):
 
 
 def test_scenario_json_round_trip_and_strictness():
-    scenario = make_scenario(n_drones=2, blade=True,
-                             obstacles=[((-1, -1, 0), (1, 1, 2))])
-    text = scenario_to_json(scenario)
-    back = scenario_from_json(text)
-    assert scenario_to_json(back) == text
-
-    import json
+    data = scenario_dict(n_drones=2, blade=True, obstacles=[((-1, -1, 0), (1, 1, 2))])
+    text = json.dumps(data)
+    assert same_scenario(scenario_from_json(text), scenario_from_dict(data))
     raw = json.loads(text)
     raw["unexpected"] = 1
     with pytest.raises(ParseError, match="unexpected"):
@@ -347,3 +369,53 @@ def test_scenario_invariants():
         Box((0, 0, 0), (0, 1, 1))
     scenario = make_scenario()
     assert scenario.n_samples == 160
+
+
+@functools.cache
+def _turbine_and_seed():
+    """The bundled turbine's scenario dict and the seed trace planned for it."""
+    data = json.loads(bundled_scenario_path("windturbine_mock").read_text())
+    scenario = scenario_from_dict(data)
+    seed, _ = seed_with_schedule(solve_assignment(build_graph(scenario)), scenario)
+    return data, seed
+
+
+def _translated(data, shift):
+    """Scenario dict ``data`` with every point in it moved by ``shift``."""
+    def point(p):
+        return np.add(p, shift).tolist()
+
+    def box(raw):
+        return {**raw, "lower": point(raw["lower"]), "upper": point(raw["upper"])}
+
+    out = copy.deepcopy(data)
+    out["workspace"] = box(data["workspace"])
+    out["obstacles"] = [box(raw) for raw in data.get("obstacles", [])]
+    out["targets"] = [box(raw) for raw in data.get("targets", [])]
+    out["blades"] = [{**raw, "leading_edge": point(raw["leading_edge"]),
+                      "rotor_shaft": point(raw["rotor_shaft"]), "box": box(raw["box"])}
+                     for raw in data.get("blades", [])]
+    out["fleet"]["depots"] = [point(p) for p in data["fleet"]["depots"]]
+    out["fleet"]["home_boxes"] = [box(raw) for raw in data["fleet"]["home_boxes"]]
+    return out
+
+
+# metamorphic relation (Chen et al., ACM CSUR 2018): moving the scenario and
+# the trace's positions by one vector leaves every margin unchanged; the
+# velocities, and so the velocity clauses, stay as they are
+@settings(max_examples=15, deadline=None)
+@given(shift=st.tuples(*[st.floats(-50.0, 50.0)] * 3))
+@example(shift=(0.0, 0.0, 0.0))
+@example(shift=(-50.0, 50.0, -50.0))
+def test_translation_keeps_mission_and_safety_robustness(shift):
+    data, seed = _turbine_and_seed()
+    moved = scenario_from_dict(_translated(data, shift))
+    trace = Trace(seed.ts, seed.pos + np.asarray(shift), seed.vel, seed.acc)
+    scenario = scenario_from_dict(data)
+    want = eval_exact(compile_mission(scenario)[0], seed)
+    assert eval_exact(compile_mission(moved)[0], trace) == pytest.approx(want, abs=1e-9)
+    classes = safety_class_robustness(scenario, seed)
+    got = safety_class_robustness(moved, trace)
+    assert got.keys() == classes.keys()
+    for name, value in classes.items():
+        assert got[name] == pytest.approx(value, abs=1e-9), name

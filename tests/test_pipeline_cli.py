@@ -8,14 +8,15 @@ from stlfleet import bundled_scenario_path
 from stlfleet.cli import main
 from stlfleet.dynamics import Trace, rollout
 from stlfleet.errors import ParseError, PipelineError
-from stlfleet.mission import scenario_to_json
 from stlfleet.optimizer import (ITERATION_CAP, SATISFIED_NO_MARGIN, SATISFIED_WITH_MARGIN,
                                 VIOLATED, OptimizerConfig)
 from stlfleet.pipeline import (load_scenario, monitor_trace, run_pipeline,
                                run_routes_only)
 from stlfleet.robustness import eval_exact
+from stlfleet.warmstart import build_graph, seed_with_schedule, solve_assignment
 
-from test_mission import make_scenario
+from conftest import csv_text
+from test_mission import make_scenario, scenario_dict
 
 
 @pytest.fixture(scope="module")
@@ -62,8 +63,7 @@ def test_scenario_file_errors(tmp_path):
         load_scenario(bad)
     with pytest.raises(ParseError, match="not found"):
         load_scenario(tmp_path / "missing.json")
-    scenario = make_scenario()
-    data = json.loads(scenario_to_json(scenario))
+    data = scenario_dict()
     data["timing"]["inspect"] = 99.0
     bad2 = tmp_path / "bad2.json"
     bad2.write_text(json.dumps(data))
@@ -142,7 +142,7 @@ def _set(path, value):
         "number-capability", "list-weights", "reversed-workspace", "nan-obstacle-bound",
         "reversed-target", "two-vector-home-box", "degenerate-blade", "two-vector-blade"])
 def test_cli_bad_input_exits_2_naming_the_field(tmp_path, capsys, edit, field, trace):
-    data = json.loads(scenario_to_json(make_scenario(blade=True)))
+    data = scenario_dict(blade=True)
     edit(data)
     scenario_path = tmp_path / "scenario.json"
     scenario_path.write_text(json.dumps(data))
@@ -158,7 +158,7 @@ def test_cli_bad_input_exits_2_naming_the_field(tmp_path, capsys, edit, field, t
 
 
 def test_cli_plan_rejects_nan_sharpness_before_planning(tmp_path, capsys):
-    data = json.loads(scenario_to_json(make_scenario()))
+    data = scenario_dict()
     data["thresholds"]["sharpness"] = math.nan
     scenario_path = tmp_path / "scenario.json"
     scenario_path.write_text(json.dumps(data))
@@ -174,7 +174,7 @@ def test_cli_plan_rejects_nan_sharpness_before_planning(tmp_path, capsys):
                                          ("--seed", "-1")])
 def test_cli_plan_rejects_bad_planner_flags_before_planning(tmp_path, capsys, flag, value):
     scenario_path = tmp_path / "scenario.json"
-    scenario_path.write_text(scenario_to_json(make_scenario()))
+    scenario_path.write_text(json.dumps(scenario_dict()))
     argv = ["plan", "--scenario", str(scenario_path), "--out", str(tmp_path / "out"),
             f"{flag}={value}"]
     assert main(argv) == 2
@@ -191,10 +191,10 @@ def test_uncoverable_error_is_stage_tagged(tmp_path):
 
 
 def test_cli_routes_and_plan(tmp_path, capsys):
-    scenario = make_scenario(targets=[(-2.0, -3.0, 1.0)], mission=13.0,
+    scenario = scenario_dict(targets=[(-2.0, -3.0, 1.0)], mission=13.0,
                              home_offset=(0.0, -1.5, 0.0), home_half=0.85)
     scenario_path = tmp_path / "scenario.json"
-    scenario_path.write_text(scenario_to_json(scenario))
+    scenario_path.write_text(json.dumps(scenario))
 
     code = main(["routes", "--scenario", str(scenario_path),
                  "--out", str(tmp_path / "routes")])
@@ -216,13 +216,13 @@ def test_cli_routes_and_plan(tmp_path, capsys):
 def test_cli_replay(tmp_path):
     # the two home hovers sit 1.5 m apart, so a tight separation threshold
     # would cap the smooth objective; this is an orchestration smoke test
-    scenario = make_scenario(n_drones=2, targets=[(-2.0, -3.0, 1.0), (-1.0, -1.8, 1.0)],
+    scenario = scenario_dict(n_drones=2, targets=[(-2.0, -3.0, 1.0), (-1.0, -1.8, 1.0)],
                              mission=13.0, home_offset=(0.0, -1.5, 0.0), home_half=0.85,
                              min_separation=0.4,
                              capability=[{"targets": {0}, "blades": None},
                                          {"targets": {1}, "blades": None}])
     scenario_path = tmp_path / "scenario.json"
-    scenario_path.write_text(scenario_to_json(scenario))
+    scenario_path.write_text(json.dumps(scenario))
     disturbances = tmp_path / "disturbances.json"
     disturbances.write_text(json.dumps(
         [{"time": 5.0, "drone": 0, "offset": [0.0, 1.2, 0.0]}]))
@@ -411,15 +411,44 @@ def test_cli_replay_bad_disturbances_exit_2_naming_the_path(tmp_path, capsys, te
 def test_cli_monitor_rejects_non_finite_trace_cells(tmp_path, capsys, column, cell):
     # a hovering turbine trace is a valid (violated) input; one bad cell makes it invalid
     trace = rollout(np.zeros((3, 3)), np.zeros((3, 3)), np.zeros((3, 260, 3)), 0.05)
-    header, *rows = trace.to_csv_string().splitlines(keepends=True)
+    header, *rows = csv_text(trace).splitlines(keepends=True)
     cells = rows[4].split(",")
     cells[column] = cell
     rows[4] = ",".join(cells)
     scenario = str(bundled_scenario_path("windturbine_mock"))
-    for name, text in (("good.csv", trace.to_csv_string()), ("bad.csv", header + "".join(rows))):
+    for name, text in (("good.csv", csv_text(trace)), ("bad.csv", header + "".join(rows))):
         (tmp_path / name).write_text(text, newline="")
     assert main(["monitor", "--scenario", scenario, "--trace", str(tmp_path / "good.csv")]) == 1
     capsys.readouterr()
     assert main(["monitor", "--scenario", scenario, "--trace", str(tmp_path / "bad.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: trace CSV data row 5, column {header.split(',')[column]}: "), err
+
+
+def test_cli_replay_logs_two_drones_pushed_at_once(tmp_path):
+    # drones pushed at the same sample are replanned in ascending order, so
+    # the event log's (time, drone) pairs still increase
+    pushes = tmp_path / "pushes.json"
+    pushes.write_text(json.dumps([{"time": 10, "drone": d, "offset": [0.0, 1.3, 0.0]}
+                                  for d in (0, 1)]))
+    argv = ["replay", "--scenario", str(bundled_scenario_path("windturbine_mock")),
+            "--disturbances", str(pushes), "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    events = json.loads((tmp_path / "out" / "events.json").read_text())
+    assert [(e["time"], e["drone"], e["kind"]) for e in events] == [
+        (10.0, 0, "glide_home"), (10.0, 1, "glide_home")]
+
+
+@pytest.mark.parametrize("drones", [[0, 1], [0, 1, 2, 0]], ids=["fewer", "more"])
+def test_cli_monitor_rejects_a_trace_of_another_fleet_size(tmp_path, capsys, drones):
+    # the turbine's seed satisfies the mission; dropping drone 2, or adding
+    # a copy of drone 0 that no clause would check, gives a 2- or 4-drone trace
+    scenario_path = bundled_scenario_path("windturbine_mock")
+    scenario = load_scenario(scenario_path)
+    seed, _ = seed_with_schedule(solve_assignment(build_graph(scenario)), scenario)
+    Trace(seed.ts, seed.pos[drones], seed.vel[drones], seed.acc[drones]).to_csv(
+        tmp_path / "trace.csv")
+    argv = ["monitor", "--scenario", str(scenario_path), "--trace", str(tmp_path / "trace.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"holds {len(drones)} drones, the scenario 3" in err, err

@@ -4,8 +4,7 @@ import pytest
 from stlfleet.errors import NoRemainingTasks
 from stlfleet.mission import compile_mission
 from stlfleet.optimizer import OptimizerConfig, optimize
-from stlfleet.replanner import (ExecutionState, detect_event, disturbances_to_json,
-                                load_disturbances, relaxed_limits, replan,
+from stlfleet.replanner import (ExecutionState, detect_event, relaxed_limits, replan,
                                 simulate_with_disturbance)
 from stlfleet.robustness import eval_exact
 from stlfleet.warmstart import build_graph, seed_with_schedule, solve_assignment
@@ -132,9 +131,3 @@ def test_glide_home_when_no_tasks_remain(committed):
     # ends where the committed plan ends
     assert np.allclose(state.executed.pos[0, -1], trace.pos[0, -1], atol=1e-9)
 
-
-def test_disturbance_schedule_round_trip():
-    schedule = [(5.0, 0, (0.0, 1.2, 0.0)), (7.5, 2, (-0.3, 0.0, 0.4))]
-    text = disturbances_to_json(schedule)
-    back = load_disturbances(text)
-    assert back == schedule

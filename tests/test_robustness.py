@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 from pathlib import Path
@@ -9,9 +10,8 @@ from stlfleet import stl
 from stlfleet.errors import BadSharpness, EmptyInput, StlFleetError, TraceTooShort
 from stlfleet.fixtures import fixture_windturbine
 from stlfleet.mission import compile_mission
-from stlfleet.robustness import (Program, eval_exact, eval_smooth, eval_weighted,
-                                 eval_weighted_smooth, gradient_smooth,
-                                 make_report, smooth_max, smooth_min)
+from stlfleet.robustness import (Program, eval_exact, eval_smooth, eval_weighted_smooth,
+                                 gradient_smooth, make_report, smooth_max, smooth_min)
 from stlfleet.warmstart import build_graph, seed_with_schedule, solve_assignment
 
 from conftest import (halfspace, oracle_eval, random_formula, random_trace,
@@ -107,7 +107,7 @@ def test_eval_exact_negation_flips_sign(rng):
         f = random_formula(rng, budget=6, n_drones=2, depth=2)
         trace = random_trace(rng, n_drones=2, length=20)
         assert eval_exact(stl.neg(f), trace, 0) == -eval_exact(
-            stl.formula_from_dict(stl.formula_to_dict(f)), trace, 0)
+            copy.deepcopy(f), trace, 0)
 
 
 def test_eval_exact_matches_oracle(rng):
@@ -125,8 +125,7 @@ def test_until_matches_double_loop_oracle(rng):
         lo = int(rng.integers(0, 4))
         hi = lo + int(rng.integers(0, 6))
         f = stl.until(stl.Interval(lo * 0.05, hi * 0.05),
-                      stl.formula_from_dict(stl.formula_to_dict(p)),
-                      stl.formula_from_dict(stl.formula_to_dict(q)))
+                      copy.deepcopy(p), copy.deepcopy(q))
         trace = random_trace(rng, n_drones=1, length=int(rng.integers(hi + 2, 30)))
         t = int(rng.integers(0, trace.n_samples - hi - 1))
         assert eval_exact(f, trace, t) == oracle_eval(f, trace, t)
@@ -192,6 +191,11 @@ def test_smooth_under_approximates_negation_free(rng):
 # weighted semantics
 
 
+def weighted_exact(formula, weights, trace, t_index=0):
+    """Weighted robustness: min/max over weight * operand value."""
+    return Program(formula, trace.ts, weights)._evaluate(trace, t_index, weighted=True)
+
+
 def two_margin_and(x, y, weights=None, label="w_and"):
     """And of two half-space atoms with margins exactly (x, y) at t=0."""
     trace = scalar_trace([0.0, 0.0])
@@ -209,17 +213,17 @@ def test_weighted_unit_weights_bitwise_identical(rng):
     for _ in range(60):
         f = random_formula(rng, budget=10, n_drones=2, depth=3)
         trace = random_trace(rng, n_drones=2, length=30)
-        assert eval_weighted(f, empty, trace, 0) == eval_exact(f, trace, 0)
+        assert weighted_exact(f, empty, trace, 0) == eval_exact(f, trace, 0)
         explicit = stl.WeightMap({n.node_id: np.ones(weight_arity(n))
                                   for n in f if weight_arity(n) > 0})
-        assert eval_weighted(f, explicit, trace, 0) == eval_exact(f, trace, 0)
+        assert weighted_exact(f, explicit, trace, 0) == eval_exact(f, trace, 0)
 
 
 def test_weighted_and_examples():
     f, trace, wm = two_margin_and(2.0, 2.0, weights=[1.0, 3.0])
-    assert eval_weighted(f, wm, trace, 0) == pytest.approx(2.0)
+    assert weighted_exact(f, wm, trace, 0) == pytest.approx(2.0)
     f, trace, wm = two_margin_and(1.0, -1.0, weights=[5.0, 1.0])
-    assert eval_weighted(f, wm, trace, 0) == pytest.approx(-1.0)
+    assert weighted_exact(f, wm, trace, 0) == pytest.approx(-1.0)
 
 
 def test_weighted_smooth_transform_examples():
@@ -285,11 +289,11 @@ def test_weighted_temporal_per_sample_weights():
     clause = stl.always(stl.Interval(0.0, 0.1), p, label="win")
     wm = stl.WeightMap({"win": [1.0, 2.0, 0.5]})
     # weighted always: min over per-sample weight * margin
-    assert eval_weighted(clause, wm, trace, 0) == pytest.approx(min(1.0, 4.0, 1.5))
+    assert weighted_exact(clause, wm, trace, 0) == pytest.approx(min(1.0, 4.0, 1.5))
     soft = stl.eventually(stl.Interval(0.0, 0.1), stl.atom(halfspace("q", offset=0.0)),
                           label="soft")
     wm2 = stl.WeightMap({"soft": [5.0, 1.0, 1.0]})
-    assert eval_weighted(soft, wm2, trace, 0) == pytest.approx(max(5.0, 2.0, 3.0))
+    assert weighted_exact(soft, wm2, trace, 0) == pytest.approx(max(5.0, 2.0, 3.0))
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +467,8 @@ def test_program_reused_on_two_traces_matches_fresh_evaluation(rng):
             assert eval_exact(program, trace) == eval_exact(f, trace)
             assert eval_exact(program, trace) == oracle_eval(f, trace, 0, shared_leaves={})
             assert eval_smooth(program, trace) == eval_smooth(f, trace)
-            assert eval_weighted(program, weights, trace) == eval_weighted(f, weights, trace)
+            assert (program._evaluate(trace, 0, weighted=True)
+                    == weighted_exact(f, weights, trace))
             assert (eval_weighted_smooth(program, weights, trace, soft_combine=True)
                     == eval_weighted_smooth(f, weights, trace, soft_combine=True))
             for w in (None, weights):
@@ -499,4 +504,4 @@ def test_program_rejects_other_period_or_weights(rng):
     with pytest.raises(ValueError):
         eval_exact(program, random_trace(rng, n_drones=2, length=20, ts=0.1))
     with pytest.raises(ValueError):
-        eval_weighted(program, stl.WeightMap(), trace)
+        eval_weighted_smooth(program, stl.WeightMap(), trace)
