@@ -132,6 +132,40 @@ def _augment(formula, n_samples, ts, limits, scale):
     return stl.land(formula, *clauses, label="objective")
 
 
+def _assigned(formula, monitor, seed_trace):
+    """``formula`` with each task's disjunction over its capable drones
+    (``target_any[q]``, ``blade_any[q]``) cut to the operand under which the
+    seed's exact robustness of the task clause, the eventually over the
+    disjunction at t = 0, is highest, if that value is positive; ties go to
+    the first operand. An Or's exact value is the max of its operands and
+    every other node is monotone, so the cut formula's exact robustness
+    never exceeds ``formula``'s. One exact pass of ``monitor``, the program
+    of ``formula``, scores every operand; nodes keep their ids."""
+    ops = monitor.ops
+    tasks = [(op, ops[op.args[0]]) for op in ops if op.kind == stl.EVENTUALLY
+             and ops[op.args[0]].kind == stl.OR
+             and ops[op.args[0]].node_id.startswith(("target_any[", "blade_any["))]
+    if not tasks:
+        return formula
+    values = monitor._node_values(seed_trace)
+    keep = {}
+    for clause, disjunction in tasks:
+        scores = [values[arg][clause.lo:clause.hi + 1].max() for arg in disjunction.args]
+        best = int(np.argmax(scores))
+        if scores[best] > 0:
+            keep[disjunction.node_id] = best
+
+    def cut(node):
+        if node.node_id in keep:
+            return node.children[keep[node.node_id]]
+        children = tuple(map(cut, node.children))
+        if all(new is old for new, old in zip(children, node.children)):
+            return node
+        return stl.Formula(node.kind, children, node.interval, node.predicate, node.node_id)
+
+    return cut(formula)
+
+
 class _Objective:
     """Smooth objective and gradient as a function of accelerations.
 
@@ -177,10 +211,11 @@ def optimize(formula, seed_trace: Trace, scenario, config: OptimizerConfig = Non
              limits_override: dict = None) -> PlanResult:
     """Maximize (weighted) smooth robustness from a warm-start trace.
 
-    The ascent accepts only improving iterates, so the objective history
-    is non-decreasing; the returned trace is the accepted iterate with
-    the best exact robustness of the original formula, re-verified with
-    the exact monitor. On an iteration-capped run that stays negative,
+    The ascent climbs the formula cut to the seed's task assignment (see
+    ``_assigned``) and accepts only improving iterates, so the objective
+    history is non-decreasing; the returned trace is the accepted iterate
+    with the best exact robustness of the original formula, re-verified
+    with the exact monitor. On an iteration-capped run that stays negative,
     one noise-perturbed restart from the seed is attempted.
 
     The status follows the exact robustness of the returned trace: above
@@ -201,11 +236,13 @@ def optimize(formula, seed_trace: Trace, scenario, config: OptimizerConfig = Non
               else scenario.limits[d] for d in range(seed_trace.n_drones)]
     a_caps = np.stack([np.asarray(limits[d].a_max) for d in range(seed_trace.n_drones)])
 
-    objective_formula = _augment(formula, seed_trace.n_samples, ts, limits,
-                                 _VELOCITY_MARGIN_SCALE)
+    monitor = Program(formula, ts, weights)  # exact checks and the final report
+    # the ascent climbs the seed's own task assignment; every verdict stays on
+    # the whole mission
+    objective_formula = _augment(_assigned(formula, monitor, seed_trace), seed_trace.n_samples,
+                                 ts, limits, _VELOCITY_MARGIN_SCALE)
     objective = _Objective(objective_formula, seed_trace.pos[:, 0].copy(),
                            seed_trace.vel[:, 0].copy(), ts, sharpness, weights)
-    monitor = Program(formula, ts, weights)  # exact checks and the final report
     monitor._borrow_atoms(objective.program)  # the accepted trial's atom rows
 
     if free_drones is None:

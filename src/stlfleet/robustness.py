@@ -32,8 +32,8 @@ box atom's first face of least margin, picked while the forward pass
 folds the faces. It is keyed by the semantics and the trace's bytes, and
 lent while the kept trace, from which box atoms find their faces where a
 margin is NaN, still holds them: a gradient of that key runs only the
-sweep, and the exact monitor of a formula the objective conjoins copies
-its atom rows. Reports keep none.
+sweep, and an exact monitor copies the atom rows it shares with the
+objective and evaluates only the rest. Reports keep none.
 
 A smooth pass decides once, after its atom rows, whether it is known
 finite: no ``true`` or Until, and 4m (M + D (ln m + 1) / lam) < 1e308
@@ -416,7 +416,7 @@ class Program:
             4 * m, sum(b.reduces for b in self.batches) * (float(np.log(m)) + 1))
         self._entry_layout = (None,)  # ((drones, L), bases, leaf order)
         self._kept = None           # (key, trace, values, tape, finite) of the last smooth pass
-        self._lender = None         # (program, its rows of ours)
+        self._lender = None         # (program, our rows, its rows, our own atom groups)
         self._taping = True         # False while no gradient can follow a pass
 
     # -- compilation
@@ -534,7 +534,10 @@ class Program:
         lender = self._lender
         lent = lender[0]._kept_over(trace) if lender and tape is None else None
         if lent:
-            values[:len(lender[1])] = lent[2].array[lender[1]]
+            _, ours, theirs, own = lender
+            values[ours] = lent[2].array[theirs]
+            for group, rows in own:
+                values[rows] = group.forward(trace)[0]
         else:
             for (group, _), rows in zip(self.groups, self._group_rows):
                 values[rows], data = group.forward(trace, keep=tape is not None)
@@ -562,11 +565,22 @@ class Program:
 
     def _borrow_atoms(self, lender):
         """Take the atom rows of exact passes from ``lender``'s kept pass over
-        the same bits, if each atom here is one of ``lender``'s predicates."""
+        the same bits, for each atom here that is one of ``lender``'s
+        predicates; the other atoms are evaluated here, one group per kind."""
         theirs = {id(pred): lender.row[index] for index, pred in lender._preds.items()}
-        rows = [theirs.get(id(self._preds[i])) for _, indices in self.groups for i in indices]
-        if None not in rows:
-            self._lender = (lender, np.array(rows, dtype=np.intp))
+        lent, rest = {}, {}
+        for _, indices in self.groups:
+            for i in indices:
+                row = theirs.get(id(self._preds[i]))
+                if row is None:
+                    rest.setdefault(self._preds[i].kind, []).append(i)
+                else:
+                    lent[self.row[i]] = row
+        if not lent:
+            return
+        own = [(_ATOM_GROUPS[kind]([self._preds[i] for i in indices]),
+                np.array([self.row[i] for i in indices])) for kind, indices in rest.items()]
+        self._lender = (lender, np.array(list(lent)), np.array(list(lent.values())), own)
 
     @np.errstate(invalid="ignore")
     def _gradient(self, trace, sharpness, weighted=False, t_index=0):

@@ -1,12 +1,13 @@
 """The exact monitor takes its atom rows from the objective's kept pass.
 
 A monitor program tied to a lender with ``_borrow_atoms`` runs an exact
-pass without evaluating any atom when the lender keeps a smooth or
-weighted-smooth pass over the same trace bits: atom rows depend on
-nothing but the predicates and the trace. These tests check that such a
-pass gives the bits of a freshly compiled program, that any other trace
-is evaluated afresh, and that the ascent saves exactly the atom groups of
-one monitor pass per accepted step and is otherwise unchanged.
+pass that copies every atom row the lender holds, and evaluates only its
+other atoms, when the lender keeps a smooth or weighted-smooth pass over
+the same trace bits: atom rows depend on nothing but the predicates and
+the trace. These tests check that such a pass gives the bits of a freshly
+compiled program, that any other trace is evaluated afresh, and that the
+ascent saves exactly the lent atom groups of one monitor pass per
+accepted step and is otherwise unchanged.
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from stlfleet import robustness, stl
 from stlfleet.dynamics import rollout
 from stlfleet.mission import compile_mission
-from stlfleet.optimizer import OptimizerConfig, optimize
+from stlfleet.optimizer import OptimizerConfig, _assigned, optimize
 from stlfleet.robustness import Program, eval_exact, eval_smooth, gradient_smooth
 
 from conftest import random_formula, random_predicate
@@ -130,9 +131,31 @@ def test_monitor_with_foreign_atoms_never_borrows():
     rng = np.random.default_rng(5)
     formula = random_formula(rng, budget=8, n_drones=2, depth=3)
     other = random_formula(rng, budget=8, n_drones=2, depth=3)
-    monitor = Program(stl.land(formula, other), 0.05)
+    monitor = Program(other, 0.05)
     monitor._borrow_atoms(Program(formula, 0.05))
     assert monitor._lender is None
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_monitor_borrows_the_atoms_it_shares(atom_forwards, weighted):
+    rng = np.random.default_rng(5)
+    for formula, weights, trace in _cases():
+        weights = weights if weighted else None
+        other = random_formula(rng, budget=8, n_drones=2, depth=3)
+        whole = stl.land(formula, other)
+        monitor = Program(whole, 0.05, weights)
+        lender = Program(formula, 0.05, weights)
+        monitor._borrow_atoms(lender)
+        own = monitor._lender[3]
+        # the other formula's atoms, one group per kind
+        atoms = [node.predicate.kind for node in other if node.kind == stl.ATOM]
+        assert len(own) == len(set(atoms))
+        assert sum(len(rows) for _, rows in own) == len(atoms)
+        _smooth(lender, trace, weights)
+        before = atom_forwards["ran"]
+        got = monitor._node_values(trace.copy())
+        assert atom_forwards["ran"] == before + len(own)
+        _assert_fresh_exact(got, whole, trace)
 
 
 @pytest.mark.parametrize("weighted", [False, True])
@@ -150,8 +173,13 @@ def test_ascent_borrows_once_per_accepted_step(atom_forwards, passes, weighted):
     assert repr(result.report.exact) == robustness_repr
     assert (passes["exact"], passes["gradient"]) == (exact, gradients)
     # every run starts with one gradient; each accepted step adds one more,
-    # and the exact check of each accepted trial evaluates no atom
+    # and the exact check of each accepted trial evaluates only the atoms
+    # that the assigned objective lacks, one group per kind
     accepted = gradients - (1 + restarts)
+    monitor = Program(formula, scenario.ts)
+    monitor._borrow_atoms(Program(_assigned(formula, monitor, seed), scenario.ts))
+    lent = len(monitor.groups) - len(monitor._lender[3])
+    assert lent == len(monitor.groups) - 1  # drone 0's target box
     saved = atom_forwards["unshared"] - atom_forwards["ran"]
-    assert saved == accepted * len(Program(formula, scenario.ts).groups)
+    assert saved == accepted * lent
 

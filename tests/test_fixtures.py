@@ -3,15 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from stlfleet import bundled_scenario_path
 from stlfleet.fixtures import fixture_two_drone_swap, fixture_windturbine
 from stlfleet.mission import compile_mission
 from stlfleet.optimizer import OptimizerConfig, optimize
-from stlfleet.pipeline import load_scenario
 from stlfleet.robustness import eval_exact
 from stlfleet.warmstart import build_graph, seed_with_schedule, solve_assignment
-
-from test_mission import same_scenario
 
 
 def test_windturbine_parameters_verbatim():
@@ -41,13 +37,6 @@ def test_windturbine_parameters_verbatim():
     seg = np.asarray(s.blades[0].seg_end) - np.asarray(s.blades[0].seg_start)
     assert np.linalg.norm(seg) == pytest.approx(7.0)
     assert s.n_drones == 3
-
-
-def test_windturbine_loads_and_matches_bundled_json():
-    bundled = load_scenario(bundled_scenario_path("windturbine_mock"))
-    assert same_scenario(bundled, fixture_windturbine())
-    swap = load_scenario(bundled_scenario_path("two_drone_swap"))
-    assert same_scenario(swap, fixture_two_drone_swap())
 
 
 def test_windturbine_seed_is_feasible_and_covers_tasks():
