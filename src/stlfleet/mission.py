@@ -236,41 +236,40 @@ def _safety_clause(scenario, d, duration):
     return clause, safety_weights
 
 
-def _target_clause(scenario, q):
-    window = scenario.mission_duration - scenario.inspect_duration
-    if window < 0:
-        raise InfeasibleWindow(f"targets[{q}]: inspect duration exceeds the mission")
-    capable = scenario.capable_drones("targets", q)
-    if not capable:
-        raise NoCapableDrone(f"targets[{q}] has no capable drone")
-    box = scenario.targets[q].box
-    dwells = [stl.always(stl.Interval(0.0, scenario.inspect_duration),
-                         stl.atom(stl.Predicate.box_inside(
-                             f"in_target[{q},{d}]", d, box.lower, box.upper)))
-              for d in capable]
-    body = dwells[0] if len(dwells) == 1 else stl.lor(*dwells, label=f"target_any[{q}]")
-    return stl.eventually(stl.Interval(0.0, window), body, label=f"target[{q}]")
+_DWELLS = {"target": "inspect", "blade": "blade"}  # task kind -> its timing key
 
 
-def _blade_clause(scenario, q):
-    window = scenario.mission_duration - scenario.blade_duration
+def _dwell(scenario, kind, q, d):
+    """Drone d holding task q (a "target" or "blade" side) for the task's
+    dwell: inside the target box, or inside the blade side's corridor box
+    and its standoff band."""
+    if kind == "target":
+        box = scenario.targets[q].box
+        hold = stl.atom(stl.Predicate.box_inside(f"in_target[{q},{d}]", d, box.lower, box.upper))
+    else:
+        side = scenario.blades[q]
+        hold = stl.land(
+            stl.atom(stl.Predicate.box_inside(f"in_blade_box[{q},{d}]", d,
+                                              side.box.lower, side.box.upper)),
+            stl.atom(stl.Predicate.segment_band(f"blade_band[{q},{d}]", d, side.seg_start,
+                                                side.seg_end, scenario.blade_standoff,
+                                                scenario.standoff_tolerance)))
+    dwell = getattr(scenario, f"{_DWELLS[kind]}_duration")
+    return stl.always(stl.Interval(0.0, dwell), hold)
+
+
+def _task_clause(scenario, kind, q):
+    """Some capable drone holds task q for its dwell, starting in time to
+    finish within the mission."""
+    window = scenario.mission_duration - getattr(scenario, f"{_DWELLS[kind]}_duration")
     if window < 0:
-        raise InfeasibleWindow(f"blades[{q}]: blade duration exceeds the mission")
-    capable = scenario.capable_drones("blades", q)
+        raise InfeasibleWindow(f"{kind}s[{q}]: {_DWELLS[kind]} duration exceeds the mission")
+    capable = scenario.capable_drones(f"{kind}s", q)
     if not capable:
-        raise NoCapableDrone(f"blades[{q}] has no capable drone")
-    side = scenario.blades[q]
-    dwells = []
-    for d in capable:
-        inside = stl.atom(stl.Predicate.box_inside(
-            f"in_blade_box[{q},{d}]", d, side.box.lower, side.box.upper))
-        band = stl.atom(stl.Predicate.segment_band(
-            f"blade_band[{q},{d}]", d, side.seg_start, side.seg_end,
-            scenario.blade_standoff, scenario.standoff_tolerance))
-        hold = stl.land(inside, band)
-        dwells.append(stl.always(stl.Interval(0.0, scenario.blade_duration), hold))
-    body = dwells[0] if len(dwells) == 1 else stl.lor(*dwells, label=f"blade_any[{q}]")
-    return stl.eventually(stl.Interval(0.0, window), body, label=f"blade[{q}]")
+        raise NoCapableDrone(f"{kind}s[{q}] has no capable drone")
+    dwells = [_dwell(scenario, kind, q, d) for d in capable]
+    body = dwells[0] if len(dwells) == 1 else stl.lor(*dwells, label=f"{kind}_any[{q}]")
+    return stl.eventually(stl.Interval(0.0, window), body, label=f"{kind}[{q}]")
 
 
 def _home_clauses(scenario, d):
@@ -313,12 +312,10 @@ def compile_mission(scenario: Scenario):
         conjuncts.append(clause)
         top_weights.append(1.0)
         weight_entries.update(extra)
-    for q in range(len(scenario.targets)):
-        conjuncts.append(_target_clause(scenario, q))
-        top_weights.append(scenario.class_weight("target"))
-    for q in range(len(scenario.blades)):
-        conjuncts.append(_blade_clause(scenario, q))
-        top_weights.append(scenario.class_weight("blade"))
+    for kind, tasks in (("target", scenario.targets), ("blade", scenario.blades)):
+        for q in range(len(tasks)):
+            conjuncts.append(_task_clause(scenario, kind, q))
+            top_weights.append(scenario.class_weight(kind))
     for d in range(scenario.n_drones):
         arrive, stay = _home_clauses(scenario, d)
         conjuncts.extend([arrive, stay])

@@ -133,37 +133,33 @@ def _augment(formula, n_samples, ts, limits, scale):
 
 
 def _assigned(formula, monitor, seed_trace):
-    """``formula`` with each task's disjunction over its capable drones
-    (``target_any[q]``, ``blade_any[q]``) cut to the operand under which the
-    seed's exact robustness of the task clause, the eventually over the
-    disjunction at t = 0, is highest, if that value is positive; ties go to
-    the first operand. An Or's exact value is the max of its operands and
-    every other node is monotone, so the cut formula's exact robustness
-    never exceeds ``formula``'s. One exact pass of ``monitor``, the program
-    of ``formula``, scores every operand; nodes keep their ids."""
+    """``formula`` with each task choice cut to the operand under which the
+    seed's exact robustness of the task, at t = 0, is highest, if that value
+    is positive; ties go to the first operand. A task choice is an operand
+    of the root conjunction that is an eventually over an Or. No Not sits
+    above such an Or, its exact value is the max of its operands and every
+    node above it is monotone, so the cut formula's exact robustness never
+    exceeds ``formula``'s. One exact pass of ``monitor``, the program of
+    ``formula``, scores every operand; nodes keep their ids."""
+    if formula.kind != stl.AND:
+        return formula
     ops = monitor.ops
-    tasks = [(op, ops[op.args[0]]) for op in ops if op.kind == stl.EVENTUALLY
-             and ops[op.args[0]].kind == stl.OR
-             and ops[op.args[0]].node_id.startswith(("target_any[", "blade_any["))]
+    tasks = [(i, ops[arg]) for i, (child, arg) in enumerate(zip(formula.children, ops[-1].args))
+             if child.kind == stl.EVENTUALLY and child.children[0].kind == stl.OR]
     if not tasks:
         return formula
     values = monitor._node_values(seed_trace)
-    keep = {}
-    for clause, disjunction in tasks:
-        scores = [values[arg][clause.lo:clause.hi + 1].max() for arg in disjunction.args]
+    children = list(formula.children)
+    for i, clause in tasks:
+        scores = [values[arg][clause.lo:clause.hi + 1].max() for arg in ops[clause.args[0]].args]
         best = int(np.argmax(scores))
         if scores[best] > 0:
-            keep[disjunction.node_id] = best
-
-    def cut(node):
-        if node.node_id in keep:
-            return node.children[keep[node.node_id]]
-        children = tuple(map(cut, node.children))
-        if all(new is old for new, old in zip(children, node.children)):
-            return node
-        return stl.Formula(node.kind, children, node.interval, node.predicate, node.node_id)
-
-    return cut(formula)
+            task = children[i]
+            children[i] = stl.Formula(task.kind, (task.children[0].children[best],),
+                                      task.interval, None, task.node_id)
+    if all(new is old for new, old in zip(children, formula.children)):
+        return formula
+    return stl.Formula(formula.kind, tuple(children), None, None, formula.node_id)
 
 
 class _Objective:

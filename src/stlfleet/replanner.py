@@ -22,7 +22,8 @@ from . import stl
 from .dynamics import DroneLimits, Trace, rollout, steer_to_state
 from .errors import NoRemainingTasks, ParseError, ValidationError
 from .optimizer import OptimizerConfig, optimize
-from .mission import Scenario, _entries, _index, _mapping, _number
+from .mission import (Scenario, _dwell, _entries, _index, _mapping, _number,
+                      _safety_predicates)
 
 _REJOIN_TOL = 0.05  # meters / m/s box demanded of the optimizer around the rejoin state
 
@@ -60,8 +61,8 @@ class ExecutionState:
             raise ValueError("event log (time, drone) pairs must be strictly increasing")
         self.events.append(event)
 
-    def events_json(self, indent=2) -> str:
-        return json.dumps([e.to_dict() for e in self.events], indent=indent)
+    def events_json(self) -> str:
+        return json.dumps([e.to_dict() for e in self.events], indent=2)
 
 
 def detect_event(actual, planned, trigger_radius: float) -> bool:
@@ -91,46 +92,20 @@ def _window_feasible(pos_err, vel_err, steps, ts, limits: DroneLimits,
     return bool(np.all(np.abs(velocities) <= v_max))
 
 
-def _window_formula(scenario, drone, steps, skipped, rejoin_pos, rejoin_vel, n_drones):
-    """Safety + skipped-task + rejoin clauses over the replan window."""
-    ts = scenario.ts
-    duration = steps * ts
-    safety = [stl.atom(stl.Predicate.box_inside(
-        f"rw_ws[{drone}]", drone, scenario.workspace.lower, scenario.workspace.upper))]
-    safety += [stl.atom(stl.Predicate.box_outside(
-        f"rw_obs[{drone},{q}]", drone, box.lower, box.upper))
-        for q, box in enumerate(scenario.obstacles)]
-    safety += [stl.atom(stl.Predicate.min_separation(
-        f"rw_dis[{drone},{m}]", drone, m, scenario.min_separation))
-        for m in range(n_drones) if m != drone]
+def _window_formula(scenario, drone, steps, skipped, rejoin_pos, rejoin_vel):
+    """The mission's safety atoms for ``drone`` and a clause per skipped task
+    over the replan window, and the rejoin box at its end."""
+    duration = steps * scenario.ts
+    safety = [stl.atom(p) for preds in _safety_predicates(scenario, drone).values()
+              for p in preds]
     clauses = [stl.always(stl.Interval(0.0, duration),
                           safety[0] if len(safety) == 1 else stl.land(*safety),
                           label="replan_safety")]
     for kind, index in skipped:
-        if kind == "target":
-            dwell = scenario.inspect_duration
-            if duration - dwell < 0:
-                continue
-            box = scenario.targets[index].box
-            body = stl.atom(stl.Predicate.box_inside(
-                f"rw_tr[{index}]", drone, box.lower, box.upper))
-            clauses.append(stl.eventually(
-                stl.Interval(0.0, duration - dwell),
-                stl.always(stl.Interval(0.0, dwell), body), label=f"replan_target[{index}]"))
-        else:
-            dwell = scenario.blade_duration
-            if duration - dwell < 0:
-                continue
-            side = scenario.blades[index]
-            body = stl.land(
-                stl.atom(stl.Predicate.box_inside(
-                    f"rw_blbox[{index}]", drone, side.box.lower, side.box.upper)),
-                stl.atom(stl.Predicate.segment_band(
-                    f"rw_blband[{index}]", drone, side.seg_start, side.seg_end,
-                    scenario.blade_standoff, scenario.standoff_tolerance)))
-            clauses.append(stl.eventually(
-                stl.Interval(0.0, duration - dwell),
-                stl.always(stl.Interval(0.0, dwell), body), label=f"replan_blade[{index}]"))
+        dwell = _dwell(scenario, kind, index, drone)
+        if duration - dwell.interval.hi >= 0:  # else the task cannot fit in the window
+            clauses.append(stl.eventually(stl.Interval(0.0, duration - dwell.interval.hi),
+                                          dwell, label=f"replan_{kind}[{index}]"))
     rejoin = stl.land(
         stl.atom(stl.Predicate.box_inside(
             "rw_rejoin_pos", drone,
@@ -194,8 +169,7 @@ def replan(state: ExecutionState, scenario: Scenario, drone: int,
     vel0[drone] = actual_vel
     seed = rollout(pos0, vel0, seed_acc, ts)
 
-    formula = _window_formula(scenario, drone, steps, skipped, rejoin_pos, rejoin_vel,
-                              committed.n_drones)
+    formula = _window_formula(scenario, drone, steps, skipped, rejoin_pos, rejoin_vel)
     result = optimize(formula, seed, scenario, config, free_drones=[drone],
                       limits_override={drone: limits})
 

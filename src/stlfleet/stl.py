@@ -2,8 +2,8 @@
 
 Formulas are immutable after construction and safe to share between
 threads. Temporal intervals are given in seconds and converted to sample
-indices on demand; conversion is strict by default (off-grid endpoints
-are rejected, not shifted) with opt-in round-to-nearest.
+indices on demand; conversion is strict (off-grid endpoints are rejected,
+not shifted).
 """
 
 from __future__ import annotations
@@ -55,25 +55,23 @@ class Interval:
         if self.hi < self.lo:
             raise IntervalError(f"interval reversed: [{self.lo}, {self.hi}]")
 
-    def to_steps(self, ts: float, snap: bool = False) -> tuple[int, int]:
+    def to_steps(self, ts: float) -> tuple[int, int]:
         """Convert to inclusive sample-index offsets on the grid with period ts.
 
-        Raises IntervalError if an endpoint is off the grid, unless
-        ``snap`` opts into round-to-nearest.
+        Raises IntervalError if an endpoint is off the grid.
         """
-        return (_seconds_to_steps(self.lo, ts, snap),
-                _seconds_to_steps(self.hi, ts, snap))
+        return _seconds_to_steps(self.lo, ts), _seconds_to_steps(self.hi, ts)
 
 
-def _seconds_to_steps(seconds: float, ts: float, snap: bool) -> int:
+def _seconds_to_steps(seconds: float, ts: float) -> int:
     if ts <= 0:
         raise IntervalError(f"sampling period must be positive, got {ts}")
     raw = seconds / ts
     k = int(round(raw))
-    if not snap and abs(raw - k) > _GRID_RTOL * max(1.0, abs(raw)):
+    if abs(raw - k) > _GRID_RTOL * max(1.0, abs(raw)):
         raise IntervalError(
             f"time {seconds} s is not a multiple of the sampling period {ts} s "
-            f"(off by {abs(raw - k) * ts:.3g} s); pass snap=True to round")
+            f"(off by {abs(raw - k) * ts:.3g} s)")
     return k
 
 

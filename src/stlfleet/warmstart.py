@@ -130,8 +130,8 @@ class RoutePlan:
                        "position": list(t.position)} for t in self.tasks],
         }
 
-    def to_json(self, indent=2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,30 @@ def test_tie_keeps_the_first_drone(offset, kept):
     assert dwells == {f"in_target[0,{kept}]"}
 
 
+def test_cut_follows_the_shape_not_the_label():
+    # drone 0 hovers in the box, drone 1 away from it: a top-level task
+    # choice, whatever its label, keeps drone 0; an Or under Always(Not(.))
+    # is no task choice and stays whole
+    scenario = make_scenario(n_drones=2, targets=[(-2.0, -3.0, 1.0)], mission=6.0)
+    seed = _hover(scenario, [(-2.0, -3.0, 1.0), (2.0, 3.0, 1.0)])
+    box = scenario.targets[0].box
+
+    def inside(name, d):
+        return stl.atom(stl.Predicate.box_inside(name, d, box.lower, box.upper))
+
+    task = stl.eventually(stl.Interval(0.0, 5.0), stl.lor(
+        *(stl.always(stl.Interval(0.0, 1.0), inside(f"hold[{d}]", d)) for d in range(2)),
+        label="anything"), label="task")
+    banned = stl.always(stl.Interval(0.0, 6.0), stl.neg(stl.lor(
+        inside("near[0]", 0), inside("near[1]", 1), label="anything_else")), label="ban")
+    formula = stl.land(task, banned, label="spec")
+    assigned = _assigned(formula, Program(formula, scenario.ts), seed)
+    assert _atom_names(assigned) == {"hold[0]", "near[0]", "near[1]"}
+    assert assigned.children[1] is banned
+    assert [assigned.node_id, assigned.children[0].node_id] == ["spec", "task"]
+    assert assigned.children[0].children == (task.children[0].children[0],)
+
+
 def test_exact_check_of_an_accepted_step_evaluates_only_unlent_atoms(atom_forwards):
     scenario, formula, _, seed = _turbine()
     monitor = Program(formula, scenario.ts)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from stlfleet import stl
 from stlfleet.errors import NoRemainingTasks
+from stlfleet.fixtures import fixture_windturbine
 from stlfleet.mission import compile_mission
 from stlfleet.optimizer import OptimizerConfig, optimize
-from stlfleet.replanner import (ExecutionState, detect_event, relaxed_limits, replan,
-                                simulate_with_disturbance)
+from stlfleet.replanner import (ExecutionState, _window_formula, detect_event, relaxed_limits,
+                                replan, simulate_with_disturbance)
 from stlfleet.robustness import eval_exact
 from stlfleet.warmstart import build_graph, seed_with_schedule, solve_assignment
 
@@ -131,3 +133,44 @@ def test_glide_home_when_no_tasks_remain(committed):
     # ends where the committed plan ends
     assert np.allclose(state.executed.pos[0, -1], trace.pos[0, -1], atol=1e-9)
 
+
+# drone 2 of the bundled turbine, the only one that inspects the blade,
+# replanning samples 90 to 138 as a 1.5 m push at 4.5 s does
+WINDOW_STEPS = 48
+
+
+def _turbine_window(steps=WINDOW_STEPS, skipped=(("target", 1), ("blade", 1))):
+    scenario = fixture_windturbine()
+    formula = _window_formula(scenario, 2, steps, list(skipped), scenario.depots[2],
+                              np.zeros(3))
+    return scenario, compile_mission(scenario)[0], formula
+
+
+def _clauses(formula):
+    return {child.node_id: child for child in formula.children}
+
+
+def test_window_atoms_are_the_missions_own_predicates():
+    scenario, mission, window = _turbine_window()
+    predicates = [node.predicate for node in mission if node.kind == stl.ATOM]
+    atoms = [node.predicate for node in window if node.kind == stl.ATOM]
+    own = [p for p in atoms if p.name not in ("rw_rejoin_pos", "rw_rejoin_vel")]
+    assert len(own) == len(atoms) - 2
+    assert all(p in predicates for p in own)
+
+
+def test_skipped_blade_side_dwells_as_in_the_mission():
+    scenario, mission, window = _turbine_window()
+    dwell = next(n for n in mission if n.node_id == "blade[1]").children[0]
+    assert {n.predicate.subject for n in dwell if n.kind == stl.ATOM} == {(2,)}
+    clause = _clauses(window)["replan_blade[1]"]
+    assert clause.kind == stl.EVENTUALLY
+    assert clause.interval == stl.Interval(
+        0.0, WINDOW_STEPS * scenario.ts - scenario.blade_duration)
+    assert clause.children == (dwell,)
+
+
+def test_window_shorter_than_the_dwell_drops_the_task():
+    # 1.2 s holds the 1 s target dwell but not the 1.5 s blade dwell
+    scenario, _, window = _turbine_window(steps=24)
+    assert set(_clauses(window)) == {"replan_safety", "replan_target[1]", "replan_rejoin"}

@@ -19,7 +19,7 @@ def test_interval_validation():
         stl.Interval(0.0, float("inf"))
 
 
-def test_interval_grid_alignment_strict_and_snap():
+def test_interval_grid_alignment_strict():
     ts = 0.05
     assert stl.Interval(0.0, 13.0).to_steps(ts) == (0, 260)
     # an aligned endpoint round-trips to within half a period (exactly, here)
@@ -29,7 +29,6 @@ def test_interval_grid_alignment_strict_and_snap():
     misaligned = stl.Interval(0.0, 0.07)
     with pytest.raises(IntervalError):
         misaligned.to_steps(ts)
-    assert misaligned.to_steps(ts, snap=True) == (0, 1)
 
 
 def test_compose_rejects_empty_and_wrong_arity():

@@ -1,11 +1,11 @@
 """List the functions of src/stlfleet that the CLI commands never enter.
 
-Runs five commands in this process under ``sys.settrace``: ``plan`` in
+Runs these commands in this process under ``sys.settrace``: ``plan`` in
 basic and attrition mode, ``monitor`` of the basic plan's trace, ``replay``
 of the benchmark's ``disturbance(seed=1, op)`` schedules for ops 1, 2 and
-7, and ``routes``, all on the bundled turbine. Then prints each function
-defined in src/stlfleet that none of them called, with the line count of
-its body, and the total. The report is informational: the exit status is
+7 and of ``BLADE_PUSH``, which skips a blade side, and ``routes``, all on
+the bundled turbine. Then prints each function defined in src/stlfleet
+that none of them called, with the line count of its body, and the total. The report is informational: the exit status is
 0 whenever every command ran, whatever it found.
 
     python -B tools/unreached.py
@@ -31,6 +31,9 @@ from workloads import TURBINE, disturbance, turbine_dict  # noqa: E402
 from stlfleet.cli import main as cli_main  # noqa: E402
 
 REPLAY_OPS = (1, 2, 7)
+# drone 2 pushed 1.5 m at 4.5 s: its replan window, samples 90 to 138,
+# re-inserts blade side 1
+BLADE_PUSH = [{"time": 4.5, "drone": 2, "offset": [0, 1.5, 0]}]
 
 
 def commands(out: Path):
@@ -41,11 +44,13 @@ def commands(out: Path):
                                "--out", str(out / mode)]
     yield "monitor", ["monitor", "--scenario", scenario,
                       "--trace", str(out / "basic" / "trace.csv")]
-    for op in REPLAY_OPS:
-        pushes = out / f"disturbance{op}.json"
-        pushes.write_text(json.dumps(disturbance(turbine_dict(ROOT), 1, op)))
-        yield f"replay op {op}", ["replay", "--scenario", scenario, "--disturbances",
-                                  str(pushes), "--out", str(out / f"replay{op}")]
+    replays = [(f"op {op}", f"{op}", disturbance(turbine_dict(ROOT), 1, op))
+               for op in REPLAY_OPS] + [("blade push", "_blade", BLADE_PUSH)]
+    for label, tag, schedule in replays:
+        pushes = out / f"disturbance{tag}.json"
+        pushes.write_text(json.dumps(schedule))
+        yield f"replay {label}", ["replay", "--scenario", scenario, "--disturbances",
+                                  str(pushes), "--out", str(out / f"replay{tag}")]
     yield "routes", ["routes", "--scenario", scenario, "--out", str(out / "routes")]
 
 
