@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stl
-from .dynamics import Trace, rollout
+from .dynamics import Trace, rollout, steer_to_state
 from .errors import NonFiniteObjective, SeedTooShort, ValidationError
 from .robustness import (MIN_SHARPNESS, Program, RobustnessReport, eval_exact, eval_smooth,
                          eval_weighted_smooth, gradient_smooth, make_report)
@@ -44,6 +44,7 @@ _VELOCITY_MARGIN_SCALE = 8.0
 _MOMENTUM_DECAY = 0.9
 _CURVATURE_DECAY = 0.999
 _RESTART_NOISE = 0.05  # stddev as a fraction of each drone's a_max
+_RESTARTS = 1  # noise-perturbed retries of a run that stays below zero
 
 
 @dataclass
@@ -52,7 +53,6 @@ class OptimizerConfig:
     margin: float = None           # demanded smooth-robustness buffer; None: scenario
     max_iters: int = 300
     rng_seed: int = 0
-    perturb_restarts: int = 1
 
     def __post_init__(self):
         # each message names the planner flag that sets the field
@@ -169,18 +169,60 @@ class _Objective:
     trial and gradient; each evaluation starts from a fresh rollout. The
     gradient at an accepted trial rolls out the same bits, so the program
     reuses that trial's smooth forward pass and runs only the reverse sweep.
+
+    The variables are clipped into the box ``caps``. With a window
+    ``(drone, k, e)`` they are that drone's accelerations on [k, e), rolled
+    out from the seed's state at k; all other samples are the seed's. The
+    projection adds the least-norm correction onto the seed's state at e,
+    an orthogonal projection that the gradient gets too, and draws a trial
+    that then leaves the box (or the seed's larger magnitudes) toward the
+    seed's accelerations until it fits.
     """
 
-    def __init__(self, formula, pos0, vel0, ts, sharpness, weights):
+    def __init__(self, formula, seed, ts, sharpness, weights, caps, window=None):
         self.program = Program(formula, ts, weights)
         self.weights = weights
-        self.pos0 = pos0
-        self.vel0 = vel0
+        self.seed = seed
         self.ts = ts
         self.sharpness = sharpness
+        self.caps = caps
+        self.window = window
+        self.start = seed.acc  # the variables at the seed
+        if window is not None:
+            drone, k, end = window
+            self.steps = end - k
+            # ts^2 (steps - j - 1/2): the end position's lever on a_j
+            self.lever = ts * ts * (self.steps - np.arange(self.steps) - 0.5)
+            self.coast = (seed.pos[drone, end] - seed.pos[drone, k]
+                          - self.steps * ts * seed.vel[drone, k],
+                          seed.vel[drone, end] - seed.vel[drone, k])
+            self.start = seed.acc[drone:drone + 1, k:end]
+            self.bound = np.maximum(caps, np.abs(self.start))
+
+    def _steer(self, acc, pos_err, vel_err):
+        return acc + steer_to_state(pos_err - self.lever @ acc,
+                                    vel_err - self.ts * acc.sum(axis=0), self.steps, self.ts)
+
+    @np.errstate(divide="ignore", invalid="ignore")
+    def project(self, acc) -> np.ndarray:
+        acc = np.clip(acc, -self.caps, self.caps)
+        if self.window is None:
+            return acc
+        step = self._steer(acc[0], *self.coast) - self.start
+        room = np.where(step != 0, (np.copysign(self.bound, step) - self.start) / step, np.inf)
+        return self.start + min(1.0, room.min()) * step
 
     def trace(self, acc) -> Trace:
-        return rollout(self.pos0, self.vel0, acc, self.ts)
+        seed = self.seed
+        if self.window is None:
+            return rollout(seed.pos[:, 0], seed.vel[:, 0], acc, self.ts)
+        drone, k, end = self.window
+        part = rollout(seed.pos[drone, k], seed.vel[drone, k], acc, self.ts)
+        trace = seed.copy()
+        trace.pos[drone, k:end + 1] = part.pos[0]
+        trace.vel[drone, k:end + 1] = part.vel[0]
+        trace.acc[drone, k:end] = part.acc[0]
+        return trace
 
     def _checked(self, value, acc) -> float:
         if not np.isfinite(value):
@@ -199,13 +241,20 @@ class _Objective:
     def value_and_gradient(self, acc):
         value, dpos, dvel = gradient_smooth(self.program, self.trace(acc), self.sharpness,
                                             weights=self.weights)
-        return self._checked(value, acc), pullback_gradient(dpos, dvel, self.ts)
+        grad = pullback_gradient(dpos, dvel, self.ts)
+        if self.window is not None:  # the projection cancels what samples after e add
+            drone, k, end = self.window
+            grad = self._steer(grad[drone, k:end], 0.0, 0.0)[None]
+        return self._checked(value, acc), grad
 
 
 def optimize(formula, seed_trace: Trace, scenario, config: OptimizerConfig = None,
-             weights: stl.WeightMap = None, free_drones=None,
+             weights: stl.WeightMap = None, window: tuple = None,
              limits_override: dict = None) -> PlanResult:
     """Maximize (weighted) smooth robustness from a warm-start trace.
+
+    ``window=(drone, k, e)`` frees only that drone's accelerations on
+    [k, e) (see ``_Objective``); elsewhere the returned trace is the seed.
 
     The ascent climbs the formula cut to the seed's task assignment (see
     ``_assigned``) and accepts only improving iterates, so the objective
@@ -237,23 +286,12 @@ def optimize(formula, seed_trace: Trace, scenario, config: OptimizerConfig = Non
     # the whole mission
     objective_formula = _augment(_assigned(formula, monitor, seed_trace), seed_trace.n_samples,
                                  ts, limits, _VELOCITY_MARGIN_SCALE)
-    objective = _Objective(objective_formula, seed_trace.pos[:, 0].copy(),
-                           seed_trace.vel[:, 0].copy(), ts, sharpness, weights)
+    caps = (a_caps if window is None else a_caps[window[0]][None])[:, None, :]
+    objective = _Objective(objective_formula, seed_trace, ts, sharpness, weights, caps, window)
     monitor._borrow_atoms(objective.program)  # the accepted trial's atom rows
+    project = objective.project
 
-    if free_drones is None:
-        free = np.ones(seed_trace.n_drones, dtype=bool)
-    else:
-        free = np.zeros(seed_trace.n_drones, dtype=bool)
-        free[list(free_drones)] = True
-
-    # a frozen drone's infinite caps leave its values, NaN included, as they are
-    caps = np.where(free[:, None], a_caps, np.inf)[:, None, :]
-
-    def project(acc):
-        return np.clip(acc, -caps, caps)
-
-    seed_acc = project(seed_trace.acc.copy())
+    seed_acc = project(objective.start)
     rng = np.random.default_rng(config.rng_seed)
 
     def run(start_acc):
@@ -279,10 +317,9 @@ def optimize(formula, seed_trace: Trace, scenario, config: OptimizerConfig = Non
             adaptive = mhat / (np.sqrt(vhat) + 1e-12)
             accepted = False
             for direction in (adaptive, grad):
-                masked = np.where(free[:, None, None], direction, 0.0)
                 trial_step = step
                 while trial_step >= _STEP_MIN:
-                    trial = project(acc + trial_step * masked)
+                    trial = project(acc + trial_step * direction)
                     value = objective.value(trial)
                     if np.isfinite(value) and value > current:
                         accepted = True
@@ -316,12 +353,10 @@ def optimize(formula, seed_trace: Trace, scenario, config: OptimizerConfig = Non
     # a run that stalls without positive smooth robustness gets one
     # noise-perturbed retry from the seed; ascent is local and the seed
     # decides which basin it lands in
-    if best[1] <= 0 and config.perturb_restarts > 0:
-        for _ in range(config.perturb_restarts):
+    if best[1] <= 0:
+        for _ in range(_RESTARTS):
             restarts_used += 1
-            noise = rng.normal(scale=1.0, size=seed_acc.shape) * (
-                _RESTART_NOISE * a_caps[:, None, :])
-            noise[~free] = 0.0
+            noise = rng.normal(scale=1.0, size=seed_acc.shape) * (_RESTART_NOISE * caps)
             retry = run(project(seed_acc + noise))
             if retry[0][:2] > best[:2]:
                 best, history, iterations, capped = retry

@@ -2,30 +2,25 @@
 
 A disturbance that displaces a drone beyond the trigger radius starts a
 replan over the window from the trigger sample to the start of that
-drone's next scheduled task. Only the affected drone is recomputed, with
-relaxed kinematic limits; the other drones' committed trajectories stay
-frozen (and keep constraining mutual separation through the shared
-trace). The recovered segment is steered onto the committed state at the
-window end exactly, so splicing preserves position and velocity
-continuity at machine precision and the downstream plan is reused
-bit for bit.
+drone's next scheduled task. The mission's own ascent recomputes only the
+affected drone's accelerations in that window, with relaxed limits; the
+past and the other drones stay frozen, and every trial is steered onto the
+committed state at the window end, so the splice is seamless and the
+downstream plan is reused bit for bit. An event's verdict is the
+mission's on the spliced plan.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import stl
 from .dynamics import DroneLimits, Trace, rollout, steer_to_state
 from .errors import NoRemainingTasks, ParseError, ValidationError
 from .optimizer import OptimizerConfig, optimize
-from .mission import (Scenario, _dwell, _entries, _index, _mapping, _number,
-                      _safety_predicates)
-
-_REJOIN_TOL = 0.05  # meters / m/s box demanded of the optimizer around the rejoin state
+from .mission import Scenario, _entries, _index, _mapping, _number, compile_mission
 
 
 @dataclass
@@ -35,9 +30,9 @@ class ReplanEvent:
     deviation: float
     window: tuple              # (start sample, end sample)
     kind: str = "rejoin"       # "rejoin" or "glide_home"
-    skipped: tuple = ()        # schedule entries re-inserted into the window
-    status: str = None         # the window optimization's status
-    exact: float = None        # exact robustness of the window formula on its result
+    skipped: tuple = ()        # schedule entries the window passes over
+    status: str = None         # the mission's status on the spliced plan
+    exact: float = None        # the mission's exact robustness on the spliced plan
 
     def to_dict(self) -> dict:
         return {"time": self.time, "drone": self.drone, "deviation": self.deviation,
@@ -92,38 +87,14 @@ def _window_feasible(pos_err, vel_err, steps, ts, limits: DroneLimits,
     return bool(np.all(np.abs(velocities) <= v_max))
 
 
-def _window_formula(scenario, drone, steps, skipped, rejoin_pos, rejoin_vel):
-    """The mission's safety atoms for ``drone`` and a clause per skipped task
-    over the replan window, and the rejoin box at its end."""
-    duration = steps * scenario.ts
-    safety = [stl.atom(p) for preds in _safety_predicates(scenario, drone).values()
-              for p in preds]
-    clauses = [stl.always(stl.Interval(0.0, duration),
-                          safety[0] if len(safety) == 1 else stl.land(*safety),
-                          label="replan_safety")]
-    for kind, index in skipped:
-        dwell = _dwell(scenario, kind, index, drone)
-        if duration - dwell.interval.hi >= 0:  # else the task cannot fit in the window
-            clauses.append(stl.eventually(stl.Interval(0.0, duration - dwell.interval.hi),
-                                          dwell, label=f"replan_{kind}[{index}]"))
-    rejoin = stl.land(
-        stl.atom(stl.Predicate.box_inside(
-            "rw_rejoin_pos", drone,
-            np.asarray(rejoin_pos) - _REJOIN_TOL, np.asarray(rejoin_pos) + _REJOIN_TOL)),
-        stl.atom(stl.Predicate.velocity_box(
-            "rw_rejoin_vel", drone,
-            np.asarray(rejoin_vel) - _REJOIN_TOL, np.asarray(rejoin_vel) + _REJOIN_TOL)))
-    clauses.append(stl.always(stl.Interval(duration, duration), rejoin, label="replan_rejoin"))
-    return stl.land(*clauses, label="replan_window")
-
-
 def replan(state: ExecutionState, scenario: Scenario, drone: int,
            config: OptimizerConfig = None, deviation: float = None):
-    """Recompute the affected drone's segment and splice it into the plan.
+    """Recompute the affected drone's window and splice it into the plan.
 
-    Returns (window trace segment, updated committed trace, event).
-    Skipped tasks (windows too short to rejoin before them at relaxed
-    limits) are re-inserted into the replan window's specification.
+    Returns (updated committed trace, event). The window ends at the first
+    upcoming task that steering can reach within the relaxed limits; the
+    mission still asks for the tasks skipped before it. The ascent only has
+    to restore satisfaction: no margin, at most one iteration per step.
     """
     committed = state.committed
     k = state.sample
@@ -154,42 +125,28 @@ def replan(state: ExecutionState, scenario: Scenario, drone: int,
         kind = "glide_home" if not upcoming else "rejoin"
         window_end = n
 
+    # seed: the committed plan, with the affected drone flying the
+    # minimum-norm steering correction from where it is
     steps = window_end - k
-    rejoin_pos = committed.pos[drone, window_end]
-    rejoin_vel = committed.vel[drone, window_end]
+    coast_err = committed.pos[drone, window_end] - (actual_pos + steps * ts * actual_vel)
+    steered = rollout(actual_pos, actual_vel,
+                      steer_to_state(coast_err, committed.vel[drone, window_end] - actual_vel,
+                                     steps, ts)[None], ts)
+    seed = committed.copy()
+    seed.pos[drone, k:window_end + 1] = steered.pos[0]
+    seed.vel[drone, k:window_end + 1] = steered.vel[0]
+    seed.acc[drone, k:window_end] = steered.acc[0]
 
-    # seed: everyone keeps the committed window accelerations except the
-    # affected drone, which gets the minimum-norm steering correction
-    seed_acc = committed.acc[:, k:window_end].copy()
-    coast_err = rejoin_pos - (actual_pos + steps * ts * actual_vel)
-    seed_acc[drone] = steer_to_state(coast_err, rejoin_vel - actual_vel, steps, ts)
-    pos0 = committed.pos[:, k].copy()
-    vel0 = committed.vel[:, k].copy()
-    pos0[drone] = actual_pos
-    vel0[drone] = actual_vel
-    seed = rollout(pos0, vel0, seed_acc, ts)
-
-    formula = _window_formula(scenario, drone, steps, skipped, rejoin_pos, rejoin_vel)
-    result = optimize(formula, seed, scenario, config, free_drones=[drone],
-                      limits_override={drone: limits})
-
-    # exact terminal correction so the splice is seamless at the window end
-    acc = result.trace.acc.copy()
-    end_pos = result.trace.pos[drone, -1]
-    end_vel = result.trace.vel[drone, -1]
-    acc[drone] += steer_to_state(rejoin_pos - end_pos, rejoin_vel - end_vel, steps, ts)
-    segment = rollout(pos0, vel0, acc, ts)
-
-    updated = committed.copy()
-    updated.pos[drone, k:window_end + 1] = segment.pos[drone]
-    updated.vel[drone, k:window_end + 1] = segment.vel[drone]
-    updated.acc[drone, k:window_end] = segment.acc[drone]
+    config = config or OptimizerConfig()
+    config = replace(config, margin=0.0, max_iters=min(config.max_iters, steps))
+    result = optimize(compile_mission(scenario)[0], seed, scenario, config,
+                      window=(drone, k, window_end), limits_override={drone: limits})
 
     event = ReplanEvent(time=k * ts, drone=drone,
                         deviation=float(deviation) if deviation is not None else 0.0,
                         window=(k, window_end), kind=kind, skipped=tuple(skipped),
                         status=result.status, exact=result.report.exact)
-    return segment, updated, event
+    return result.trace, event
 
 
 def simulate_with_disturbance(committed: Trace, schedules, disturbances,
@@ -230,9 +187,7 @@ def simulate_with_disturbance(committed: Trace, schedules, disturbances,
             if not detect_event(executed.pos[drone, k], current.pos[drone, k],
                                 scenario.trigger_radius):
                 continue
-            _, updated, event = replan(state, scenario, drone, config,
-                                       deviation=deviation)
-            current = updated
+            current, event = replan(state, scenario, drone, config, deviation=deviation)
             state.committed = current
             shift[drone] = 0.0
             executed.pos[drone, k] = current.pos[drone, k]

@@ -8,7 +8,7 @@ from stlfleet.dynamics import rollout
 from stlfleet.errors import SeedTooShort
 from stlfleet.mission import compile_mission
 from stlfleet.optimizer import (ITERATION_CAP, SATISFIED_WITH_MARGIN, VIOLATED,
-                                OptimizerConfig, optimize, pullback_gradient)
+                                OptimizerConfig, _Objective, optimize, pullback_gradient)
 from stlfleet.robustness import eval_exact, eval_smooth, gradient_smooth
 from stlfleet.warmstart import build_graph, seed_with_schedule, solve_assignment
 
@@ -119,7 +119,7 @@ def test_unreachable_target_is_violated():
     scenario = make_scenario(targets=[(-3.0 + 8.0 + 4.0, -3.0, 1.0)], mission=8.0,
                              ws_half=12.0)
     formula, _ = compile_mission(scenario)
-    config = OptimizerConfig(max_iters=60, rng_seed=5, perturb_restarts=0)
+    config = OptimizerConfig(max_iters=60, rng_seed=5)
     result = optimize(formula, hover_seed(scenario), scenario, config)
     # velocity bounds are soft clauses, so the unreachability bound applies to
     # the mission conjoined with them: covering 11.4 m from rest in 8 s at
@@ -155,14 +155,46 @@ def test_determinism_bitwise_histories():
     assert runs[0] == runs[1]
 
 
-def test_free_drone_mask_freezes_others():
+def test_window_freezes_other_drones_and_the_past():
     scenario = make_scenario(n_drones=2, targets=[(-1.5, -3.0, 1.0)], mission=6.0)
     formula, _ = compile_mission(scenario)
     seed = hover_seed(scenario)
-    config = OptimizerConfig(max_iters=30, rng_seed=1, perturb_restarts=0)
-    result = optimize(formula, seed, scenario, config, free_drones=[0])
-    assert np.array_equal(result.trace.acc[1], seed.acc[1])
-    assert np.array_equal(result.trace.pos[1], seed.pos[1])
+    k, end = 20, 100
+    config = OptimizerConfig(max_iters=30, rng_seed=1)
+    result = optimize(formula, seed, scenario, config, window=(0, k, end))
+    for field in ("pos", "vel", "acc"):
+        ours, theirs = getattr(result.trace, field), getattr(seed, field)
+        assert np.array_equal(ours[1], theirs[1])
+        assert np.array_equal(ours[0, :k], theirs[0, :k])
+        assert np.array_equal(ours[0, end + 1:], theirs[0, end + 1:])
+    assert np.abs(result.trace.pos[0, end] - seed.pos[0, end]).max() <= 1e-9
+    assert np.abs(result.trace.vel[0, end] - seed.vel[0, end]).max() <= 1e-9
+
+
+@pytest.mark.parametrize("drone, k, end", [(1, 30, 90), (0, 0, 2), (1, 100, 119)])
+def test_window_trace_of_random_accelerations(rng, drone, k, end):
+    # every trial of a window keeps the seed outside the window and ends on
+    # the seed's state at its end, inside the acceleration box
+    scenario = make_scenario(n_drones=2, targets=[(-1.5, -3.0, 1.0)], mission=6.0)
+    formula, _ = compile_mission(scenario)
+    n = scenario.n_samples - 1
+    seed = rollout(scenario.depots, np.zeros_like(scenario.depots),
+                   rng.normal(scale=0.5, size=(2, n, 3)), scenario.ts)
+    caps = np.asarray(scenario.limits[drone].a_max)[None, None, :]
+    objective = _Objective(formula, seed, scenario.ts, scenario.sharpness, None, caps,
+                           window=(drone, k, end))
+    for scale in (0.1, 1.0, 10.0):
+        acc = objective.project(rng.normal(scale=scale, size=(1, end - k, 3)))
+        trace = objective.trace(acc)
+        for field in ("pos", "vel", "acc"):
+            ours, theirs = getattr(trace, field), getattr(seed, field)
+            assert np.array_equal(ours[1 - drone], theirs[1 - drone])
+            assert np.array_equal(ours[drone, :k], theirs[drone, :k])
+            assert np.array_equal(ours[drone, end + 1:], theirs[drone, end + 1:])
+        assert np.array_equal(trace.acc[drone, k:end], acc[0])
+        assert np.abs(trace.pos[drone, end] - seed.pos[drone, end]).max() <= 1e-9
+        assert np.abs(trace.vel[drone, end] - seed.vel[drone, end]).max() <= 1e-9
+        assert np.all(np.abs(acc) <= np.maximum(caps, np.abs(seed.acc[drone, k:end])) + 1e-12)
 
 
 def test_non_finite_objective_carries_iterate():

@@ -17,6 +17,7 @@ from stlfleet.warmstart import build_graph, seed_with_schedule, solve_assignment
 
 from conftest import csv_text
 from test_mission import make_scenario, scenario_dict
+from test_replanner import PUSHES
 
 
 @pytest.fixture(scope="module")
@@ -232,7 +233,7 @@ def test_cli_replay(tmp_path):
     assert code == 0
     events = json.loads((tmp_path / "replay" / "events.json").read_text())
     assert len(events) == 1
-    # how the replan ended: the window optimization's status and exact robustness
+    # how the replan ended: the mission's status and exact robustness on the spliced plan
     assert events[0]["status"] in (SATISFIED_WITH_MARGIN, SATISFIED_NO_MARGIN, VIOLATED,
                                    ITERATION_CAP)
     assert isinstance(events[0]["exact"], float) and math.isfinite(events[0]["exact"])
@@ -307,6 +308,18 @@ def test_cli_replay_event_status_follows_exact(tmp_path):
     for event in events:
         satisfied = event["status"] in (SATISFIED_WITH_MARGIN, SATISFIED_NO_MARGIN)
         assert satisfied == (event["exact"] > 0), event
+
+
+@pytest.mark.parametrize("push", ["op1", "op2", "op7", "blade"])
+def test_cli_replay_exit_code_matches_monitor_of_the_executed_trace(tmp_path, push):
+    scenario = str(bundled_scenario_path("windturbine_mock"))
+    disturbances = tmp_path / "disturbances.json"
+    disturbances.write_text(json.dumps([PUSHES[push]]))
+    out = tmp_path / "replay"
+    code = main(["replay", "--scenario", scenario, "--disturbances", str(disturbances),
+                 "--out", str(out)])
+    assert code == main(["monitor", "--scenario", scenario,
+                         "--trace", str(out / "executed_trace.csv")])
 
 
 def _no_work(monkeypatch):

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from stlfleet import stl
 from stlfleet.errors import NoRemainingTasks
 from stlfleet.fixtures import fixture_windturbine
 from stlfleet.mission import compile_mission
-from stlfleet.optimizer import OptimizerConfig, optimize
-from stlfleet.replanner import (ExecutionState, _window_formula, detect_event, relaxed_limits,
-                                replan, simulate_with_disturbance)
+from stlfleet.optimizer import (SATISFIED_NO_MARGIN, SATISFIED_WITH_MARGIN, OptimizerConfig,
+                                optimize)
+from stlfleet.pipeline import run_pipeline
+from stlfleet.replanner import (ExecutionState, detect_event, relaxed_limits, replan,
+                                simulate_with_disturbance)
 from stlfleet.robustness import eval_exact
 from stlfleet.warmstart import build_graph, seed_with_schedule, solve_assignment
 
@@ -134,43 +135,54 @@ def test_glide_home_when_no_tasks_remain(committed):
     assert np.allclose(state.executed.pos[0, -1], trace.pos[0, -1], atol=1e-9)
 
 
-# drone 2 of the bundled turbine, the only one that inspects the blade,
-# replanning samples 90 to 138 as a 1.5 m push at 4.5 s does
-WINDOW_STEPS = 48
+# the pushes of perfbench's workloads.disturbance(seed=1, op) for ops 0-7,
+# and a push of drone 2 whose window, samples 90 to 138, skips blade side 1
+PUSHES = {
+    "op0": {"time": 0.75, "drone": 1, "offset": [0.9133791670519403, 1.1647693110859747, 0.0]},
+    "op1": {"time": 2.4000000000000004, "drone": 0,
+            "offset": [-1.3432122716340722, -0.06446642032886778, 0.0]},
+    "op2": {"time": 4.25, "drone": 1, "offset": [-1.1149679006185969, 0.6129667328490196, 0.0]},
+    "op3": {"time": 5.550000000000001, "drone": 0,
+            "offset": [-1.1107088567765138, 0.315478905880386, 0.0]},
+    "op4": {"time": 7.4, "drone": 1, "offset": [1.2721264999698412, -0.6749917806520163, 0.0]},
+    "op5": {"time": 9.4, "drone": 1, "offset": [1.0008541106944562, -1.0728322979523939, 0.0]},
+    "op6": {"time": 10.850000000000001, "drone": 0,
+            "offset": [0.5121901991377276, -1.3734518752327336, 0.0]},
+    "op7": {"time": 12.55, "drone": 1, "offset": [-0.8268135783615307, -1.0629020725891265, 0.0]},
+    "blade": {"time": 4.5, "drone": 2, "offset": [0, 1.5, 0]},
+}
+CLI_DEFAULTS = OptimizerConfig(max_iters=600, rng_seed=0)
 
 
-def _turbine_window(steps=WINDOW_STEPS, skipped=(("target", 1), ("blade", 1))):
+@pytest.fixture(scope="module")
+def turbine_plan():
     scenario = fixture_windturbine()
-    formula = _window_formula(scenario, 2, steps, list(skipped), scenario.depots[2],
-                              np.zeros(3))
-    return scenario, compile_mission(scenario)[0], formula
+    return scenario, run_pipeline(scenario, "basic", CLI_DEFAULTS)
 
 
-def _clauses(formula):
-    return {child.node_id: child for child in formula.children}
+@pytest.mark.parametrize("push", list(PUSHES))
+def test_event_verdict_is_the_missions_on_the_executed_plan(turbine_plan, push):
+    scenario, plan = turbine_plan
+    committed = plan.result.trace
+    entry = PUSHES[push]
+    state = simulate_with_disturbance(committed, plan.schedules,
+                                      [(entry["time"], entry["drone"], entry["offset"])],
+                                      scenario, CLI_DEFAULTS)
+    assert len(state.events) == 1
+    event = state.events[0]
+    exact = eval_exact(plan.formula, state.executed, 0)
+    assert abs(event.exact - exact) <= 1e-9
+    assert (event.status in (SATISFIED_WITH_MARGIN, SATISFIED_NO_MARGIN)) == (exact > 0)
 
-
-def test_window_atoms_are_the_missions_own_predicates():
-    scenario, mission, window = _turbine_window()
-    predicates = [node.predicate for node in mission if node.kind == stl.ATOM]
-    atoms = [node.predicate for node in window if node.kind == stl.ATOM]
-    own = [p for p in atoms if p.name not in ("rw_rejoin_pos", "rw_rejoin_vel")]
-    assert len(own) == len(atoms) - 2
-    assert all(p in predicates for p in own)
-
-
-def test_skipped_blade_side_dwells_as_in_the_mission():
-    scenario, mission, window = _turbine_window()
-    dwell = next(n for n in mission if n.node_id == "blade[1]").children[0]
-    assert {n.predicate.subject for n in dwell if n.kind == stl.ATOM} == {(2,)}
-    clause = _clauses(window)["replan_blade[1]"]
-    assert clause.kind == stl.EVENTUALLY
-    assert clause.interval == stl.Interval(
-        0.0, WINDOW_STEPS * scenario.ts - scenario.blade_duration)
-    assert clause.children == (dwell,)
-
-
-def test_window_shorter_than_the_dwell_drops_the_task():
-    # 1.2 s holds the 1 s target dwell but not the 1.5 s blade dwell
-    scenario, _, window = _turbine_window(steps=24)
-    assert set(_clauses(window)) == {"replan_safety", "replan_target[1]", "replan_rejoin"}
+    k, end = event.window
+    for trace in (state.executed, state.committed):
+        for field in ("pos", "vel", "acc"):
+            ours, theirs = getattr(trace, field), getattr(committed, field)
+            assert np.array_equal(ours[:, :k], theirs[:, :k])
+            for d in range(committed.n_drones):
+                if d != event.drone:
+                    assert np.array_equal(ours[d], theirs[d])
+    for field in ("pos", "vel"):
+        seam = getattr(state.committed, field)[event.drone, end] - getattr(committed, field)[
+            event.drone, end]
+        assert np.abs(seam).max() <= 1e-9
