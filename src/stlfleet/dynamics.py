@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,6 +55,10 @@ class DroneLimits:
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         return np.asarray(self.v_max), np.asarray(self.a_max)
+
+    def relaxed(self) -> "DroneLimits":
+        """These limits with the relaxed bounds as the nominal ones."""
+        return replace(self, v_max=self.v_max_relaxed, a_max=self.a_max_relaxed)
 
 
 def _bound3(value) -> tuple:

@@ -44,7 +44,6 @@ _VELOCITY_MARGIN_SCALE = 8.0
 _MOMENTUM_DECAY = 0.9
 _CURVATURE_DECAY = 0.999
 _RESTART_NOISE = 0.05  # stddev as a fraction of each drone's a_max
-_RESTARTS = 1  # noise-perturbed retries of a run that stays below zero
 
 
 @dataclass
@@ -249,19 +248,20 @@ class _Objective:
 
 
 def optimize(formula, seed_trace: Trace, scenario, config: OptimizerConfig = None,
-             weights: stl.WeightMap = None, window: tuple = None,
-             limits_override: dict = None) -> PlanResult:
+             weights: stl.WeightMap = None, window: tuple = None) -> PlanResult:
     """Maximize (weighted) smooth robustness from a warm-start trace.
 
     ``window=(drone, k, e)`` frees only that drone's accelerations on
-    [k, e) (see ``_Objective``); elsewhere the returned trace is the seed.
+    [k, e) (see ``_Objective``), under its relaxed limits; elsewhere the
+    returned trace is the seed.
 
     The ascent climbs the formula cut to the seed's task assignment (see
     ``_assigned``) and accepts only improving iterates, so the objective
     history is non-decreasing; the returned trace is the accepted iterate
-    with the best exact robustness of the original formula, re-verified
-    with the exact monitor. On an iteration-capped run that stays negative,
-    one noise-perturbed restart from the seed is attempted.
+    with the best exact robustness of the original formula among those at
+    the margin, if any reach it, re-verified with the exact monitor. When
+    that iterate's smooth value is not positive, one noise-perturbed
+    restart from the seed is attempted.
 
     The status follows the exact robustness of the returned trace: above
     zero it is satisfied, with margin when the smooth objective reached
@@ -272,16 +272,17 @@ def optimize(formula, seed_trace: Trace, scenario, config: OptimizerConfig = Non
     sharpness = config.sharpness if config.sharpness is not None else scenario.sharpness
     margin = config.margin if config.margin is not None else scenario.margin
     ts = seed_trace.ts
-    needed = int(round(stl.horizon(formula) / ts))
-    if seed_trace.n_samples < needed + 1:
-        raise SeedTooShort(
-            f"seed has {seed_trace.n_samples} samples, formula horizon needs {needed + 1}")
-
-    limits = [limits_override.get(d, scenario.limits[d]) if limits_override
-              else scenario.limits[d] for d in range(seed_trace.n_drones)]
-    a_caps = np.stack([np.asarray(limits[d].a_max) for d in range(seed_trace.n_drones)])
-
     monitor = Program(formula, ts, weights)  # exact checks and the final report
+    needed = monitor.ops[-1].steps + 1
+    if seed_trace.n_samples < needed:
+        raise SeedTooShort(
+            f"seed has {seed_trace.n_samples} samples, formula horizon needs {needed}")
+
+    limits = list(scenario.limits[:seed_trace.n_drones])
+    if window is not None:
+        limits[window[0]] = limits[window[0]].relaxed()
+    a_caps = np.stack([np.asarray(lim.a_max) for lim in limits])
+
     # the ascent climbs the seed's own task assignment; every verdict stays on
     # the whole mission
     objective_formula = _augment(_assigned(formula, monitor, seed_trace), seed_trace.n_samples,
@@ -298,10 +299,9 @@ def optimize(formula, seed_trace: Trace, scenario, config: OptimizerConfig = Non
         acc = start_acc
         current, grad = objective.value_and_gradient(acc)
         history = [current]
-        # best iterate by exact robustness, preferring those at the margin
-        # so the reported status stays consistent with the returned trace
-        best = (eval_exact(monitor, objective.trace(acc), 0), current, acc)
-        best_margin = best if current >= margin else None
+        # best iterate by (at the margin, exact, smooth): the reported status
+        # stays consistent with the returned trace
+        best = (current >= margin, eval_exact(monitor, objective.trace(acc), 0), current, acc)
         step = _STEP_INIT
         iterations = 0
         capped = False
@@ -332,12 +332,9 @@ def optimize(formula, seed_trace: Trace, scenario, config: OptimizerConfig = Non
             improvement = value - current
             acc, current, step = trial, value, trial_step
             history.append(current)
-            exact_here = eval_exact(monitor, objective.trace(acc), 0)
-            if (exact_here, current) > (best[0], best[1]):
-                best = (exact_here, current, acc)
-            if current >= margin and (best_margin is None
-                                      or (exact_here, current) > best_margin[:2]):
-                best_margin = (exact_here, current, acc)
+            key = (current >= margin, eval_exact(monitor, objective.trace(acc), 0), current)
+            if key > best[:3]:
+                best = (*key, acc)
             grad = objective.value_and_gradient(acc)[1]
             step = min(step * _STEP_GROW, 10.0 * _STEP_INIT)
             if current >= margin:
@@ -346,25 +343,25 @@ def optimize(formula, seed_trace: Trace, scenario, config: OptimizerConfig = Non
                 break
         else:
             capped = True
-        return best_margin or best, history, iterations, capped
+        return best, history, iterations, capped
 
     best, history, iterations, capped = run(seed_acc)
     restarts_used = 0
     # a run that stalls without positive smooth robustness gets one
     # noise-perturbed retry from the seed; ascent is local and the seed
-    # decides which basin it lands in
-    if best[1] <= 0:
-        for _ in range(_RESTARTS):
-            restarts_used += 1
-            noise = rng.normal(scale=1.0, size=seed_acc.shape) * (_RESTART_NOISE * caps)
-            retry = run(project(seed_acc + noise))
-            if retry[0][:2] > best[:2]:
-                best, history, iterations, capped = retry
+    # decides which basin it lands in. The retry's run is kept only for a
+    # better (exact, smooth), whether or not it reached the margin
+    if best[2] <= 0:
+        restarts_used = 1
+        noise = rng.normal(scale=1.0, size=seed_acc.shape) * (_RESTART_NOISE * caps)
+        retry = run(project(seed_acc + noise))
+        if retry[0][1:3] > best[1:3]:
+            best, history, iterations, capped = retry
 
-    exact_best, smooth_best, acc_best = best
+    at_margin, exact_best, smooth_best, acc_best = best
     final_trace = objective.trace(acc_best)
     if exact_best > 0:
-        status = SATISFIED_WITH_MARGIN if smooth_best >= margin else SATISFIED_NO_MARGIN
+        status = SATISFIED_WITH_MARGIN if at_margin else SATISFIED_NO_MARGIN
     else:
         status = ITERATION_CAP if capped else VIOLATED
     objective.program._kept = None  # no gradient follows the last trial

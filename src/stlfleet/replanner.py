@@ -3,9 +3,9 @@
 A disturbance that displaces a drone beyond the trigger radius starts a
 replan over the window from the trigger sample to the start of that
 drone's next scheduled task. The mission's own ascent recomputes only the
-affected drone's accelerations in that window, with relaxed limits; the
-past and the other drones stay frozen, and every trial is steered onto the
-committed state at the window end, so the splice is seamless and the
+affected drone's accelerations in that window, under its relaxed limits;
+the past and the other drones stay frozen, and every trial is steered onto
+the committed state at the window end, so the splice is seamless and the
 downstream plan is reused bit for bit. An event's verdict is the
 mission's on the spliced plan.
 """
@@ -67,19 +67,8 @@ def detect_event(actual, planned, trigger_radius: float) -> bool:
     return float(np.linalg.norm(np.asarray(actual) - np.asarray(planned))) > trigger_radius
 
 
-def relaxed_limits(limits: DroneLimits) -> DroneLimits:
-    """Limits object whose nominal bounds are the relaxed ones."""
-    return DroneLimits(v_max=limits.v_max_relaxed, a_max=limits.a_max_relaxed,
-                       v_max_relaxed=limits.v_max_relaxed,
-                       a_max_relaxed=limits.a_max_relaxed)
-
-
-def _window_feasible(pos_err, vel_err, steps, ts, limits: DroneLimits,
-                     start_vel) -> bool:
-    """Can a minimum-norm steering correction fit the relaxed boxes?"""
-    if steps < 2:
-        return False
-    acc = steer_to_state(pos_err, vel_err, steps, ts)
+def _fits(acc, ts, limits: DroneLimits, start_vel) -> bool:
+    """Does a steering correction fit the relaxed boxes?"""
     v_max, a_max = limits.bounds()
     if np.any(np.abs(acc) > 0.9 * a_max):
         return False
@@ -104,48 +93,47 @@ def replan(state: ExecutionState, scenario: Scenario, drone: int,
     ts = committed.ts
     actual_pos = state.executed.pos[drone, k]
     actual_vel = committed.vel[drone, k]
-    limits = relaxed_limits(scenario.limits[drone])
+    limits = scenario.limits[drone].relaxed()
+
+    def steering(end):
+        """Least-norm correction from where the drone is onto the committed
+        state at ``end``."""
+        steps = end - k
+        return steer_to_state(committed.pos[drone, end] - (actual_pos + steps * ts * actual_vel),
+                              committed.vel[drone, end] - actual_vel, steps, ts)
 
     upcoming = [(entry.kind if entry.kind != "blade_side" else "blade", entry.index,
                  entry.arrive)
                 for entry in state.schedules[drone]
                 if entry.arrive > k and entry.kind in ("target", "blade_side")]
     skipped = []
-    kind = "rejoin"
-    window_end = None
     for task_kind, index, arrive in upcoming:
-        steps = arrive - k
-        pos_err = committed.pos[drone, arrive] - (actual_pos + steps * ts * actual_vel)
-        vel_err = committed.vel[drone, arrive] - actual_vel
-        if _window_feasible(pos_err, vel_err, steps, ts, limits, actual_vel):
-            window_end = arrive
-            break
+        if arrive - k >= 2:
+            correction = steering(arrive)
+            if _fits(correction, ts, limits, actual_vel):
+                window_end = arrive
+                break
         skipped.append((task_kind, index))
-    if window_end is None:
-        kind = "glide_home" if not upcoming else "rejoin"
-        window_end = n
+    else:
+        window_end, correction = n, steering(n)
 
     # seed: the committed plan, with the affected drone flying the
     # minimum-norm steering correction from where it is
-    steps = window_end - k
-    coast_err = committed.pos[drone, window_end] - (actual_pos + steps * ts * actual_vel)
-    steered = rollout(actual_pos, actual_vel,
-                      steer_to_state(coast_err, committed.vel[drone, window_end] - actual_vel,
-                                     steps, ts)[None], ts)
+    steered = rollout(actual_pos, actual_vel, correction[None], ts)
     seed = committed.copy()
     seed.pos[drone, k:window_end + 1] = steered.pos[0]
     seed.vel[drone, k:window_end + 1] = steered.vel[0]
     seed.acc[drone, k:window_end] = steered.acc[0]
 
     config = config or OptimizerConfig()
-    config = replace(config, margin=0.0, max_iters=min(config.max_iters, steps))
+    config = replace(config, margin=0.0, max_iters=min(config.max_iters, window_end - k))
     result = optimize(compile_mission(scenario)[0], seed, scenario, config,
-                      window=(drone, k, window_end), limits_override={drone: limits})
+                      window=(drone, k, window_end))
 
     event = ReplanEvent(time=k * ts, drone=drone,
                         deviation=float(deviation) if deviation is not None else 0.0,
-                        window=(k, window_end), kind=kind, skipped=tuple(skipped),
-                        status=result.status, exact=result.report.exact)
+                        window=(k, window_end), kind="rejoin" if upcoming else "glide_home",
+                        skipped=tuple(skipped), status=result.status, exact=result.report.exact)
     return result.trace, event
 
 
@@ -158,8 +146,13 @@ def simulate_with_disturbance(committed: Trace, schedules, disturbances,
     offset shifts the drone's actual position rigidly until a replanned
     segment (which starts at the shifted position) absorbs it. Events
     inside an active replan window are absorbed, and deviations are
-    always measured against the current (possibly re-spliced) plan.
-    Deterministic for a fixed schedule.
+    always measured against the current (possibly re-spliced) plan. A
+    replan needs two steps, so a push in the last two samples triggers
+    none: the drone flies it. Deterministic for a fixed schedule.
+
+    A replan keeps every earlier sample, the other drones and the drone's
+    velocity at the trigger sample, so the executed trace is the final
+    plan with the flown positions: only those are written per sample.
     """
     current = committed.copy()
     executed = committed.copy()
@@ -179,25 +172,20 @@ def simulate_with_disturbance(committed: Trace, schedules, disturbances,
         for drone, offset in by_sample.get(k, ()):
             shift[drone] += offset
         executed.pos[:, k] = current.pos[:, k] + shift
-        executed.vel[:, k] = current.vel[:, k]
+        if k >= n - 1:
+            continue  # too late for a replan: the drone flies the push
         for drone in range(n_drones):
-            deviation = float(np.linalg.norm(shift[drone]))
-            if k <= window_until[drone]:
+            if k <= window_until[drone] or not detect_event(
+                    executed.pos[drone, k], current.pos[drone, k], scenario.trigger_radius):
                 continue
-            if not detect_event(executed.pos[drone, k], current.pos[drone, k],
-                                scenario.trigger_radius):
-                continue
-            current, event = replan(state, scenario, drone, config, deviation=deviation)
+            current, event = replan(state, scenario, drone, config,
+                                    deviation=float(np.linalg.norm(shift[drone])))
             state.committed = current
             shift[drone] = 0.0
-            executed.pos[drone, k] = current.pos[drone, k]
-            executed.vel[drone, k] = current.vel[drone, k]
             window_until[drone] = event.window[1]
             state.log(event)
-        if k < n:
-            executed.acc[:, k] = current.acc[:, k]
-    state.executed = executed
-    state.committed = current
+    executed.vel[:] = current.vel
+    executed.acc[:] = current.acc
     return state
 
 

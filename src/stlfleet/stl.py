@@ -291,22 +291,6 @@ def implies(lhs, rhs, label=None):
     return compose(IMPLIES, [lhs, rhs], label=label)
 
 
-def horizon(formula: Formula) -> float:
-    """Minimal trace duration (seconds) needed to evaluate the formula at t=0."""
-    k = formula.kind
-    if k in (TRUE, ATOM):
-        return 0.0
-    if k in (NOT,):
-        return horizon(formula.children[0])
-    if k in (AND, OR, IMPLIES):
-        return max(horizon(c) for c in formula.children)
-    if k in (ALWAYS, EVENTUALLY, NEXT):
-        return formula.interval.hi + horizon(formula.children[0])
-    if k == UNTIL:
-        return formula.interval.hi + max(horizon(c) for c in formula.children)
-    raise ArityError(f"unknown node kind {k!r}")
-
-
 class WeightMap:
     """Positive weights attached to formula nodes by node_id.
 

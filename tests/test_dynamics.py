@@ -10,7 +10,6 @@ from stlfleet.dynamics import (_CSV_COLUMNS, _CSV_FMT, DroneLimits, Trace,
                                min_steps_rest_to_rest, rollout, steer_rest_to_rest,
                                steer_to_state, time_of_flight, times_of_flight)
 from stlfleet.errors import LengthMismatch
-from stlfleet.replanner import relaxed_limits
 
 from conftest import csv_text
 
@@ -144,7 +143,7 @@ def test_times_of_flight_bitwise_equals_scalar(rows, relaxed, seed):
         v, a = rng.uniform(0.3, 2.0, 3), rng.uniform(0.3, 2.0, 3)
         limits.append(DroneLimits(v, a, v * rng.uniform(1.0, 3.0), a * rng.uniform(1.0, 5.0)))
     if relaxed:
-        limits = [relaxed_limits(lim) for lim in limits]
+        limits = [lim.relaxed() for lim in limits]
     v_max, a_max = (np.array([lim.bounds()[k] for lim in limits]) for k in (0, 1))
     kind = rng.integers(4, size=rows)
     start = np.where((kind == 2)[:, None], 0.0, rng.uniform(-10.0, 10.0, (rows, 3)))

@@ -16,7 +16,7 @@ from stlfleet.mission import (BladeSide, Box, Scenario, Target, assign_headings,
                               band_robustness, compile_mission, dist_to_blade,
                               safety_class_robustness, scenario_from_dict,
                               scenario_from_json)
-from stlfleet.robustness import _Segments, eval_exact
+from stlfleet.robustness import Program, _Segments, eval_exact
 from stlfleet.warmstart import build_graph, seed_with_schedule, solve_assignment
 
 from conftest import scalar_trace
@@ -78,7 +78,7 @@ def test_full_scale_mission_has_twenty_conjuncts():
     formula, weights = compile_mission(scenario)
     # 3 safety + 9 targets + 2 blade sides + 3 home + 3 stay-home
     assert len(formula.children) == 20
-    assert stl.horizon(formula) == pytest.approx(scenario.mission_duration)
+    assert Program(formula, scenario.ts).ops[-1].steps == scenario.n_samples
     top = weights.get(formula.node_id, 20)
     assert list(top) == [1.0] * 20  # task classes default to weight 1 here
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -169,6 +171,33 @@ def test_window_freezes_other_drones_and_the_past():
         assert np.array_equal(ours[0, end + 1:], theirs[0, end + 1:])
     assert np.abs(result.trace.pos[0, end] - seed.pos[0, end]).max() <= 1e-9
     assert np.abs(result.trace.vel[0, end] - seed.vel[0, end]).max() <= 1e-9
+
+
+# Recorded with the window drone's relaxed limits passed in explicitly:
+# status, iterations, the repr of the exact robustness and the sha256 of
+# the returned trace's bytes. Under the nominal limits the same call ends
+# iteration_cap at exact -0.1996.
+RELAXED_WINDOW = ("satisfied_no_margin", 60, "0.22541450860915857", "1e8436459c21062a")
+
+
+def test_window_flies_the_relaxed_limits():
+    # drone 0 alone may inspect a target 1.6 m away and must be back on its
+    # hover state 3.5 s later: the nominal 1 m/s^2 cannot, the relaxed 5 can
+    scenario = make_scenario(n_drones=2, targets=[(-3.0, -1.6, 1.0)], mission=6.0,
+                             capability=[{"targets": {0}, "blades": None},
+                                         {"targets": set(), "blades": None}])
+    formula, _ = compile_mission(scenario)
+    k, end = 10, 80
+    result = optimize(formula, hover_seed(scenario), scenario,
+                      OptimizerConfig(max_iters=60, rng_seed=1), window=(0, k, end))
+    trace = result.trace
+    digest = hashlib.sha256(b"".join(a.tobytes() for a in (trace.pos, trace.vel, trace.acc)))
+    assert (result.status, result.iterations, repr(result.report.exact),
+            digest.hexdigest()[:16]) == RELAXED_WINDOW
+    nominal, relaxed = scenario.limits[0], scenario.limits[0].relaxed()
+    assert np.abs(trace.acc[0, k:end]).max() > nominal.a_max[0]
+    assert np.all(np.abs(trace.acc[0, k:end]) <= relaxed.a_max[0])
+    assert np.abs(trace.vel[0, k:end]).max() > nominal.v_max[0]
 
 
 @pytest.mark.parametrize("drone, k, end", [(1, 30, 90), (0, 0, 2), (1, 100, 119)])

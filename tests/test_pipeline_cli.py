@@ -310,16 +310,24 @@ def test_cli_replay_event_status_follows_exact(tmp_path):
         assert satisfied == (event["exact"] > 0), event
 
 
-@pytest.mark.parametrize("push", ["op1", "op2", "op7", "blade"])
+# pushes in the last two samples (k = 260 and 259), too late for a replan:
+# the drone flies them and no event fires
+LATE_PUSHES = {"final": {"time": 13.0, "drone": 0, "offset": [1.5, 0, 0]},
+               "penultimate": {"time": 12.95, "drone": 0, "offset": [1.5, 0, 0]}}
+
+
+@pytest.mark.parametrize("push", ["op1", "op2", "op7", "blade", *LATE_PUSHES])
 def test_cli_replay_exit_code_matches_monitor_of_the_executed_trace(tmp_path, push):
     scenario = str(bundled_scenario_path("windturbine_mock"))
     disturbances = tmp_path / "disturbances.json"
-    disturbances.write_text(json.dumps([PUSHES[push]]))
+    disturbances.write_text(json.dumps([{**PUSHES, **LATE_PUSHES}[push]]))
     out = tmp_path / "replay"
     code = main(["replay", "--scenario", scenario, "--disturbances", str(disturbances),
                  "--out", str(out)])
     assert code == main(["monitor", "--scenario", scenario,
                          "--trace", str(out / "executed_trace.csv")])
+    if push in LATE_PUSHES:
+        assert json.loads((out / "events.json").read_text()) == []
 
 
 def _no_work(monkeypatch):

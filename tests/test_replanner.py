@@ -7,8 +7,7 @@ from stlfleet.mission import compile_mission
 from stlfleet.optimizer import (SATISFIED_NO_MARGIN, SATISFIED_WITH_MARGIN, OptimizerConfig,
                                 optimize)
 from stlfleet.pipeline import run_pipeline
-from stlfleet.replanner import (ExecutionState, detect_event, relaxed_limits, replan,
-                                simulate_with_disturbance)
+from stlfleet.replanner import ExecutionState, detect_event, replan, simulate_with_disturbance
 from stlfleet.robustness import eval_exact
 from stlfleet.warmstart import build_graph, seed_with_schedule, solve_assignment
 
@@ -40,9 +39,10 @@ def test_detect_event_thresholds():
 
 def test_relaxed_limits_preserved():
     from stlfleet.dynamics import DroneLimits
-    limits = relaxed_limits(DroneLimits(1.0, 1.0, 2.0, 5.0))
+    limits = DroneLimits(1.0, 1.0, 2.0, 5.0).relaxed()
     assert limits.v_max == (2.0, 2.0, 2.0)
     assert limits.a_max == (5.0, 5.0, 5.0)
+    assert (limits.v_max_relaxed, limits.a_max_relaxed) == (limits.v_max, limits.a_max)
 
 
 def test_empty_schedule_executes_plan_exactly(committed):
@@ -186,3 +186,8 @@ def test_event_verdict_is_the_missions_on_the_executed_plan(turbine_plan, push):
         seam = getattr(state.committed, field)[event.drone, end] - getattr(committed, field)[
             event.drone, end]
         assert np.abs(seam).max() <= 1e-9
+    # the executed trace is the final plan, flown at the pushed positions
+    # until the replan at k
+    for field in ("vel", "acc"):
+        assert np.array_equal(getattr(state.executed, field), getattr(state.committed, field))
+    assert np.array_equal(state.executed.pos[:, k:], state.committed.pos[:, k:])

@@ -5,7 +5,7 @@ import pytest
 
 from stlfleet import stl
 from stlfleet.errors import ArityError, IntervalError, NonPositiveWeight
-from stlfleet.robustness import eval_exact
+from stlfleet.robustness import Program, eval_exact
 
 from conftest import halfspace, random_formula, random_trace
 
@@ -79,23 +79,28 @@ def test_same_object_twice_is_rejected():
         stl.land(p, p)
 
 
+def lookahead(formula) -> int:
+    """Samples past t that the compiled formula reads at 0.05 s."""
+    return Program(formula, 0.05).ops[-1].steps
+
+
 def test_horizon_examples():
     p = stl.atom(halfspace("p"))
     q = stl.atom(halfspace("q"))
-    assert stl.horizon(p) == 0.0
+    assert lookahead(p) == 0
     nested = stl.eventually(stl.Interval(0, 11.5), stl.always(stl.Interval(0, 1.5), p))
-    assert stl.horizon(nested) == pytest.approx(13.0)
+    assert lookahead(nested) == 260
     u = stl.until(stl.Interval(2, 5), p, stl.always(stl.Interval(0, 3), q))
-    assert stl.horizon(u) == pytest.approx(8.0)
+    assert lookahead(u) == 160
 
 
 def test_horizon_monotone_under_always_wrap(rng):
     for _ in range(30):
         f = random_formula(rng, budget=20, n_drones=2)
-        h = stl.horizon(f)
-        for t_extra in (0.05, 1.0, 2.5):
-            wrapped = stl.always(stl.Interval(0.0, t_extra), f)
-            assert stl.horizon(wrapped) == pytest.approx(h + t_extra)
+        steps = lookahead(f)
+        for j in (1, 20, 50):
+            wrapped = stl.always(stl.Interval(0.0, j * 0.05), f)
+            assert lookahead(wrapped) == steps + j
 
 
 def test_implies_equals_or_not_exact(rng):
