@@ -191,11 +191,13 @@ class Trace:
         if header != _CSV_COLUMNS:
             raise LengthMismatch(f"unexpected trace CSV header: {header}")
         rows = [row for row in reader if row]
+        if not rows:
+            raise LengthMismatch("trace CSV has no data rows")
         width = len(_CSV_COLUMNS)
-        if rows and set(map(len, rows)) != {width}:
+        if set(map(len, rows)) != {width}:
             raise LengthMismatch(f"every trace CSV row needs {width} cells")
         # float() on every cell, one column after another
-        columns = list(zip(*rows)) or [()] * width
+        columns = list(zip(*rows))
         sample_times = list(map(float, columns[0]))
         _check_finite(np.array([sample_times]), 0, range(len(rows)))
         drone_ids = list(map(int, columns[1]))

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import Trace
-from .errors import LengthMismatch, ParseError, PipelineError
+from .errors import LengthMismatch, ParseError, PipelineError, TraceTooShort
 from .mission import (Scenario, assign_headings, compile_mission,
                       headings_to_csv, safety_class_robustness,
                       scenario_from_json)
@@ -175,6 +175,9 @@ def monitor_trace(scenario: Scenario, trace_path) -> dict:
     if trace.n_drones != scenario.n_drones:
         raise LengthMismatch(f"trace file {path} holds {trace.n_drones} drones, "
                              f"the scenario {scenario.n_drones}")
+    if trace.n_samples < 2:  # no sampling period to compile the mission at
+        raise TraceTooShort(f"trace file {path} holds {trace.n_samples} sample, "
+                            f"the monitor needs at least 2")
     formula, weights = compile_mission(scenario)
     report = make_report(formula, trace, scenario.sharpness, weights=weights)
     classes = safety_class_robustness(scenario, trace)

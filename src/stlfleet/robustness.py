@@ -23,8 +23,8 @@ operands each, an (m, K, n) array whose slab j holds operand j (for
 windows the strided view operand[:, lo + j : lo + j + n]), reduced over
 axis 0 by one kernel pair per smooth reduction. The sweep reads a
 batch's adjoints as its rows and writes its operands' rows with one
-assignment, or one scatter for windows; one bincount adds the atom
-groups' entries of the state gradient in leaf order.
+assignment, for windows a sum over the slabs of a sheared buffer. Atom
+groups give dense blocks of the state gradient, summed per state row.
 
 A program keeps its last smooth pass: its values, each reduction's tape
 (operands and exponential terms, turned into partials in place) and each
@@ -52,8 +52,9 @@ order. Every other pass takes each probe.
 Every result is bit for bit that of a node-by-node recursive
 evaluation: elementwise steps round as before, sums over a reduction's
 operands add in numpy's order for one node's row, and scatter-adds
-(window adjoints, atom gradients) add in the order of a recursive
-left-to-right sweep. Only the sign of a zero extreme may differ.
+(window adjoints, atom gradients) add from +0.0, which padding zeros
+leave as is, in the order of a recursive left-to-right sweep. Only the
+sign of a zero extreme, and which NaN a sum of NaNs keeps, may differ.
 """
 
 from __future__ import annotations
@@ -216,14 +217,24 @@ def _sequential_sum(terms):
 # Atom margins and their gradients
 #
 # Atoms of one predicate kind are evaluated together, one row per atom.
-# Their gradients are (flat index, value) entries, one row per atom, into
-# the stacked state gradient [d/d positions; d/d velocities] of shape
-# (2 * drones, L, 3); a program builds the flat-index ``bases`` once.
+# Their gradients are dense (K, L, 3) blocks of the state gradient
+# [d/d positions, d/d velocities] of shape (2, drones, L, 3): a tuple of
+# blocks per group, laid out as its ``blocks_of``, (0 for positions or 1
+# for velocities, each atom's drone) per tuple entry.
 
 
-def _blocks(rows, length):
-    """Flat indices of whole (L, 3) blocks of the stacked state gradient, shape (K, 3L)."""
-    return rows[:, None] * (3 * length) + np.arange(3 * length)
+def _norms(vectors):
+    """np.linalg.norm over the last axis of (K, L, 3) vectors, bit for bit."""
+    x, y, z = vectors.transpose(2, 0, 1)
+    return np.sqrt(x * x + y * y + z * z)
+
+
+def _units(vectors, norms):
+    """vectors / norms, zero where a norm is not positive."""
+    unit = vectors / norms[..., None]
+    if not norms.min() > 0:  # a zero or NaN norm
+        unit[~(norms > 0)] = 0.0
+    return unit
 
 
 class _Boxes:
@@ -239,6 +250,7 @@ class _Boxes:
         self.face_sign = np.tile([1.0, -1.0], 3)
         if self.kind == stl.BOX_OUTSIDE:
             self.face_sign = -self.face_sign
+        self.blocks_of = ((int(self.kind == stl.VELOCITY_BOX), self.drones),)
 
     def _faces(self, trace):
         """(3, K, L) face margins p - lo and hi - p, one axis per slab."""
@@ -272,11 +284,7 @@ class _Boxes:
             aux = (trace, None if np.isnan(value[0].min()) else active[0])
         return self.scale * value[0], aux
 
-    def bases(self, n_drones, length):
-        rows = self.drones + (n_drones if self.kind == stl.VELOCITY_BOX else 0)
-        return (rows[:, None] * length + np.arange(length)) * 3
-
-    def entries(self, aux, adjoint, n_drones, base=None):
+    def state_blocks(self, aux, adjoint):
         trace, active = aux
         if active is None:  # as argmin picks: the first NaN face, else the first least
             low, high = self._faces(trace)
@@ -287,8 +295,10 @@ class _Boxes:
                 wins = (margin < least) | (np.isnan(margin) & ~np.isnan(least))
                 np.copyto(active, face, where=wins)
                 np.minimum(least, margin, out=least)
-        base = self.bases(n_drones, active.shape[1]) if base is None else base
-        return base + (active >> 1), self.face_sign[active] * (self.scale * adjoint)
+        amount = self.face_sign[active] * (self.scale * adjoint)
+        blocks = np.zeros(amount.shape + (3,))
+        blocks.reshape(-1)[np.arange(0, blocks.size, 3) + (active >> 1).ravel()] = amount.ravel()
+        return (blocks,)
 
 
 class _Separations:
@@ -297,24 +307,19 @@ class _Separations:
     def __init__(self, preds):
         self.a = np.array([p.subject[0] for p in preds])
         self.b = np.array([p.subject[1] for p in preds])
+        self.blocks_of = ((0, self.a), (0, self.b))
         self.threshold = np.array([p.threshold for p in preds])[:, None]
         self.scale = np.array([p.scale for p in preds])[:, None]
 
     def forward(self, trace, keep=False):
         diff = trace.pos[self.a] - trace.pos[self.b]
-        dist = np.linalg.norm(diff, axis=2)
+        dist = _norms(diff)
         return self.scale * (dist - self.threshold), (diff, dist)
 
-    def bases(self, n_drones, length):
-        return np.concatenate([_blocks(self.a, length), _blocks(self.b, length)], axis=1)
-
-    def entries(self, aux, adjoint, n_drones, base=None):
-        diff, dist = aux
-        unit = np.divide(diff, dist[..., None], out=np.zeros_like(diff),
-                         where=dist[..., None] > 0)
-        push = ((self.scale * adjoint)[..., None] * unit).reshape(len(self.a), -1)
-        base = self.bases(n_drones, diff.shape[1]) if base is None else base
-        return base, np.concatenate([push, -push], axis=1)
+    def state_blocks(self, aux, adjoint):
+        push = _units(*aux)
+        push *= (self.scale * adjoint)[..., None]
+        return push, -push
 
 
 class _Segments:
@@ -322,30 +327,34 @@ class _Segments:
 
     def __init__(self, preds):
         self.drones = np.array([p.subject[0] for p in preds])
+        self.blocks_of = ((0, self.drones),)
         self.starts = np.array([p.seg_start for p in preds], float)
         self.spans = np.array([p.seg_end for p in preds], float) - self.starts
+        self.lengths = np.array([u @ u for u in self.spans])[:, None]
         self.inner = np.array([p.standoff - p.tolerance for p in preds])[:, None]
         self.outer = np.array([p.standoff + p.tolerance for p in preds])[:, None]
         self.scale = np.array([p.scale for p in preds])[:, None]
 
     def forward(self, trace, keep=False):
-        offset = stl.segment_offsets(trace.pos[self.drones], self.starts, self.spans)
-        dist = np.linalg.norm(offset, axis=2)
+        # stl.segment_offsets, rounding the same, with the lengths kept
+        points = trace.pos[self.drones]
+        offset = points - self.starts[:, None]
+        s = np.matmul(offset, self.spans[..., None])[..., 0]
+        s /= self.lengths
+        np.multiply(np.clip(s, 0.0, 1.0, out=s)[..., None], self.spans[:, None], out=offset)
+        offset += self.starts[:, None]
+        np.subtract(points, offset, out=offset)
+        dist = _norms(offset)
         value = np.minimum(dist - self.inner, self.outer - dist)
         return self.scale * value, (offset, dist)
 
-    def bases(self, n_drones, length):
-        return _blocks(self.drones, length)
-
-    def entries(self, aux, adjoint, n_drones, base=None):
+    def state_blocks(self, aux, adjoint):
         offset, dist = aux
-        unit = np.divide(offset, dist[..., None], out=np.zeros_like(offset),
-                         where=dist[..., None] > 0)
         # branch 0: dist - inner (d/d dist = +1); branch 1: outer - dist (-1)
         sign = np.where(dist - self.inner <= self.outer - dist, 1.0, -1.0)
-        push = ((self.scale * adjoint) * sign)[..., None] * unit
-        base = self.bases(n_drones, offset.shape[1]) if base is None else base
-        return base, push.reshape(len(self.drones), -1)
+        push = _units(offset, dist)
+        push *= ((self.scale * adjoint) * sign)[..., None]
+        return (push,)
 
 
 _ATOM_GROUPS = {stl.BOX_INSIDE: _Boxes, stl.VELOCITY_BOX: _Boxes, stl.BOX_OUTSIDE: _Boxes,
@@ -410,11 +419,19 @@ class Program:
                        for kind, indices in zip(kinds, layers)]
         self._group_rows = [slice(self.row[i[0]], self.row[i[0]] + len(i)) for _, i in self.groups]
         self.batches = [_Batch(self.ops, indices, self.row) for indices in layers[len(kinds):]]
+        # the sweep stacks the atoms' state blocks by state row, then leaf order
+        place = {index: rank for rank, index in enumerate(self.leaves)}
+        keys = [(state, drone, place[i], part) for group, indices in self.groups
+                for part, (state, drones) in enumerate(group.blocks_of)
+                for drone, i in zip(drones, indices)]
+        self._slot = np.argsort(sorted(range(len(keys)), key=keys.__getitem__))
+        rows = sorted(key[:2] for key in keys)
+        self._state_rows = [(row, rows.index(row), rows.index(row) + rows.count(row))
+                            for row in dict.fromkeys(rows)]
         m = max([b.arity for b in self.batches if b.reduces] + [1])
         # (4m, D (ln m + 1)) of the finiteness rule; None with true or Until
         self._finite_rule = None if {stl.TRUE, stl.UNTIL} & {op.kind for op in self.ops} else (
             4 * m, sum(b.reduces for b in self.batches) * (float(np.log(m)) + 1))
-        self._entry_layout = (None,)  # ((drones, L), bases, leaf order)
         self._kept = None           # (key, trace, values, tape, finite) of the last smooth pass
         self._lender = None         # (program, our rows, its rows, our own atom groups)
         self._taping = True         # False while no gradient can follow a pass
@@ -582,7 +599,7 @@ class Program:
                 np.array([self.row[i] for i in indices])) for kind, indices in rest.items()]
         self._lender = (lender, np.array(list(lent)), np.array(list(lent.values())), own)
 
-    @np.errstate(invalid="ignore")
+    @np.errstate(invalid="ignore", divide="ignore")  # x / 0 where a norm underflows
     def _gradient(self, trace, sharpness, weighted=False, t_index=0):
         """(value, d/d positions, d/d velocities) of the smooth semantics at t_index."""
         lam, weighting = self._semantics(sharpness, weighted, True)
@@ -599,32 +616,17 @@ class Program:
         # every instruction has one consumer, which sits in a deeper batch
         for batch in reversed(self.batches):
             batch.backward(values, adjoints, lam, weighting, tape, finite)
-        n_drones, length, _ = trace.pos.shape
-        grad = np.zeros(2 * n_drones * length * 3)
-        if self.leaves:
-            bases, leaf_order = self._entry_layout_at(n_drones, length)
-            flat, amounts = zip(*(group.entries(tape.pop(group), adjoints[rows], n_drones, base)
-                                  for (group, _), rows, base
-                                  in zip(self.groups, self._group_rows, bases)))
-            # one bincount adds the entries in left-to-right leaf order, as a
-            # recursive sweep would, so the sums round the same way
-            grad = np.bincount(np.concatenate(flat, axis=None).take(leaf_order),
-                               np.concatenate(amounts, axis=None).take(leaf_order), grad.size)
-        grad = grad.reshape(2 * n_drones, length, 3)
-        return value, grad[:n_drones], grad[n_drones:]
-
-    def _entry_layout_at(self, n_drones, length):
-        """Atom groups' flat-index bases; where leaf order finds each entry."""
-        if self._entry_layout[0] != (n_drones, length):
-            bases = [group.bases(n_drones, length) for group, _ in self.groups]
-            spans, offset = {}, 0
-            for (_, indices), base in zip(self.groups, bases):
-                spans.update(zip(indices, np.arange(offset, offset + base.size, dtype=np.int32)
-                                 .reshape(base.shape)))
-                offset += base.size
-            leaf_order = np.concatenate([spans[i] for i in self.leaves])
-            self._entry_layout = ((n_drones, length), bases, leaf_order)
-        return self._entry_layout[1:]
+        stack, start = np.empty((len(self._slot), trace.n_samples, 3)), 0
+        for (group, _), rows in zip(self.groups, self._group_rows):
+            for blocks in group.state_blocks(tape.pop(group), adjoints[rows]):
+                stack[self._slot[start:start + len(blocks)]] = blocks
+                start += len(blocks)
+        # each state row adds its blocks in leaf order from +0.0, as a
+        # recursive sweep would, and their zeros add nothing
+        grad = np.zeros((2,) + trace.pos.shape)
+        for row, lo, hi in self._state_rows:
+            np.add.reduce(stack[lo:hi], axis=0, out=grad[row], initial=0.0)
+        return value, grad[0], grad[1]
 
 
 class _Values:
@@ -734,39 +736,30 @@ class _Batch:
                                 adjoints[goal], lam, weighting)
         elif self.reduces:
             taped = tape.pop(self)
-            if taped is None:  # a single operand passes through
-                part = adjoint[None].copy()  # adjoint * 1.0, C-contiguous
-            else:
-                part = _partials(self.red, lam, weighting, taped, finite)
-                part *= adjoint
+            if taped is None:  # a single operand passes its adjoint through
+                adjoints[args, self.lo:n + self.hi] = adjoint
+                return
+            part = _partials(self.red, lam, weighting, taped, finite)
+            m = self.arity
+            if self.window and n >= m:
+                # slab m - 1 - j of a zeroed buffer takes operand j's products
+                # shifted by j samples; summed over slabs from +0.0, each
+                # operand sample adds its products by ascending output sample,
+                # as a sequential scatter-add would, and the zeros add nothing
+                full = np.zeros((m, len(self.indices), n + m - 1))
+                slab, row, step = full.strides
+                np.multiply(part, adjoint, out=np.ndarray(part.shape, full.dtype, full,
+                                                          (m - 1) * slab, (step - slab, row, step)))
+                adjoints[args, self.lo:n + self.hi] = np.add.reduce(full, axis=0, initial=0.0)
+                return
+            part *= adjoint
             if not self.window:
                 adjoints[args, :n] = part.reshape(-1, n)
                 return
-            # each operand sample adds its contributions by ascending output
-            # sample, as a sequential scatter-add in (sample, offset) order would
-            m = self.arity
             full = np.zeros((len(self.indices), n + m - 1))
-            if n >= m:
-                _scatter_slabs(part, full)
-            else:
-                for t in range(n):
-                    full[:, t:t + m] += part[:, :, t].T
+            for t in range(n):
+                full[:, t:t + m] += part[:, :, t].T
             adjoints[args, self.lo:n + self.hi] = full
-
-
-def _scatter_slabs(part, out):
-    """out[k, j + t] = the sum of part[j, k, t] over slabs j, from +0.0 and
-    by descending j: one reduction over a view of the C-contiguous ``part``
-    that shifts slab j by j samples, with what it reads outside slab j's
-    samples masked out."""
-    m, k, n = part.shape
-    item = part.itemsize
-    shifted = np.ndarray((m, k, n + m - 1), part.dtype, part, 0,
-                         ((k * n - 1) * item, n * item, item))
-    sample = np.arange(n + m - 1)
-    slab = np.arange(m)[:, None]
-    inside = ((sample >= slab) & (sample < slab + n))[:, None]
-    np.add.reduce(shifted[::-1], axis=0, out=out, initial=0.0, where=inside[::-1])
 
 
 def _share_factor(operands, tilt):

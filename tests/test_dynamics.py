@@ -367,12 +367,20 @@ def test_csv_reader_matches_row_loop(rng, drones, samples, layout):
     ("t,drone,px\r\n0,0,1\r\n", LengthMismatch),                        # bad header
     (",".join(_CSV_COLUMNS) + "\r\n0,0,1,2,x,4,5,6,,,\r\n", ValueError),   # bad cell
     (",".join(_CSV_COLUMNS) + "\r\n0,0.5,1,2,3,4,5,6,,,\r\n", ValueError),  # bad drone id
-    (",".join(_CSV_COLUMNS) + "\r\n", ValueError),                         # no samples
 ])
 def test_csv_reader_rejects_like_row_loop(text, error):
     with pytest.raises(error):
         _csv_reader_reference(io.StringIO(text))
     with pytest.raises(error):
+        Trace.from_csv(io.StringIO(text))
+
+
+def test_csv_reader_rejects_a_header_without_rows():
+    # the row loop fails inside numpy; the reader names what is missing
+    text = ",".join(_CSV_COLUMNS) + "\r\n"
+    with pytest.raises(ValueError):
+        _csv_reader_reference(io.StringIO(text))
+    with pytest.raises(LengthMismatch, match="no data rows"):
         Trace.from_csv(io.StringIO(text))
 
 

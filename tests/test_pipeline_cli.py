@@ -473,3 +473,23 @@ def test_cli_monitor_rejects_a_trace_of_another_fleet_size(tmp_path, capsys, dro
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"holds {len(drones)} drones, the scenario 3" in err, err
+
+
+@pytest.mark.parametrize("samples, message", [
+    (0, "trace CSV has no data rows"),
+    (1, "holds 1 sample, the monitor needs at least 2"),
+], ids=["header-only", "one-sample"])
+def test_cli_monitor_rejects_a_trace_without_a_sampling_period(tmp_path, capsys, samples,
+                                                              message):
+    # the seed's first sample, or only the header that writing it starts with
+    scenario_path = bundled_scenario_path("windturbine_mock")
+    scenario = load_scenario(scenario_path)
+    seed, _ = seed_with_schedule(solve_assignment(build_graph(scenario)), scenario)
+    first = Trace(seed.ts, seed.pos[:, :1], seed.vel[:, :1], seed.acc[:, :0])
+    text = csv_text(first)
+    (tmp_path / "trace.csv").write_text(text if samples else text.splitlines(True)[0],
+                                        newline="")
+    argv = ["monitor", "--scenario", str(scenario_path), "--trace", str(tmp_path / "trace.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err

@@ -13,10 +13,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stlfleet import robustness, stl
-from stlfleet.dynamics import Trace
+from stlfleet import bundled_scenario_path, robustness, stl
+from stlfleet.dynamics import Trace, rollout
+from stlfleet.mission import compile_mission
+from stlfleet.optimizer import _VELOCITY_MARGIN_SCALE, _assigned, _augment
+from stlfleet.pipeline import load_scenario
 from stlfleet.robustness import (_SCALE, _SHARE, Program, _pairwise_sum, _sequential_sum,
-                                 make_report)
+                                 gradient_smooth, make_report)
+from stlfleet.warmstart import build_graph, seed_with_schedule, solve_assignment
 
 from conftest import random_formula, random_predicate, random_trace, weight_arity
 
@@ -234,11 +238,12 @@ def ref_gradient(program, trace, lam, weighting, t_index=0):
         else:
             ref_until_backprop(op, values, adjoint, adjoints, lam, weighting)
     entries = {}
+    n_drones, length, _ = trace.pos.shape
     for group, indices in program.groups:
         adjoint = np.stack([adjoints[index] for index in indices])
-        flat, amounts = group.entries(atom_data[group], adjoint, trace.n_drones)
+        blocks = group.state_blocks(atom_data[group], adjoint)
+        flat, amounts = block_entries(group, blocks, n_drones, length)
         entries.update(zip(indices, zip(flat, amounts)))
-    n_drones, length, _ = trace.pos.shape
     grad = np.zeros(2 * n_drones * length * 3)
     if program.leaves:
         grad = np.bincount(np.concatenate([entries[i][0] for i in program.leaves]),
@@ -246,6 +251,15 @@ def ref_gradient(program, trace, lam, weighting, t_index=0):
                            minlength=grad.size)
     grad = grad.reshape(2 * n_drones, length, 3)
     return value, grad[:n_drones], grad[n_drones:]
+
+
+def block_entries(group, blocks, n_drones, length):
+    """Per-atom (flat index, amount) entries, one row per atom, of an atom
+    group's dense state blocks, its blocks in order."""
+    flat = [((state * n_drones + drones)[:, None] * length + np.arange(length))[..., None] * 3
+            + np.arange(3) for state, drones in group.blocks_of]
+    return (np.concatenate([f.reshape(len(f), -1) for f in flat], axis=1),
+            np.concatenate([b.reshape(len(b), -1) for b in blocks], axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -603,6 +617,17 @@ def ref_box_entries(group, trace, adjoint, n_drones):
     return index, group.face_sign[active] * (group.scale * adjoint)
 
 
+def dense_box_blocks(index, amounts, n_drones):
+    """The state rows and dense (K, L, 3) blocks of box entries: each
+    amount on its face's axis, +0.0 on the others."""
+    length = index.shape[1]
+    rows, cell = np.divmod(index, 3 * length)
+    assert (rows == rows[:, :1]).all()
+    blocks = np.zeros((len(index), 3 * length))
+    np.put_along_axis(blocks, cell, amounts, axis=1)
+    return rows[:, 0], blocks.reshape(len(index), length, 3)
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(sorted(BOX_KINDS)),
        nan=st.booleans(), length=st.integers(2, 30))
@@ -631,10 +656,11 @@ def test_box_faces_with_ties_zeros_and_nan(seed, kind, nan, length):
     program = Program(formula, TS)
     (group, indices), = program.groups
     adjoint = rng.choice([-1.5, -0.0, 0.0, 0.25, 2.0], (len(indices), length))
-    got, want = (group.entries(group.forward(trace, keep=True)[1], adjoint, n_drones),
-                 ref_box_entries(group, trace, adjoint, n_drones))
-    assert np.array_equal(got[0], want[0])
-    assert np.array_equal(got[1].view(np.int64), want[1].view(np.int64))
+    (got,) = group.state_blocks(group.forward(trace, keep=True)[1], adjoint)
+    want = dense_box_blocks(*ref_box_entries(group, trace, adjoint, n_drones), n_drones)
+    ((state, drones),) = group.blocks_of
+    assert np.array_equal(state * n_drones + drones, want[0])
+    assert np.array_equal(got.view(np.int64), want[1].view(np.int64))
     lam = float(rng.choice([0.7, 4.0, 25.0]))
     with np.errstate(invalid="ignore"):
         value, dpos, dvel = program._gradient(trace, lam)
@@ -642,6 +668,151 @@ def test_box_faces_with_ties_zeros_and_nan(seed, kind, nan, length):
     assert value == ref_value or (np.isnan(value) and np.isnan(ref_value))
     assert np.array_equal(dpos, ref_dpos, equal_nan=True)
     assert np.array_equal(dvel, ref_dvel, equal_nan=True)
+
+
+# ---------------------------------------------------------------------------
+# The state gradient, bit for bit
+
+
+def ref_atom_entries(pred, trace, adjoint, n_drones):
+    """One atom's state gradient entries (flat index, amount), from its
+    predicate alone: a box's face by argmin, a distance's unit vector by a
+    masked divide that is zero where the distance is not positive."""
+    length = trace.n_samples
+
+    def block(row):
+        return (row * length + np.arange(length))[:, None] * 3 + np.arange(3)
+
+    if pred.kind in BOX_KINDS:
+        index, amounts = ref_box_entries(robustness._Boxes([pred]), trace, adjoint[None], n_drones)
+        return index[0], amounts[0]
+    if pred.kind == stl.MIN_SEPARATION:
+        offset = trace.pos[pred.subject[0]] - trace.pos[pred.subject[1]]
+    else:
+        start = np.array(pred.seg_start)
+        offset = stl.segment_offsets(trace.pos[pred.subject][None], start[None],
+                                     (np.array(pred.seg_end) - start)[None])[0]
+    dist = np.linalg.norm(offset, axis=1)
+    sign = 1.0
+    if pred.kind == stl.SEGMENT_BAND:  # d margin / d dist of the binding band side
+        inner, outer = pred.standoff - pred.tolerance, pred.standoff + pred.tolerance
+        sign = np.where(dist - inner <= outer - dist, 1.0, -1.0)
+    unit = np.divide(offset, dist[:, None], out=np.zeros_like(offset), where=dist[:, None] > 0)
+    push = ((pred.scale * adjoint) * sign)[:, None] * unit
+    pushes = [push, -push][:len(pred.subject)]
+    return (np.concatenate([block(d).ravel() for d in pred.subject]),
+            np.concatenate([p.ravel() for p in pushes]))
+
+
+def kept_atom_adjoints(program):
+    """The adjoint row each atom's gradient is formed from, as the program's
+    sweep hands them to the atom groups."""
+    kept = {}
+    for group, indices in program.groups:
+        def keep(aux, adjoint, state_blocks=group.state_blocks, indices=indices):
+            kept.update(zip(indices, adjoint.copy()))
+            return state_blocks(aux, adjoint)
+        group.state_blocks = keep
+    return kept
+
+
+def assert_state_gradient_bits(program, trace, lam):
+    """gradient_smooth's state gradient is a leaf-order bincount of the
+    atoms' entries, bit for bit: zeros keep their sign, and a NaN stays NaN
+    (IEEE 754 leaves open which NaN operand a sum passes on)."""
+    adjoints = kept_atom_adjoints(program)
+    with np.errstate(invalid="ignore"):
+        _, dpos, dvel = gradient_smooth(program, trace, lam)
+        n_drones, length, _ = trace.pos.shape
+        flat, amounts = zip(*(ref_atom_entries(program._preds[i], trace, adjoints[i], n_drones)
+                              for i in program.leaves))
+    want = np.bincount(np.concatenate(flat), np.concatenate(amounts), 2 * n_drones * length * 3)
+    want = want.reshape(2 * n_drones, length, 3)
+    got = np.concatenate([dpos, dvel])
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+def assert_state_blocks_bits(program, trace, rng):
+    """Each group's dense blocks hold its atoms' entries bit for bit, and
+    +0.0 everywhere else, under adjoints with zeros of either sign."""
+    n_drones, length, _ = trace.pos.shape
+
+    def image(flat, amounts):
+        state = np.zeros(2 * n_drones * length * 3)
+        state[flat] = amounts
+        return state.view(np.int64)
+
+    with np.errstate(invalid="ignore"):
+        for group, indices in program.groups:
+            adjoint = rng.choice([-1.5, -0.0, 0.0, 0.25, 2.0], (len(indices), length))
+            blocks = group.state_blocks(group.forward(trace, keep=True)[1], adjoint)
+            for k, (flat, amounts) in enumerate(zip(*block_entries(
+                    group, blocks, n_drones, length))):
+                want = ref_atom_entries(program._preds[indices[k]], trace, adjoint[k], n_drones)
+                assert np.array_equal(image(flat, amounts), image(*want))
+
+
+def test_state_gradient_bits_on_the_bundled_objective(rng):
+    scenario = load_scenario(bundled_scenario_path("windturbine_mock"))
+    seed, _ = seed_with_schedule(solve_assignment(build_graph(scenario)), scenario)
+    formula, _ = compile_mission(scenario)
+    objective = Program(_augment(_assigned(formula, Program(formula, seed.ts), seed),
+                                 seed.n_samples, seed.ts, scenario.limits,
+                                 _VELOCITY_MARGIN_SCALE), seed.ts)
+    assert {pred.kind for pred in objective._preds.values()} >= set(BOX_KINDS) - {
+        stl.BOX_OUTSIDE}
+    acc = seed.acc + rng.normal(scale=0.5, size=seed.acc.shape)
+    for trace in (seed, rollout(seed.pos[:, 0], seed.vel[:, 0], acc, seed.ts)):
+        assert_state_gradient_bits(objective, trace, scenario.sharpness)
+
+
+def test_state_gradient_where_a_distance_underflows():
+    # 1e-170 squared underflows: the distance is 0, so the unit vector is
+    # zero, and no division warns
+    pos = np.zeros((2, 5, 3))
+    pos[1, :, 0] = 1e-170
+    trace = Trace(TS, pos, np.zeros_like(pos), np.zeros((2, 4, 3)))
+    near = stl.Predicate.min_separation("s", 0, 1, 0.5)
+    band = stl.Predicate.segment_band("g", 1, [0.0, -1.0, 0.0], [0.0, 1.0, 0.0], 1.0, 0.5)
+    program = Program(stl.always(stl.Interval(0.0, 2 * TS), stl.land(stl.atom(near),
+                                                                      stl.atom(band))), TS)
+    assert_state_gradient_bits(program, trace, 10.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_drones=st.integers(1, 3), grid=st.booleans(),
+       coincide=st.booleans(), nan=st.booleans())
+@example(seed=0, n_drones=2, grid=False, coincide=True, nan=False)
+@example(seed=1, n_drones=3, grid=True, coincide=False, nan=True)
+def test_state_gradient_bits_on_small_programs(seed, n_drones, grid, coincide, nan):
+    # every atom kind; two drones that coincide (distance 0); coordinates on
+    # a dyadic grid that tie faces and zero margins; one NaN coordinate,
+    # which sends box faces through argmin
+    rng = np.random.default_rng(seed)
+    atoms = [random_predicate(rng, n_drones) for _ in range(int(rng.integers(2, 7)))]
+    lo = rng.choice([-1.0, -0.0, 0.0], 3)
+    atoms += [BOX_KINDS[kind](f"b{kind}", int(rng.integers(n_drones)), lo, lo + 1.0)
+              for kind in sorted(BOX_KINDS)]
+    if n_drones > 1:
+        atoms.append(stl.Predicate.min_separation("sep", 0, 1, 0.5))
+    formula = stl.land(random_formula(rng, 6, n_drones, depth=2), *[
+        (stl.always if rng.random() < 0.5 else stl.eventually)(
+            stl.Interval(0.0, int(rng.integers(0, 4)) * TS), stl.atom(pred)) for pred in atoms])
+    program = Program(formula, TS)
+    trace = random_trace(rng, n_drones=n_drones, length=program.ops[-1].steps + 1 + 6)
+    if grid:
+        trace.pos[:] = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0], trace.pos.shape)
+        trace.vel[:] = rng.choice([-1.0, -0.0, 0.0, 1.0], trace.vel.shape)
+    if coincide and n_drones > 1:
+        trace.pos[1, ::2] = trace.pos[0, ::2]
+    if nan:
+        state = trace.vel if rng.random() < 0.5 else trace.pos
+        state[int(rng.integers(n_drones)), int(rng.integers(trace.n_samples)),
+              int(rng.integers(3))] = np.nan
+    assert_state_blocks_bits(program, trace, rng)
+    assert_state_gradient_bits(program, trace, float(rng.choice([0.7, 4.0, 25.0])))
 
 
 # ---------------------------------------------------------------------------
@@ -744,6 +915,8 @@ def test_box_fold_matches_sequential_fold(seed, kind, nan, length):
         assert active is None
     else:
         ones = np.ones(got.shape)
-        for g, w in zip(group.entries((trace, active), ones, 2),
-                        ref_box_entries(group, trace, ones, 2)):
-            assert np.array_equal(g, w)
+        (got,) = group.state_blocks((trace, active), ones)
+        rows, want = dense_box_blocks(*ref_box_entries(group, trace, ones, 2), 2)
+        ((state, drones),) = group.blocks_of
+        assert np.array_equal(state * 2 + drones, rows)
+        assert np.array_equal(got, want)
