@@ -183,9 +183,10 @@ class Trace:
     @staticmethod
     def _read_csv(handle) -> "Trace":
         # rows may come in any order; a missing (sample, drone) row reads as
-        # zeros, and a row with an empty ax cell has no acceleration. Every
-        # number must be finite, sample times must lie on a uniform grid from
-        # 0, drone ids must run from 0 and no (sample, drone) pair may repeat.
+        # zeros, and a row with an empty ax cell has no acceleration, as every
+        # row of the last sample must. Every number must be finite, sample
+        # times must lie on a uniform grid from 0, drone ids must run from 0
+        # and no (sample, drone) pair may repeat.
         reader = csv.reader(handle)
         header = next(reader)
         if header != _CSV_COLUMNS:
@@ -229,6 +230,10 @@ class Trace:
         vel[dr, k] = state[3:].T
         moving = [i for i, cell in enumerate(columns[8]) if cell != ""]
         if moving:
+            at_end = np.flatnonzero(k[moving] == n - 1)
+            if len(at_end):
+                raise LengthMismatch(f"trace CSV data row {moving[at_end[0]] + 1}, column ax: "
+                                     f"the last sample, t = {times[-1]:g} s, has no acceleration")
             pick = operator.itemgetter(*moving)
             cells = [pick(column) if len(moving) > 1 else (pick(column),)
                      for column in columns[8:]]

@@ -147,10 +147,11 @@ def _assigned(formula, monitor, seed_trace):
              if child.kind == stl.EVENTUALLY and child.children[0].kind == stl.OR]
     if not tasks:
         return formula
-    values = monitor._node_values(seed_trace)
+    values = monitor._forward(seed_trace)
     children = list(formula.children)
     for i, clause in tasks:
-        scores = [values[arg][clause.lo:clause.hi + 1].max() for arg in ops[clause.args[0]].args]
+        scores = [monitor.node(values, arg)[clause.lo:clause.hi + 1].max()
+                  for arg in ops[clause.args[0]].args]
         best = int(np.argmax(scores))
         if scores[best] > 0:
             task = children[i]

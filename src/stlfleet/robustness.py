@@ -26,14 +26,16 @@ batch's adjoints as its rows and writes its operands' rows with one
 assignment, for windows a sum over the slabs of a sheared buffer. Atom
 groups give dense blocks of the state gradient, summed per state row.
 
-A program keeps its last smooth pass: its values, each reduction's tape
-(operands and exponential terms, turned into partials in place) and each
-box atom's first face of least margin, picked while the forward pass
-folds the faces. It is keyed by the semantics and the trace's bytes, and
-lent while the kept trace, from which box atoms find their faces where a
-margin is NaN, still holds them: a gradient of that key runs only the
-sweep, and an exact monitor copies the atom rows it shares with the
-objective and evaluates only the rest. Reports keep none.
+A pass runs under one semantics (lam, weighting): lam None reduces by
+hard min/max; weighting None, ``_SCALE`` or ``_SHARE`` takes operands
+plain, times raw weights or share-transformed. A program keeps its last
+smooth pass: its values, each reduction's tape (operands and exponential
+terms, turned into partials in place) and each box atom's first face of
+least margin (as argmin picks it where a margin is NaN), picked while the
+forward pass folds the faces. No tape entry reads the trace, so the pass
+is keyed by the semantics and the trace's bits alone: a gradient of that
+key runs only the sweep, and an exact monitor copies the atom rows it
+shares with the objective and evaluates only the rest. Reports keep none.
 
 A smooth pass decides once, after its atom rows, whether it is known
 finite: no ``true`` or Until, and 4m (M + D (ln m + 1) / lam) < 1e308
@@ -263,7 +265,7 @@ class _Boxes:
         # a min of the faces (max of negated ones) folded per axis, then over
         # axes (np.minimum and np.maximum are associative to the bit); a
         # taping pass picks each sample's first face of least margin by one
-        # compare and one select per fold step, unless a margin is NaN
+        # compare and one select per fold step, or as argmin where one is NaN
         low, high = self._faces(trace)
         fold, wins = np.minimum, np.less
         if self.kind == stl.BOX_OUTSIDE:
@@ -279,22 +281,21 @@ class _Boxes:
             if keep:
                 np.copyto(active[0], active[axis], where=wins(value[axis], value[0]))
             fold(value[0], value[axis], out=value[0])
-        aux = None
-        if keep:
-            aux = (trace, None if np.isnan(value[0].min()) else active[0])
-        return self.scale * value[0], aux
-
-    def state_blocks(self, aux, adjoint):
-        trace, active = aux
-        if active is None:  # as argmin picks: the first NaN face, else the first least
-            low, high = self._faces(trace)
-            margins = (faces[axis] for axis in range(3) for faces in (low, high))
+        if not keep:
+            return self.scale * value[0], None
+        active = active[0]
+        if np.isnan(value[0].min()):  # as argmin picks: the first NaN face, else the first least
+            faces = self._faces(trace)
+            margins = (pair[axis] for axis in range(3) for pair in faces)
             least = next(margins)
             active = np.zeros(least.shape, np.int8)
             for face, margin in enumerate(margins, 1):
                 wins = (margin < least) | (np.isnan(margin) & ~np.isnan(least))
                 np.copyto(active, face, where=wins)
                 np.minimum(least, margin, out=least)
+        return self.scale * value[0], active
+
+    def state_blocks(self, active, adjoint):
         amount = self.face_sign[active] * (self.scale * adjoint)
         blocks = np.zeros(amount.shape + (3,))
         blocks.reshape(-1)[np.arange(0, blocks.size, 3) + (active >> 1).ravel()] = amount.ravel()
@@ -373,16 +374,14 @@ def atom_values(pred: stl.Predicate, trace: Trace) -> np.ndarray:
 class _Op:
     """One instruction: a node kind over earlier instructions' values."""
 
-    __slots__ = ("kind", "args", "steps", "lo", "hi", "width", "red", "pair",
-                 "weights", "tilt", "node_id")
+    __slots__ = ("kind", "args", "steps", "lo", "hi", "width", "red", "weights", "tilt")
 
-    def __init__(self, kind, args=(), steps=0, node_id=None):
+    def __init__(self, kind, args=(), steps=0):
         self.kind = kind
         self.args = args            # indices of operand instructions
         self.steps = steps          # samples of lookahead past t
-        self.node_id = node_id      # None for the Not that lowers an implication
         self.lo = self.hi = self.width = 0
-        self.red = self.pair = None
+        self.red = None
         self.weights = self.tilt = None
 
 
@@ -392,7 +391,8 @@ class Program:
     ``ops`` is the post-order instruction list; the last one is the root.
     ``batches`` partitions the other instructions into passes, each after
     those computing its operands. The module-level functions, which accept
-    a program wherever they accept a formula, are its only public interface.
+    a program wherever they accept a formula, and ``node``, which reads one
+    instruction's values from a pass, are its public interface.
     """
 
     def __init__(self, formula: stl.Formula, ts: float, weights: stl.WeightMap = None):
@@ -432,9 +432,8 @@ class Program:
         # (4m, D (ln m + 1)) of the finiteness rule; None with true or Until
         self._finite_rule = None if {stl.TRUE, stl.UNTIL} & {op.kind for op in self.ops} else (
             4 * m, sum(b.reduces for b in self.batches) * (float(np.log(m)) + 1))
-        self._kept = None           # (key, trace, values, tape, finite) of the last smooth pass
+        self._kept = None           # (key, values, tape, finite) of the last smooth pass
         self._lender = None         # (program, our rows, its rows, our own atom groups)
-        self._taping = True         # False while no gradient can follow a pass
 
     # -- compilation
 
@@ -447,7 +446,7 @@ class Program:
             lhs, rhs = args
             negated = _Op(stl.NOT, (lhs,), self.ops[lhs].steps)
             kind, args = stl.OR, (self._push(negated), rhs)
-        op = _Op(kind, args, node_id=node.node_id)
+        op = _Op(kind, args)
         steps = max((self.ops[a].steps for a in args), default=0)
         if kind == stl.ATOM:
             self._preds[len(self.ops)] = node.predicate
@@ -463,8 +462,6 @@ class Program:
                 steps += op.hi
                 op.red = _MIN if kind == stl.ALWAYS else _MAX
                 self._attach_weights(op, node.node_id, op.width)
-            if kind == stl.UNTIL:
-                op.pair = _MIN
         op.steps = steps
         index = self._push(op)
         self.labels[slot] = (node.node_id, index)
@@ -505,30 +502,16 @@ class Program:
 
     # -- evaluation
 
-    def _semantics(self, sharpness, weighted, soft_combine):
-        """(lam, weighting) of a pass; lam None means hard min/max."""
-        if not weighted:
-            return sharpness, None
-        if self.weights is None:
-            raise NonPositiveWeight("weighted evaluation of a program compiled without weights")
-        if sharpness is None:
-            return None, _SCALE
-        return (sharpness if soft_combine else None), _SHARE
+    def node(self, values, i):
+        """Instruction i's row of the pass ``values``, cut to its length."""
+        return values[self.row[i], :values.shape[1] - self.ops[i].steps]
 
-    def _node_values(self, trace, sharpness=None, weighted=False, soft_combine=True):
-        """Value arrays of every instruction; exact when ``sharpness`` is None."""
-        lam, weighting = self._semantics(sharpness, weighted, soft_combine)
-        return self._forward(trace, lam, weighting)
-
-    def _evaluate(self, trace, t_index=0, sharpness=None, weighted=False,
-                 soft_combine=True) -> float:
-        """Robustness at ``t_index``: exact when ``sharpness`` is None, else smooth;
-        ``weighted`` applies the compiled weights."""
-        values = self._node_values(trace, sharpness, weighted, soft_combine)
-        return self._value_at(values, t_index)
+    def _evaluate(self, trace, t_index=0, lam=None, weighting=None) -> float:
+        """Robustness at ``t_index`` of one pass under (lam, weighting)."""
+        return self._value_at(self._forward(trace, lam, weighting), t_index)
 
     def _value_at(self, values, t_index) -> float:
-        root = values[-1]
+        root = self.node(values, -1)
         if t_index < 0 or t_index >= len(root):
             raise TraceTooShort(
                 f"t_index {t_index} out of range: node {self.formula.node_id!r} is defined "
@@ -536,9 +519,10 @@ class Program:
         return float(root[t_index])
 
     @np.errstate(invalid="ignore")  # see the smooth reductions
-    def _forward(self, trace, lam, weighting):
-        """Every instruction's values; a smooth pass is kept with its tape,
-        unless no gradient can follow it."""
+    def _forward(self, trace, lam=None, weighting=None, keep=True):
+        """The (rows, L) values of one pass under (lam, weighting), lam None
+        meaning hard min/max; a smooth pass is kept with its tape, unless
+        ``keep`` is off because no gradient follows it."""
         self._kept = None
         length = trace.n_samples
         root = self.ops[-1]
@@ -547,12 +531,12 @@ class Program:
                 f"trace of {length} samples cannot evaluate node "
                 f"{self.formula.node_id!r}, which needs {root.steps + 1}")
         values = np.empty((len(self.ops), length))
-        tape = {} if lam is not None and self._taping else None
+        tape = {} if lam is not None and keep else None
         lender = self._lender
         lent = lender[0]._kept_over(trace) if lender and tape is None else None
         if lent:
             _, ours, theirs, own = lender
-            values[ours] = lent[2].array[theirs]
+            values[ours] = lent[1][theirs]
             for group, rows in own:
                 values[rows] = group.forward(trace)[0]
         else:
@@ -566,19 +550,16 @@ class Program:
             finite = scale * (float(max(atoms.max(), -atoms.min())) + reach / lam) < 1e308
         for batch in self.batches:
             batch.forward(values, lam, weighting, tape, finite)
-        values = _Values(values, self)
         if tape is not None:
-            self._kept = (_pass_key(trace, lam, weighting), trace, values, tape, finite)
+            self._kept = (_pass_key(trace, lam, weighting), values, tape, finite)
         return values
 
     def _kept_over(self, trace, semantics=None):
-        """The kept pass, if over the bits of ``trace`` (and of ``semantics``,
-        when given) and its trace, read again by box atoms, still holds them."""
+        """The kept pass, if over the bits of ``trace`` (and ``semantics``, if given)."""
         kept = self._kept
-        if kept is None:
+        if kept is None or kept[0] != _pass_key(trace, *(semantics or kept[0][:2])):
             return None
-        key = _pass_key(trace, *(semantics or kept[0][:2]))
-        return kept if kept[0] == key and _pass_key(kept[1], *key[:2]) == key else None
+        return kept
 
     def _borrow_atoms(self, lender):
         """Take the atom rows of exact passes from ``lender``'s kept pass over
@@ -600,17 +581,16 @@ class Program:
         self._lender = (lender, np.array(list(lent)), np.array(list(lent.values())), own)
 
     @np.errstate(invalid="ignore", divide="ignore")  # x / 0 where a norm underflows
-    def _gradient(self, trace, sharpness, weighted=False, t_index=0):
-        """(value, d/d positions, d/d velocities) of the smooth semantics at t_index."""
-        lam, weighting = self._semantics(sharpness, weighted, True)
+    def _gradient(self, trace, lam, weighting=None, t_index=0):
+        """(value, d/d positions, d/d velocities) at t_index of the smooth
+        pass under (lam, weighting)."""
         if lam is None:
             raise ValueError("gradients are defined for the smooth evaluation paths")
         if not self._kept_over(trace, (lam, weighting)):
             self._forward(trace, lam, weighting)
-        _, _, values, tape, finite = self._kept
+        _, values, tape, finite = self._kept
         self._kept = None
         value = self._value_at(values, t_index)
-        values = values.array
         adjoints = np.zeros(values.shape)
         adjoints[-1, t_index] = 1.0  # the root's row is the last
         # every instruction has one consumer, which sits in a deeper batch
@@ -627,19 +607,6 @@ class Program:
         for row, lo, hi in self._state_rows:
             np.add.reduce(stack[lo:hi], axis=0, out=grad[row], initial=0.0)
         return value, grad[0], grad[1]
-
-
-class _Values:
-    """One pass's values: instruction i's are ``array[row[i]]``, cut to its length."""
-
-    def __init__(self, array, program):
-        self.array, self.program = array, program
-
-    def __len__(self):
-        return len(self.program.ops)
-
-    def __getitem__(self, i):
-        return self.array[self.program.row[i], :len(self.array[0]) - self.program.ops[i].steps]
 
 
 def _pass_key(trace, lam, weighting):
@@ -825,7 +792,7 @@ def _until_values(op, hold, goal, out, lam, weighting):
     for t in range(len(out)):
         prefix = _prefix_min(hold[t:t + hi + 1], lam)[lo:]
         pair = np.stack([goal[t + lo:t + hi + 1], prefix], axis=1).T  # laid out by rows of two
-        candidates = _reduce(pair, op.pair, None, None, lam, None)[0]
+        candidates = _reduce(pair, _MIN, None, None, lam, None)[0]
         out[t] = _reduce(candidates, op.red, op.weights, op.tilt, lam, weighting)[0]
 
 
@@ -837,8 +804,8 @@ def _until_backprop(op, hold, goal, adjoint, hold_adj, goal_adj, lam, weighting)
         log_cum = np.logaddexp.accumulate(-lam * seg)
         prefix = (-log_cum / lam)[lo:]
         pair = np.stack([goal[t + lo:t + hi + 1], prefix], axis=1).T
-        candidates, taped = _reduce(pair, op.pair, None, None, lam, None)
-        pair_partials = _partials(op.pair, lam, None, taped)
+        candidates, taped = _reduce(pair, _MIN, None, None, lam, None)
+        pair_partials = _partials(_MIN, lam, None, taped)
         taped = _reduce(candidates, op.red, op.weights, op.tilt, lam, weighting)[1]
         contrib = adjoint[t] * (1.0 if taped is None else _partials(op.red, lam, weighting, taped))
         goal_adj[t + lo:t + hi + 1] += contrib * pair_partials[0]
@@ -896,9 +863,8 @@ def eval_weighted_smooth(formula, weights, trace, t_index: int = 0,
     """
     _check_weights(weights)
     _check_sharpness(sharpness)
-    return _program(formula, trace, weights)._evaluate(trace, t_index, sharpness,
-                                                       weighted=True,
-                                                       soft_combine=soft_combine)
+    return _program(formula, trace, weights)._evaluate(
+        trace, t_index, sharpness if soft_combine else None, _SHARE)
 
 
 def _check_weights(weights):
@@ -915,9 +881,8 @@ def gradient_smooth(formula, trace, sharpness: float = 10.0, weights=None,
     soft combination so the objective stays differentiable.
     """
     _check_sharpness(sharpness)
-    return _program(formula, trace, weights)._gradient(trace, sharpness,
-                                                       weighted=weights is not None,
-                                                       t_index=t_index)
+    return _program(formula, trace, weights)._gradient(
+        trace, sharpness, None if weights is None else _SHARE, t_index)
 
 
 # ---------------------------------------------------------------------------
@@ -955,24 +920,19 @@ def make_report(formula, trace, sharpness: float, weights=None,
     """Evaluate every node exactly and smoothly and bundle the results."""
     _check_sharpness(sharpness)
     program = _program(formula, trace, weights)
-    exact_values = program._node_values(trace)
-    program._taping = False  # no gradient follows a report
-    try:
-        smooth_values = program._node_values(trace, sharpness)
-    finally:
-        program._taping = True
+    exact_values = program._forward(trace)
+    smooth_values = program._forward(trace, sharpness, keep=False)  # no gradient follows
     exact = program._value_at(exact_values, t_index)
     smooth = program._value_at(smooth_values, t_index)
     per_node = {}
     for node_id, index in program.labels:
-        e, s = exact_values[index], smooth_values[index]
+        e, s = program.node(exact_values, index), program.node(smooth_values, index)
         if t_index < len(e):
             per_node[node_id] = (float(e[t_index]), float(s[t_index]))
     weighted_exact = weighted_smooth = None
     if weights is not None and len(weights):
-        weighted_exact = program._evaluate(trace, t_index, weighted=True)
-        weighted_smooth = program._evaluate(trace, t_index, sharpness, weighted=True,
-                                            soft_combine=False)
+        weighted_exact = program._evaluate(trace, t_index, None, _SCALE)
+        weighted_smooth = program._evaluate(trace, t_index, None, _SHARE)
     return RobustnessReport(exact=exact, smooth=smooth, per_node=per_node,
                             satisfied=exact > 0.0, sharpness=sharpness,
                             weighted_exact=weighted_exact,

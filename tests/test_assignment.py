@@ -167,7 +167,7 @@ def test_exact_check_of_an_accepted_step_evaluates_only_unlent_atoms(atom_forwar
     eval_smooth(objective, trace, 0, scenario.sharpness)
     before = atom_forwards["ran"]
     # a bitwise-equal copy, as the optimizer rolls out the accepted trial again
-    got = monitor._node_values(trace.copy())
+    got = monitor._forward(trace.copy())
     assert atom_forwards["ran"] == before + len(own)
     _assert_fresh_exact(got, formula, trace)
     assert repr(eval_exact(monitor, trace.copy())) == repr(eval_exact(formula, trace))

@@ -17,12 +17,12 @@ from stlfleet import robustness, stl
 from stlfleet.dynamics import rollout
 from stlfleet.mission import compile_mission
 from stlfleet.optimizer import OptimizerConfig, _assigned, optimize
-from stlfleet.robustness import Program, eval_exact, eval_smooth, gradient_smooth
+from stlfleet.robustness import Program, eval_exact, eval_smooth, gradient_smooth, make_report
 
 from conftest import random_formula, random_predicate
 from test_mission import make_scenario
-from test_pass_reuse import (ASCENT_BEFORE_REUSE, LAM, _cases, _mission_case, _smooth,
-                             passes)  # noqa: F401  (passes is a fixture)
+from test_pass_reuse import (ASCENT_BEFORE_REUSE, LAM, _assert_fresh, _cases, _mission_case,
+                             _smooth, passes)  # noqa: F401  (passes is a fixture)
 
 
 @pytest.fixture
@@ -36,9 +36,9 @@ def atom_forwards(monkeypatch):
         monkeypatch.setattr(group, "forward", counted)
     forward = Program._forward
 
-    def counted_pass(self, trace, lam, weighting):
+    def counted_pass(self, trace, lam=None, weighting=None, keep=True):
         counts["unshared"] += len(self.groups)
-        return forward(self, trace, lam, weighting)
+        return forward(self, trace, lam, weighting, keep)
     monkeypatch.setattr(Program, "_forward", counted_pass)
     return counts
 
@@ -56,10 +56,11 @@ def _tied(formula, weights, rng):
 
 def _assert_fresh_exact(got, formula, trace):
     """``got`` is bit for bit the exact pass of a new program."""
-    want = Program(formula, trace.ts)._node_values(trace)
+    fresh = Program(formula, trace.ts)
+    want = fresh._forward(trace)
     assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g.tobytes() == w.tobytes()
+    for i in range(len(fresh.ops)):
+        assert fresh.node(got, i).tobytes() == fresh.node(want, i).tobytes()
 
 
 @pytest.mark.parametrize("weighted", [False, True])
@@ -71,7 +72,7 @@ def test_exact_pass_after_kept_pass_borrows_every_atom(atom_forwards, weighted):
         _smooth(lender, trace, weights)
         before = atom_forwards["ran"]
         # a bitwise-equal copy, as the optimizer rolls out the accepted trial again
-        got = monitor._node_values(trace.copy())
+        got = monitor._forward(trace.copy())
         value = eval_exact(monitor, trace.copy())
         assert atom_forwards["ran"] == before  # no atom evaluated
         _assert_fresh_exact(got, formula, trace)
@@ -94,7 +95,7 @@ def _one_bit_apart(trace, field, change):
 
 def _refused(atom_forwards, monitor, formula, trace):
     before = atom_forwards["ran"]
-    got = monitor._node_values(trace)
+    got = monitor._forward(trace)
     assert atom_forwards["ran"] == before + len(monitor.groups)
     _assert_fresh_exact(got, formula, trace)
 
@@ -109,13 +110,21 @@ def test_one_bit_apart_is_not_borrowed(atom_forwards, field, change):
     _refused(atom_forwards, monitor, formula, other)
 
 
-def test_kept_trace_changed_in_place_is_not_borrowed(atom_forwards):
+@pytest.mark.parametrize("nan", [False, True])
+def test_kept_trace_changed_in_place_is_borrowed_bit_identical(atom_forwards, nan):
+    # the lent rows are the kept pass's own values, which do not read the
+    # evaluated trace again, so a trace changed after the pass still lends
     formula, weights, trace = _mission_case(3)
+    if nan:
+        trace.pos[0, 40, 2] = np.nan
     monitor, lender = _tied(formula, None, np.random.default_rng(0))
     eval_smooth(lender, trace, 0, LAM)
     original = trace.copy()
     trace.pos += 0.25
-    _refused(atom_forwards, monitor, formula, original)
+    before = atom_forwards["ran"]
+    got = monitor._forward(original)
+    assert atom_forwards["ran"] == before  # no atom evaluated
+    _assert_fresh_exact(got, formula, original)
 
 
 def test_consumed_pass_is_not_borrowed(atom_forwards):
@@ -125,6 +134,26 @@ def test_consumed_pass_is_not_borrowed(atom_forwards):
     gradient_smooth(lender, trace, LAM)  # the gradient drops the pass it used
     assert lender._kept is None
     _refused(atom_forwards, monitor, formula, trace)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_report_leaves_the_lenders_kept_pass(atom_forwards, passes, weighted):
+    formula, weights, trace = _mission_case(4)
+    weights = weights if weighted else None
+    monitor, lender = _tied(formula, weights, np.random.default_rng(0))
+    _smooth(lender, trace, weights)
+    kept = lender._kept
+    values = kept[1].copy()
+    before = atom_forwards["ran"]
+    report = make_report(monitor, trace.copy(), LAM, weights=weights)
+    assert atom_forwards["ran"] == before  # every pass of the report borrows every atom
+    assert monitor._kept is None
+    assert lender._kept is kept and kept[1].tobytes() == values.tobytes()
+    assert repr(report.to_dict()) == repr(make_report(formula, trace, LAM, weights).to_dict())
+    smooth = passes["smooth"]
+    got = gradient_smooth(lender, trace, LAM, weights=weights)
+    assert passes["smooth"] == smooth  # the kept pass still serves the gradient
+    _assert_fresh(got, lender.formula, weights, trace)
 
 
 def test_monitor_with_foreign_atoms_never_borrows():
@@ -153,7 +182,7 @@ def test_monitor_borrows_the_atoms_it_shares(atom_forwards, weighted):
         assert sum(len(rows) for _, rows in own) == len(atoms)
         _smooth(lender, trace, weights)
         before = atom_forwards["ran"]
-        got = monitor._node_values(trace.copy())
+        got = monitor._forward(trace.copy())
         assert atom_forwards["ran"] == before + len(own)
         _assert_fresh_exact(got, whole, trace)
 

@@ -431,6 +431,19 @@ def test_csv_reader_rejects_non_finite_cells(column, cell):
         Trace.from_csv(io.StringIO(header + "".join(edited)))
 
 
+@pytest.mark.parametrize("rows, row", [
+    (lambda rows: rows[:-1] + [rows[-1].replace(",,,\r\n", ",0,0,0\r\n")], _LAST + 1),
+    (lambda rows: rows[:2], 1),  # the t = 0 rows alone, which carry a0
+], ids=["last-sample", "first-sample-only"])
+def test_csv_reader_rejects_acceleration_at_the_last_sample(rows, row):
+    # the last sample takes no acceleration, so acc holds no cell for it
+    header, *written = _mission_trace_rows()
+    edited = rows(written)
+    assert edited != written
+    with pytest.raises(LengthMismatch, match=f"data row {row}, column ax: the last sample"):
+        Trace.from_csv(io.StringIO(header + "".join(edited)))
+
+
 def test_csv_reader_rejects_ragged_rows():
     text = ",".join(_CSV_COLUMNS) + "\r\n0,0,1,2,3,4,5,6,,\r\n"
     with pytest.raises(LengthMismatch):

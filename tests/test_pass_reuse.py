@@ -16,10 +16,13 @@ import pytest
 
 from stlfleet import stl
 from stlfleet.dynamics import rollout
+from stlfleet.errors import TraceTooShort
+from stlfleet.fixtures import fixture_windturbine
 from stlfleet.mission import compile_mission
 from stlfleet.optimizer import OptimizerConfig, optimize
-from stlfleet.robustness import (Program, eval_exact, eval_smooth, eval_weighted_smooth,
-                                 gradient_smooth)
+from stlfleet.robustness import (_SCALE, Program, eval_exact, eval_smooth, eval_weighted_smooth,
+                                 gradient_smooth, make_report)
+from stlfleet.warmstart import build_graph, seed_with_schedule, solve_assignment
 
 from conftest import random_formula, random_trace, weight_arity
 from test_mission import make_scenario
@@ -33,9 +36,9 @@ def passes(monkeypatch):
     counts = {"smooth": 0, "exact": 0, "gradient": 0}
     forward, gradient = Program._forward, Program._gradient
 
-    def counted_forward(self, trace, lam, weighting):
+    def counted_forward(self, trace, lam=None, weighting=None, keep=True):
         counts["exact" if lam is None else "smooth"] += 1
-        return forward(self, trace, lam, weighting)
+        return forward(self, trace, lam, weighting, keep)
 
     def counted_gradient(self, *args, **kwargs):
         counts["gradient"] += 1
@@ -115,18 +118,24 @@ def test_one_bit_apart_is_recomputed(passes, field, change):
     _assert_fresh(got, formula, None, other)
 
 
-def test_trace_changed_in_place_is_recomputed(passes):
-    # the kept pass's box atoms read their faces from the evaluated trace,
-    # so a trace changed after its pass never lends that pass out
+@pytest.mark.parametrize("nan", [False, True])
+def test_trace_changed_in_place_is_reused_bit_identical(passes, nan):
+    # no kept tape entry reads the evaluated trace again (box atoms pick
+    # their faces in the forward pass, as argmin where a margin is NaN), so
+    # a gradient over the pass's bits reuses it after the trace changed
     formula, weights, trace = _mission_case(3)
+    if nan:
+        trace.pos[0, 40, 2] = np.nan
     program = Program(formula, trace.ts)
     eval_smooth(program, trace, 0, LAM)
     original = trace.copy()
     trace.pos += 0.25
     before = passes["smooth"]
     got = gradient_smooth(program, original, LAM)
-    assert passes["smooth"] == before + 1
-    _assert_fresh(got, formula, None, original)
+    assert passes["smooth"] == before  # only the reverse sweep ran
+    want = gradient_smooth(Program(formula, original.ts), original, LAM)
+    assert repr(got[0]) == repr(want[0])
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got[1:], want[1:]))
 
 
 # (name, what runs first, whether the gradient after it is weighted)
@@ -161,6 +170,42 @@ def test_other_semantics_never_hit(passes, name, first, weighted):
     got = gradient_smooth(program, trace, LAM, weights=gradient_weights)
     assert passes["smooth"] == before + 1
     _assert_fresh(got, formula, gradient_weights, trace)
+
+
+def _bundled_case():
+    """The bundled mission on its routed seed trace."""
+    scenario = fixture_windturbine()
+    seed, _ = seed_with_schedule(solve_assignment(build_graph(scenario)), scenario)
+    return (*compile_mission(scenario), seed)
+
+
+def test_report_fields_are_the_standalone_evaluations():
+    # a report maps each field to one semantics: exact, smooth, and hard
+    # min/max over raw-weighted and over share-transformed operands; each
+    # field and each node's pair is bit for bit that standalone evaluation
+    for formula, weights, trace in [_bundled_case(), *_cases()]:
+        program = Program(formula, trace.ts, weights)
+        for t_index in sorted({0, trace.n_samples - 1 - program.ops[-1].steps}):
+            _smooth(program, trace, weights)
+            report = make_report(program, trace, LAM, weights=weights, t_index=t_index)
+            assert program._kept is None  # a report drops the kept pass and keeps none
+            assert repr(report.exact) == repr(eval_exact(formula, trace, t_index))
+            assert repr(report.smooth) == repr(eval_smooth(formula, trace, t_index, LAM))
+            for node in formula:
+                if node.node_id not in report.per_node:
+                    with pytest.raises(TraceTooShort):
+                        eval_exact(node, trace, t_index)
+                    continue
+                pair = (eval_exact(node, trace, t_index), eval_smooth(node, trace, t_index, LAM))
+                assert repr(report.per_node[node.node_id]) == repr(pair), node.node_id
+            if not len(weights):
+                assert report.weighted_exact is report.weighted_smooth is None
+                continue
+            fresh = Program(formula, trace.ts, weights)
+            assert (repr(report.weighted_exact)
+                    == repr(fresh._evaluate(trace, t_index, None, _SCALE)))
+            assert repr(report.weighted_smooth) == repr(eval_weighted_smooth(
+                formula, weights, trace, t_index, LAM, soft_combine=False))
 
 
 # Recorded with pass reuse turned off, so that every gradient ran its own

@@ -475,6 +475,27 @@ def test_cli_monitor_rejects_a_trace_of_another_fleet_size(tmp_path, capsys, dro
     assert err.startswith("error: ") and f"holds {len(drones)} drones, the scenario 3" in err, err
 
 
+@pytest.mark.parametrize("last", [True, False], ids=["last-sample", "first-sample-only"])
+def test_cli_monitor_rejects_acceleration_at_the_last_sample(tmp_path, capsys, last):
+    # the seed with 0,0,0 in its last row's ax, ay and az, or only the
+    # seed's t = 0 rows, which carry its first accelerations
+    scenario_path = bundled_scenario_path("windturbine_mock")
+    scenario = load_scenario(scenario_path)
+    seed, _ = seed_with_schedule(solve_assignment(build_graph(scenario)), scenario)
+    header, *rows = csv_text(seed).splitlines(keepends=True)
+    if last:
+        rows[-1] = rows[-1].replace(",,,\r\n", ",0,0,0\r\n")
+        assert rows[-1].endswith(",0,0,0\r\n")
+    else:
+        rows = rows[:seed.n_drones]
+    (tmp_path / "trace.csv").write_text(header + "".join(rows), newline="")
+    argv = ["monitor", "--scenario", str(scenario_path), "--trace", str(tmp_path / "trace.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    row = len(rows) if last else 1
+    assert err.startswith(f"error: trace CSV data row {row}, column ax: the last sample"), err
+
+
 @pytest.mark.parametrize("samples, message", [
     (0, "trace CSV has no data rows"),
     (1, "holds 1 sample, the monitor needs at least 2"),

@@ -8,6 +8,8 @@ same value for every node and the same gradient entry, bit for bit
 (``np.array_equal``, which counts +0.0 and -0.0 as equal).
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -136,7 +138,7 @@ def ref_until_values(op, values, out_len, lam, weighting):
     for t in range(out_len):
         prefix = ref_prefix_min(hold[t:t + hi + 1], lam)[lo:]
         pair = np.stack([goal[t + lo:t + hi + 1], prefix], axis=1)
-        candidates = ref_reduce(pair, op.pair, op, lam, None)
+        candidates = ref_reduce(pair, robustness._MIN, op, lam, None)
         out[t] = ref_reduce(candidates[None, :], op.red, op, lam, weighting)[0]
     return out
 
@@ -152,8 +154,8 @@ def ref_until_backprop(op, values, adjoint, adjoints, lam, weighting):
         log_cum = np.logaddexp.accumulate(-lam * seg)
         prefix = (-log_cum / lam)[lo:]
         pair = np.stack([goal[t + lo:t + hi + 1], prefix], axis=1)
-        pair_partials = ref_partials(pair, op.pair, op, lam, None)
-        candidates = ref_reduce(pair, op.pair, op, lam, None)
+        pair_partials = ref_partials(pair, robustness._MIN, op, lam, None)
+        candidates = ref_reduce(pair, robustness._MIN, op, lam, None)
         outer = ref_partials(candidates[None, :], op.red, op, lam, weighting)
         contrib = adjoint[t] * outer[0]
         goal_adj[t + lo:t + hi + 1] += contrib * pair_partials[:, 0]
@@ -303,10 +305,10 @@ def random_weights(rng, formula):
     return weights
 
 
-def assert_values_equal(got, want):
+def assert_values_equal(program, got, want):
     assert len(got) == len(want)
-    for index, (g, w) in enumerate(zip(got, want)):
-        assert np.array_equal(g, w, equal_nan=True), f"instruction {index}"
+    for index, w in enumerate(want):
+        assert np.array_equal(program.node(got, index), w, equal_nan=True), f"instruction {index}"
 
 
 @settings(max_examples=80, deadline=None)
@@ -334,11 +336,11 @@ def check_batched_passes(seed, width, lo, siblings, extra, with_true):
     for lam_pass, weighting in ((None, None), (lam, None), (None, _SCALE),
                                 (lam, _SHARE), (None, _SHARE)):
         got = program._forward(trace, lam_pass, weighting)
-        assert_values_equal(got, ref_forward(program, trace, lam_pass, weighting))
+        assert_values_equal(program, got, ref_forward(program, trace, lam_pass, weighting))
 
     t_index = int(rng.integers(0, length - program.ops[-1].steps))
-    for weighted, weighting in ((False, None), (True, _SHARE)):
-        value, dpos, dvel = program._gradient(trace, lam, weighted=weighted, t_index=t_index)
+    for weighting in (None, _SHARE):
+        value, dpos, dvel = program._gradient(trace, lam, weighting, t_index)
         ref_value, ref_dpos, ref_dvel = ref_gradient(program, trace, lam, weighting, t_index)
         assert value == ref_value or (np.isnan(value) and np.isnan(ref_value))
         assert np.array_equal(dpos, ref_dpos, equal_nan=True)
@@ -438,15 +440,14 @@ def test_slab_gradients_match_row_kernels(seed, nodes, width, extra, lo, is_min,
         row[pick] = rng.choice(choices, size=int(pick.sum()))
         return row
 
-    # the pass's value and adjoint arrays; values[i] and adjoints[i] view
+    # the pass's value and adjoint arrays; values(i) and adjoints(i) view
     # instruction i's row up to its own length
     value_array, adjoint_array = np.zeros((2, len(program.ops), n + batch.steps))
-    values = robustness._Values(value_array, program)
-    adjoints = robustness._Values(adjoint_array, program)
+    values, adjoints = partial(program.node, value_array), partial(program.node, adjoint_array)
     for index, (arg,) in zip(batch.indices, batch.args):
-        values[arg][:] = sprinkle(rng.standard_normal(n + batch.hi) * 10.0 ** rng.integers(-3, 3),
+        values(arg)[:] = sprinkle(rng.standard_normal(n + batch.hi) * 10.0 ** rng.integers(-3, 3),
                                   [np.inf, -np.inf, 0.0, -0.0])
-        adjoints[index][:] = sprinkle(rng.standard_normal(n), [0.0, -0.0])
+        adjoints(index)[:] = sprinkle(rng.standard_normal(n), [0.0, -0.0])
     tape = {}
     with np.errstate(invalid="ignore"):
         batch.forward(value_array, lam, weighting, tape)
@@ -456,7 +457,7 @@ def test_slab_gradients_match_row_kernels(seed, nodes, width, extra, lo, is_min,
     soft, partials_of = ((ref_softmin, ref_softmin_partials) if is_min
                          else (ref_softmax, ref_softmax_partials))
     for index, (arg,) in zip(batch.indices, batch.args):
-        rows = ref_windows(values[arg], lo, width, n)
+        rows = ref_windows(values(arg), lo, width, n)
         factor = None
         if weighted:
             factor = robustness._share_factor(rows, program.ops[index].tilt)
@@ -467,12 +468,12 @@ def test_slab_gradients_match_row_kernels(seed, nodes, width, extra, lo, is_min,
         if factor is not None:
             partials = partials * factor
         # only the sign of a zero extreme may differ
-        assert np.array_equal(values[index], result, equal_nan=True)
-        contributions = partials * adjoints[index][:, None]
+        assert np.array_equal(values(index), result, equal_nan=True)
+        contributions = partials * adjoints(index)[:, None]
         spots = np.arange(n)[:, None] + lo + np.arange(width)[None, :]
         want = np.bincount(spots.ravel(), weights=contributions.ravel(),
                            minlength=n + batch.hi)
-        assert same_bits(adjoints[arg], want)
+        assert same_bits(adjoints(arg), want)
 
 
 # ---------------------------------------------------------------------------
@@ -480,8 +481,8 @@ def test_slab_gradients_match_row_kernels(seed, nodes, width, extra, lo, is_min,
 
 
 def assert_gradients_match(program, trace, lam, t_index=0):
-    for weighted, weighting in ((False, None), (True, _SHARE)):
-        value, dpos, dvel = program._gradient(trace, lam, weighted=weighted, t_index=t_index)
+    for weighting in (None, _SHARE):
+        value, dpos, dvel = program._gradient(trace, lam, weighting, t_index)
         ref_value, ref_dpos, ref_dvel = ref_gradient(program, trace, lam, weighting, t_index)
         assert value == ref_value
         assert np.array_equal(dpos, ref_dpos) and np.array_equal(dvel, ref_dvel)
@@ -531,7 +532,7 @@ def test_row_batches_under_weighted_smooth_pass(seed):
     reducing = [batch for batch in program.batches if batch.reduces]
     assert reducing and all(3 < batch.arity for batch in reducing)
     # taped terms laid out by rows: (K, n, m) for windows, (K, m, n) for Booleans
-    assert all(program._kept[3][batch][3].transpose((1, 2, 0) if batch.window else (1, 0, 2))
+    assert all(program._kept[2][batch][3].transpose((1, 2, 0) if batch.window else (1, 0, 2))
                .flags.c_contiguous for batch in reducing)
     assert_gradients_match(program, trace, lam, t_index=int(rng.integers(0, 3)))
 
@@ -557,7 +558,7 @@ def test_boolean_batch_at_one_sample(seed):
                and trace.n_samples - batch.steps == 1 for batch in program.batches)
     lam = float(rng.choice([0.7, 4.0, 25.0]))
     for lam_pass, weighting in ((None, None), (lam, None), (None, _SCALE), (lam, _SHARE)):
-        assert_values_equal(program._forward(trace, lam_pass, weighting),
+        assert_values_equal(program, program._forward(trace, lam_pass, weighting),
                             ref_forward(program, trace, lam_pass, weighting))
     assert_gradients_match(program, trace, lam)
 
@@ -577,16 +578,17 @@ def test_pass_values_survive_later_passes(seed):
     length = program.ops[-1].steps + 20
     trace, other = (random_trace(rng, n_drones=2, length=length) for _ in range(2))
     lam = 4.0
-    passes = [program._node_values(trace), program._node_values(trace, lam),
-              program._node_values(trace, lam, weighted=True)]
+    passes = [[program.node(values, i) for i in range(len(program.ops))] for values in
+              (program._forward(trace), program._forward(trace, lam),
+               program._forward(trace, lam, _SHARE))]
     for values in passes:
         # each instruction's array has its own length
         assert [len(v) for v in values] == [length - op.steps for op in program.ops]
     kept = [[v.copy() for v in values] for values in passes]
     program._gradient(trace, lam)
-    program._node_values(other)
-    program._node_values(other, lam)
-    program._gradient(other, lam, weighted=True)
+    program._forward(other)
+    program._forward(other, lam)
+    program._gradient(other, lam, _SHARE)
     make_report(program, other, lam, weights=weights)
     for values, copies in zip(passes, kept):
         assert all(v.tobytes() == c.tobytes() for v, c in zip(values, copies))
@@ -822,10 +824,10 @@ def test_state_gradient_bits_on_small_programs(seed, n_drones, grid, coincide, n
 def check_pass_against_references(program, trace, lam, weighting, finite):
     """A taped pass decides ``finite`` once, and its values and gradient are
     bit for bit the node-by-node references on either path."""
-    assert_values_equal(program._forward(trace, lam, weighting),
+    assert_values_equal(program, program._forward(trace, lam, weighting),
                         ref_forward(program, trace, lam, weighting))
-    assert program._kept[4] is finite
-    value, dpos, dvel = program._gradient(trace, lam, weighted=weighting is not None)
+    assert program._kept[3] is finite
+    value, dpos, dvel = program._gradient(trace, lam, weighting)
     ref_value, ref_dpos, ref_dvel = ref_gradient(program, trace, lam, weighting)
     assert value == ref_value or (np.isnan(value) and np.isnan(ref_value))
     assert np.array_equal(dpos, ref_dpos, equal_nan=True)
@@ -882,7 +884,7 @@ def test_box_fold_matches_sequential_fold(seed, kind, nan, length):
     # the faces fold per axis, then over axes; on coordinates that tie faces
     # and hit bounds as +-0.0, with NaNs of either sign, every margin keeps
     # the bits of the fold p_x - lo_x, hi_x - p_x, p_y - lo_y, ... in order,
-    # and a taping pass picks the face argmin picks unless a margin is NaN
+    # and a taping pass picks the face argmin picks, a NaN margin's included
     rng = np.random.default_rng(seed)
     preds = []
     for i in range(int(rng.integers(1, 5))):
@@ -908,15 +910,14 @@ def test_box_fold_matches_sequential_fold(seed, kind, nan, length):
             margin = -margin
         value = margin if value is None else (
             np.maximum if kind == stl.BOX_OUTSIDE else np.minimum)(value, margin)
-    got, (kept, active) = group.forward(trace, keep=True)
+    got, active = group.forward(trace, keep=True)
     assert np.array_equal((group.scale * value).view(np.int64), got.view(np.int64))
-    assert kept is trace
-    if np.isnan(value).any():
-        assert active is None
-    else:
-        ones = np.ones(got.shape)
-        (got,) = group.state_blocks((trace, active), ones)
-        rows, want = dense_box_blocks(*ref_box_entries(group, trace, ones, 2), 2)
-        ((state, drones),) = group.blocks_of
-        assert np.array_equal(state * 2 + drones, rows)
-        assert np.array_equal(got, want)
+    faces = group._faces(trace)
+    assert np.array_equal(active, np.stack([pair[axis] for axis in range(3) for pair in faces])
+                          .argmin(axis=0))
+    ones = np.ones(got.shape)
+    (got,) = group.state_blocks(active, ones)
+    rows, want = dense_box_blocks(*ref_box_entries(group, trace, ones, 2), 2)
+    ((state, drones),) = group.blocks_of
+    assert np.array_equal(state * 2 + drones, rows)
+    assert np.array_equal(got, want)

@@ -10,7 +10,7 @@ from stlfleet import stl
 from stlfleet.errors import BadSharpness, EmptyInput, StlFleetError, TraceTooShort
 from stlfleet.fixtures import fixture_windturbine
 from stlfleet.mission import compile_mission
-from stlfleet.robustness import (Program, eval_exact, eval_smooth, eval_weighted_smooth,
+from stlfleet.robustness import (_SCALE, Program, eval_exact, eval_smooth, eval_weighted_smooth,
                                  gradient_smooth, make_report, smooth_max, smooth_min)
 from stlfleet.warmstart import build_graph, seed_with_schedule, solve_assignment
 
@@ -193,7 +193,7 @@ def test_smooth_under_approximates_negation_free(rng):
 
 def weighted_exact(formula, weights, trace, t_index=0):
     """Weighted robustness: min/max over weight * operand value."""
-    return Program(formula, trace.ts, weights)._evaluate(trace, t_index, weighted=True)
+    return Program(formula, trace.ts, weights)._evaluate(trace, t_index, None, _SCALE)
 
 
 def two_margin_and(x, y, weights=None, label="w_and"):
@@ -467,7 +467,7 @@ def test_program_reused_on_two_traces_matches_fresh_evaluation(rng):
             assert eval_exact(program, trace) == eval_exact(f, trace)
             assert eval_exact(program, trace) == oracle_eval(f, trace, 0, shared_leaves={})
             assert eval_smooth(program, trace) == eval_smooth(f, trace)
-            assert (program._evaluate(trace, 0, weighted=True)
+            assert (program._evaluate(trace, 0, None, _SCALE)
                     == weighted_exact(f, weights, trace))
             assert (eval_weighted_smooth(program, weights, trace, soft_combine=True)
                     == eval_weighted_smooth(f, weights, trace, soft_combine=True))
