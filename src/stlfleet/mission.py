@@ -332,7 +332,8 @@ def safety_class_robustness(scenario: Scenario, trace: Trace) -> dict:
     Complements the per-node report, where the mission nests the classes
     inside one always per drone: each class is the least margin of its
     atoms over the window [0, min(mission, trace duration)], NaN if any
-    of them is NaN, as the exact semantics give it.
+    of them is NaN, as the exact semantics give it. A class's atoms are of
+    one kind, evaluated as one group.
     """
     window = stl.Interval(0.0, min(scenario.mission_duration, trace.duration))
     last = window.to_steps(trace.ts)[1]
@@ -340,7 +341,9 @@ def safety_class_robustness(scenario: Scenario, trace: Trace) -> dict:
     for d in range(scenario.n_drones):
         for name, preds in _safety_predicates(scenario, d).items():
             classes.setdefault(name, []).extend(preds)
-    return {name: float(np.min([atom_values(p, trace)[:last + 1] for p in preds]))
+    # a contiguous copy of the window: where the least margin is a zero, the
+    # sign that np.min returns follows the memory layout
+    return {name: float(np.min(np.ascontiguousarray(atom_values(preds, trace)[:, :last + 1])))
             for name, preds in classes.items() if preds}
 
 

@@ -11,7 +11,7 @@ the demanded margin then covers them too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,6 +75,8 @@ class PlanResult:
     objective_history: list
     smooth_objective: float        # smooth value of the augmented objective
     restarts_used: int = 0
+    # the compiled mission that judged the iterates, for re-checks of the trace
+    monitor: Program = field(default=None, repr=False, compare=False)
 
     def history_csv(self) -> str:
         lines = ["iteration,objective"]
@@ -260,9 +262,13 @@ def optimize(formula, seed_trace: Trace, scenario, config: OptimizerConfig = Non
     ``_assigned``) and accepts only improving iterates, so the objective
     history is non-decreasing; the returned trace is the accepted iterate
     with the best exact robustness of the original formula among those at
-    the margin, if any reach it, re-verified with the exact monitor. When
-    that iterate's smooth value is not positive, one noise-perturbed
-    restart from the seed is attempted.
+    the margin, if any reach it, re-verified with the exact monitor. The
+    monitor judges an iterate only where that choice reads it: a run ends
+    at its first iterate at the margin, whose key beats every iterate
+    below the margin, so iterates whose smooth value lies strictly between
+    0 and the margin are judged after the run, and only when it ends below
+    the margin. When the chosen iterate's smooth value is not positive,
+    one noise-perturbed restart from the seed is attempted.
 
     The status follows the exact robustness of the returned trace: above
     zero it is satisfied, with margin when the smooth objective reached
@@ -297,12 +303,31 @@ def optimize(formula, seed_trace: Trace, scenario, config: OptimizerConfig = Non
     rng = np.random.default_rng(config.rng_seed)
 
     def run(start_acc):
+        # best iterate by (at the margin, exact, smooth), so the reported
+        # status stays consistent with the returned trace. Smooth values rise
+        # along a run, and a run ends at its first iterate at the margin,
+        # whose key beats every key below it: iterates strictly between 0 and
+        # the margin wait in ``pending``, judged only if the run ends below
+        # the margin. The others are judged at once, an accepted trial while
+        # its smooth pass can still lend the exact pass its atom rows
+        best, pending = None, []
+
+        def judge(value, acc):
+            nonlocal best
+            key = (value >= margin, eval_exact(monitor, objective.trace(acc), 0), value)
+            if best is None or key > best[:3]:
+                best = (*key, acc)
+
+        def consider(value, acc):
+            if 0 < value < margin:
+                pending.append((value, acc))
+            else:
+                judge(value, acc)
+
         acc = start_acc
         current, grad = objective.value_and_gradient(acc)
         history = [current]
-        # best iterate by (at the margin, exact, smooth): the reported status
-        # stays consistent with the returned trace
-        best = (current >= margin, eval_exact(monitor, objective.trace(acc), 0), current, acc)
+        consider(current, acc)
         step = _STEP_INIT
         iterations = 0
         capped = False
@@ -333,9 +358,7 @@ def optimize(formula, seed_trace: Trace, scenario, config: OptimizerConfig = Non
             improvement = value - current
             acc, current, step = trial, value, trial_step
             history.append(current)
-            key = (current >= margin, eval_exact(monitor, objective.trace(acc), 0), current)
-            if key > best[:3]:
-                best = (*key, acc)
+            consider(current, acc)
             grad = objective.value_and_gradient(acc)[1]
             step = min(step * _STEP_GROW, 10.0 * _STEP_INIT)
             if current >= margin:
@@ -344,6 +367,9 @@ def optimize(formula, seed_trace: Trace, scenario, config: OptimizerConfig = Non
                 break
         else:
             capped = True
+        if current < margin:
+            for iterate in pending:
+                judge(*iterate)
         return best, history, iterations, capped
 
     best, history, iterations, capped = run(seed_acc)
@@ -369,4 +395,5 @@ def optimize(formula, seed_trace: Trace, scenario, config: OptimizerConfig = Non
     report = make_report(monitor, final_trace, sharpness, weights=weights)
     return PlanResult(trace=final_trace, report=report, status=status,
                       iterations=iterations, objective_history=history,
-                      smooth_objective=smooth_best, restarts_used=restarts_used)
+                      smooth_objective=smooth_best, restarts_used=restarts_used,
+                      monitor=monitor)

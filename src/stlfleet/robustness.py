@@ -362,9 +362,9 @@ _ATOM_GROUPS = {stl.BOX_INSIDE: _Boxes, stl.VELOCITY_BOX: _Boxes, stl.BOX_OUTSID
                 stl.MIN_SEPARATION: _Separations, stl.SEGMENT_BAND: _Segments}
 
 
-def atom_values(pred: stl.Predicate, trace: Trace) -> np.ndarray:
-    """Margin of one predicate at every sample, shape (L,)."""
-    return _ATOM_GROUPS[pred.kind]([pred]).forward(trace)[0][0]
+def atom_values(preds, trace: Trace) -> np.ndarray:
+    """Margins of predicates of one kind at every sample, shape (K, L)."""
+    return _ATOM_GROUPS[preds[0].kind](list(preds)).forward(trace)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import pytest
 
 from stlfleet import stl
 from stlfleet.dynamics import Trace
+from stlfleet.optimizer import _Objective
 
 BIG = 1e6
 
@@ -162,7 +163,7 @@ def oracle_eval(formula, trace, t, shared_leaves=None):
         cached = shared_leaves.get(formula.node_id)
         if cached is None:
             from stlfleet.robustness import atom_values
-            cached = shared_leaves[formula.node_id] = atom_values(formula.predicate, trace)
+            cached = shared_leaves[formula.node_id] = atom_values([formula.predicate], trace)[0]
         return float(cached[t])
     if kind == stl.NOT:
         return -oracle_eval(formula.children[0], trace, t, shared_leaves)
@@ -204,6 +205,21 @@ def weight_arity(node, ts=0.05):
     if node.kind == stl.NEXT:
         return 1
     return 0
+
+
+@pytest.fixture
+def iterates(monkeypatch):
+    """(smooth value, trace) of each iterate of every ``optimize`` run, in
+    order: a run's start, then each accepted step."""
+    seen = []
+    value_and_gradient = _Objective.value_and_gradient
+
+    def recorded(self, acc):
+        value, grad = value_and_gradient(self, acc)
+        seen.append((value, self.trace(acc)))
+        return value, grad
+    monkeypatch.setattr(_Objective, "value_and_gradient", recorded)
+    return seen
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stlfleet import bundled_scenario_path, stl
+from stlfleet import bundled_scenario_path, robustness, stl
 from stlfleet.dynamics import DroneLimits, Trace, rollout
 from stlfleet.errors import (InfeasibleWindow, NoCapableDrone, ParseError,
                              ValidationError)
@@ -206,6 +206,23 @@ def _safety_classes_by_formulas(scenario, trace):
         body = atoms[0] if len(atoms) == 1 else stl.land(*atoms)
         out[name] = eval_exact(stl.always(stl.Interval(0.0, duration), body), trace)
     return out
+
+
+def test_safety_classes_evaluate_one_atom_group_per_kind(monkeypatch):
+    # 3 workspace boxes, 6 obstacle boxes and 6 ordered separation pairs
+    scenario = make_scenario(n_drones=3, obstacles=[((-1, -1, 0), (1, 1, 2)),
+                                                    ((2, 2, 0), (3, 3, 2))], mission=2.0)
+    trace = rollout(scenario.depots, np.zeros_like(scenario.depots),
+                    np.zeros((3, scenario.n_samples - 1, 3)), scenario.ts)
+    groups = []
+    for group in (robustness._Boxes, robustness._Separations):
+        def counted(self, trace, keep=False, _forward=group.forward):
+            groups.append(len(self.scale))
+            return _forward(self, trace, keep)
+        monkeypatch.setattr(group, "forward", counted)
+    classes = safety_class_robustness(scenario, trace)
+    assert list(classes) == ["workspace", "obstacle", "separation"]
+    assert groups == [3, 6, 6]
 
 
 @settings(max_examples=80, deadline=None)

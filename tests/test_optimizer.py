@@ -9,12 +9,17 @@ from stlfleet import stl
 from stlfleet.dynamics import rollout
 from stlfleet.errors import SeedTooShort
 from stlfleet.mission import compile_mission
-from stlfleet.optimizer import (ITERATION_CAP, SATISFIED_WITH_MARGIN, VIOLATED,
-                                OptimizerConfig, _Objective, optimize, pullback_gradient)
-from stlfleet.robustness import eval_exact, eval_smooth, gradient_smooth
+from stlfleet.fixtures import fixture_windturbine
+from stlfleet.optimizer import (ITERATION_CAP, SATISFIED_NO_MARGIN, SATISFIED_WITH_MARGIN,
+                                VIOLATED, OptimizerConfig, _Objective, optimize,
+                                pullback_gradient)
+from stlfleet.pipeline import run_pipeline
+from stlfleet.replanner import simulate_with_disturbance
+from stlfleet.robustness import Program, eval_exact, eval_smooth, gradient_smooth
 from stlfleet.warmstart import build_graph, seed_with_schedule, solve_assignment
 
 from test_mission import make_scenario
+from test_replanner import PUSHES
 
 
 def hover_seed(scenario):
@@ -318,3 +323,101 @@ def test_pullback_bitwise_equals_reverse_loop(drones, n, ts, seed):
     dacc = pullback_gradient(dpos, dvel, ts)
     assert dacc.shape == (drones, n, 3)
     assert np.array_equal(dacc, _pullback_loop(dpos, dvel, ts))
+
+
+# `stlfleet plan` defaults
+CLI_DEFAULTS = OptimizerConfig(max_iters=600, rng_seed=0)
+
+
+@pytest.fixture(scope="module")
+def bundled():
+    """The bundled turbine: scenario, mission, its weights and the routed seed."""
+    scenario = fixture_windturbine()
+    seed, _ = seed_with_schedule(solve_assignment(build_graph(scenario)), scenario)
+    return (scenario, *compile_mission(scenario), seed)
+
+
+@pytest.fixture(scope="module")
+def committed(bundled):
+    """The bundled turbine's basic plan, for replans."""
+    return bundled[0], run_pipeline(bundled[0], "basic", CLI_DEFAULTS)
+
+
+def _assert_best_by_key(result, formula, margin, iterates):
+    """``result`` holds the iterate that is best by (at the margin, exact,
+    smooth), each exact value from a fresh program: the first best of each
+    run, and the retry's only for a better (exact, smooth)."""
+    monitor = Program(formula, result.trace.ts)
+    runs = []  # (best key, its trace, the run's smooth values)
+    for i, (value, trace) in enumerate(iterates):
+        if not i or value <= iterates[i - 1][0]:  # smooth values rise within a run
+            runs.append([None, None, []])
+        run = runs[-1]
+        key = (value >= margin, eval_exact(monitor, trace, 0), value)
+        if run[0] is None or key > run[0]:
+            run[:2] = key, trace
+        run[2].append(value)
+    assert len(runs) == 1 + result.restarts_used
+    best = runs[0]
+    if len(runs) > 1 and runs[1][0][1:] > best[0][1:]:
+        best = runs[1]
+    (at_margin, exact, smooth), trace, history = best
+    for field in ("pos", "vel", "acc"):
+        assert getattr(result.trace, field).tobytes() == getattr(trace, field).tobytes()
+    assert result.objective_history == history
+    assert repr(result.report.exact) == repr(exact)
+    assert result.smooth_objective == smooth
+    if exact > 0:
+        assert result.status == (SATISFIED_WITH_MARGIN if at_margin else SATISFIED_NO_MARGIN)
+    else:
+        assert result.status in (ITERATION_CAP, VIOLATED)
+
+
+@pytest.mark.parametrize("mode, margin", [("basic", None), ("attrition", None),
+                                          ("basic", 5.0), ("basic", -0.5)])
+def test_plan_returns_the_best_iterate_by_key(bundled, iterates, mode, margin):
+    # margin 5 is never reached, so every iterate above 0 is judged after
+    # the run; below zero every iterate is at the margin
+    scenario, formula, weights, seed = bundled
+    config = OptimizerConfig(margin=margin, max_iters=600, rng_seed=0)
+    result = optimize(formula, seed, scenario, config,
+                      weights=weights if mode == "attrition" else None)
+    _assert_best_by_key(result, formula, scenario.margin if margin is None else margin,
+                        iterates)
+
+
+def test_replan_window_returns_the_best_iterate_by_key(monkeypatch, committed, iterates):
+    # drone 1's window after perfbench's push of seed 1, op 2 cannot be
+    # repaired: a margin-0 ascent that runs twice, to its iteration cap
+    import stlfleet.replanner as replanner
+    scenario, plan = committed
+    calls = []
+
+    def recorded(formula, seed, scenario, config, **kwargs):
+        result = optimize(formula, seed, scenario, config, **kwargs)
+        calls.append((formula, config.margin, result))
+        return result
+    monkeypatch.setattr(replanner, "optimize", recorded)
+    push = PUSHES["op2"]
+    simulate_with_disturbance(plan.result.trace, plan.schedules,
+                              [(push["time"], push["drone"], push["offset"])],
+                              scenario, CLI_DEFAULTS)
+    [(formula, margin, result)] = calls
+    assert (margin, result.restarts_used, result.status) == (0.0, 1, ITERATION_CAP)
+    _assert_best_by_key(result, formula, margin, iterates)
+
+
+def test_bundled_plan_judges_one_iterate(monkeypatch, bundled):
+    # the run reaches the margin from above 0, so only its last iterate is
+    # judged: the returned one
+    import stlfleet.optimizer as optimizer_module
+    scenario, formula, _, seed = bundled
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return eval_exact(*args, **kwargs)
+    monkeypatch.setattr(optimizer_module, "eval_exact", counted)
+    result = optimize(formula, seed, scenario, CLI_DEFAULTS)
+    assert result.status == SATISFIED_WITH_MARGIN
+    assert len(calls) == 1

@@ -8,11 +8,12 @@ from stlfleet import bundled_scenario_path
 from stlfleet.cli import main
 from stlfleet.dynamics import Trace, rollout
 from stlfleet.errors import ParseError, PipelineError
+from stlfleet.mission import scenario_from_dict
 from stlfleet.optimizer import (ITERATION_CAP, SATISFIED_NO_MARGIN, SATISFIED_WITH_MARGIN,
                                 VIOLATED, OptimizerConfig)
 from stlfleet.pipeline import (load_scenario, monitor_trace, run_pipeline,
                                run_routes_only)
-from stlfleet.robustness import eval_exact
+from stlfleet.robustness import Program, eval_exact
 from stlfleet.warmstart import build_graph, seed_with_schedule, solve_assignment
 
 from conftest import csv_text
@@ -55,6 +56,26 @@ def test_monitor_matches_export(small_output):
     report = monitor_trace(scenario, paths["trace"])
     assert report["satisfied"] is True
     assert report["exact"] == pytest.approx(output.result.report.exact, abs=1e-9)
+
+
+@pytest.mark.parametrize("sample", [0.05, 1 / 30])
+def test_export_rechecks_with_the_program_that_judged_the_plan(tmp_path, monkeypatch, sample):
+    # 1/30 s does not survive the CSV's 12-digit times: the re-import has
+    # another sampling period, and the mission is compiled for that one
+    data = scenario_dict(targets=[(-2.0, -3.0, 1.0)], mission=4.0)
+    data["timing"]["sample"] = sample
+    output = run_pipeline(scenario_from_dict(data), "basic", OptimizerConfig(max_iters=5))
+    compiled = []
+    init = Program.__init__
+
+    def counted(self, *args, **kwargs):
+        compiled.append(args)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(Program, "__init__", counted)
+    paths = output.export(tmp_path)
+    assert len(compiled) == (sample != 0.05)
+    report = json.loads(paths["report"].read_text())
+    assert report["reimported_exact"] == pytest.approx(output.result.report.exact, abs=1e-9)
 
 
 def test_scenario_file_errors(tmp_path):
